@@ -23,8 +23,10 @@
 #include "harness.hpp"
 #include "numerics/convolution.hpp"
 #include "numerics/fft_plan.hpp"
+#include "numerics/pmf.hpp"
 #include "numerics/random.hpp"
 #include "numerics/simd.hpp"
+#include "numerics/special_functions.hpp"
 #include "queueing/solver.hpp"
 #include "queueing/trace_queue_sim.hpp"
 #include "traffic/fgn.hpp"
@@ -58,6 +60,50 @@ queueing::FluidQueueSolver figure_solver() {
       dist::TruncatedPareto::theta_from_mean_epoch(mtv.mean_epoch, alpha), alpha, 10.0);
   return queueing::FluidQueueSolver(mtv.marginal, epochs, c, 0.5 * c);
 }
+
+/// One occupancy chain advanced as its own real convolution, with the
+/// fold engine's per-chain work (Eq. 20 fold, health scan, clamp and
+/// renormalize) — the baseline layout fold_step compares against.
+class SplitChain {
+ public:
+  SplitChain(std::vector<double> increment_pmf, std::size_t bins, std::size_t start)
+      : bins_(bins),
+        conv_(std::move(increment_pmf), bins + 1),
+        ws_(conv_.make_workspace()),
+        u_(conv_.kernel_size() + bins),
+        q_(bins + 1, 0.0),
+        next_(bins + 1) {
+    q_[start] = 1.0;
+  }
+
+  void step() {
+    conv_.convolve_into(q_.data(), bins_ + 1, ws_, u_.data());
+    numerics::CompensatedSum at_zero, at_buffer;
+    for (std::size_t k = 0; k <= bins_; ++k) at_zero.add(u_[k]);
+    for (std::size_t k = 2 * bins_; k < u_.size(); ++k) at_buffer.add(u_[k]);
+    for (std::size_t j = 1; j < bins_; ++j) next_[j] = u_[bins_ + j];
+    next_[0] = at_zero.value();
+    next_[bins_] = at_buffer.value();
+    health_.merge(numerics::inspect_mass(next_));
+    double total = 0.0;
+    for (double& p : next_) {
+      if (p < 0.0) p = 0.0;
+      total += p;
+    }
+    if (total > 0.0) {
+      const double inv = 1.0 / total;
+      for (double& p : next_) p *= inv;
+    }
+    q_.swap(next_);
+  }
+
+ private:
+  std::size_t bins_;
+  numerics::CachedKernelConvolver conv_;
+  numerics::CachedKernelConvolver::Workspace ws_;
+  std::vector<double> u_, q_, next_;
+  queueing::StepHealth health_;
+};
 
 /// Registers one full-solve case; the solver telemetry rides on the
 /// record as gated metrics.
@@ -205,42 +251,14 @@ int main(int argc, char** argv) {
       if (simd_ns > 0.0) c.metric("speedup_vs_scalar", scalar_ns / simd_ns);
     });
 
-    for (const std::size_t m : {std::size_t{1024}, std::size_t{4096}}) {
+    for (const std::size_t m : {std::size_t{128}, std::size_t{1024}, std::size_t{4096},
+                                std::size_t{16384}}) {
       h.add("fold_step/" + std::to_string(m), {1, 5}, [m](bench::Case& c) {
-        // The solver's per-epoch cost with the engine pinned to one
-        // thread — the machine-independent single-core baseline the _mt
-        // variant is judged against. The speedup_vs_sequential metric
-        // compares against the pre-batching epoch (two independent
-        // cached convolutions, allocating path).
-        auto solver = figure_solver();
-        const auto wl = solver.increment_pmf_lower(m);
-        const auto wh = solver.increment_pmf_upper(m);
-        queueing::DualFoldEngine engine(wl, wh, m, queueing::FoldConcurrency{1, 1024});
-        std::vector<double> q_low(m + 1, 0.0), q_high(m + 1, 0.0);
-        q_low[0] = 1.0;
-        q_high[m] = 1.0;
-        queueing::StepHealth low_health, high_health;
-        const std::size_t iters = std::max<std::size_t>(4, 16384 / m);
-        c.measure_ns_per_iter(iters, [&](std::size_t) {
-          engine.step(q_low, q_high, low_health, high_health);
-        });
-        const double dual_ns = obs::robust_stats(c.samples()).median;
-        const numerics::CachedKernelConvolver conv_low(wl, m + 1), conv_high(wh, m + 1);
-        const obs::SteadyTime t0 = obs::now();
-        for (std::size_t i = 0; i < iters; ++i) {
-          (void)conv_low.convolve(q_low);
-          (void)conv_high.convolve(q_high);
-        }
-        const double seq_ns = obs::seconds_since(t0) * 1e9 / static_cast<double>(iters);
-        c.metric("sequential_ns", seq_ns);
-        if (dual_ns > 0.0) c.metric("speedup_vs_sequential", seq_ns / dual_ns);
-      });
-      h.add("fold_step/" + std::to_string(m) + "_mt", {1, 5}, [m](bench::Case& c) {
-        // Same per-epoch step with the engine's default concurrency
-        // (LRDQ_THREADS or hardware_concurrency): the two chains advance
-        // on worker threads. speedup_vs_single_thread compares against a
-        // thread-pinned engine running the identical split-mode
-        // arithmetic, so the metric isolates the parallel win.
+        // The solver's per-epoch step (packed dual transform, fold,
+        // health scan, sanitize). The split_ns metric times the same
+        // epoch laid out as two real convolutions, with the same warmup
+        // and repeats — the layout the engine no longer has; a
+        // speedup_vs_split well below 1 would argue for bringing it back.
         auto solver = figure_solver();
         const auto wl = solver.increment_pmf_lower(m);
         const auto wh = solver.increment_pmf_upper(m);
@@ -253,18 +271,23 @@ int main(int argc, char** argv) {
         c.measure_ns_per_iter(iters, [&](std::size_t) {
           engine.step(q_low, q_high, low_health, high_health);
         });
-        const double mt_ns = obs::robust_stats(c.samples()).median;
-        queueing::DualFoldEngine pinned(wl, wh, m, queueing::FoldConcurrency{1, 1024});
-        std::vector<double> p_low(m + 1, 0.0), p_high(m + 1, 0.0);
-        p_low[0] = 1.0;
-        p_high[m] = 1.0;
-        const obs::SteadyTime t0 = obs::now();
-        for (std::size_t i = 0; i < iters; ++i)
-          pinned.step(p_low, p_high, low_health, high_health);
-        const double st_ns = obs::seconds_since(t0) * 1e9 / static_cast<double>(iters);
-        c.metric("threads", static_cast<double>(engine.threads()));
-        c.metric("single_thread_ns", st_ns);
-        if (mt_ns > 0.0) c.metric("speedup_vs_single_thread", st_ns / mt_ns);
+        const double packed_ns = obs::robust_stats(c.samples()).median;
+
+        SplitChain low(wl, m, 0), high(wh, m, m);
+        const auto batch = [&] {
+          const obs::SteadyTime t0 = obs::now();
+          for (std::size_t i = 0; i < iters; ++i) {
+            low.step();
+            high.step();
+          }
+          return obs::seconds_since(t0) * 1e9 / static_cast<double>(iters);
+        };
+        for (std::size_t i = 0; i < c.warmup(); ++i) (void)batch();
+        std::vector<double> split_samples;
+        for (std::size_t i = 0; i < c.repeats(); ++i) split_samples.push_back(batch());
+        const double split_ns = obs::robust_stats(split_samples).median;
+        c.metric("split_ns", split_ns);
+        if (packed_ns > 0.0) c.metric("speedup_vs_split", split_ns / packed_ns);
       });
     }
 

@@ -58,10 +58,7 @@ class CachedKernelConvolver {
   }
 
   /// Linear convolution `signal[0..len) * kernel` written to
-  /// `out[0..len + kernel_size() - 1)`. Zero heap allocations below the
-  /// parallel-multiply threshold (32k spectrum bins, i.e. every solver
-  /// level); at or above it the spectrum product is chunked across the
-  /// executor, which allocates one job per call.
+  /// `out[0..len + kernel_size() - 1)`. Zero heap allocations.
   void convolve_into(const double* signal, std::size_t len, Workspace& ws, double* out) const;
 
   /// Allocating wrapper: `signal.size() <= max_signal_len`.

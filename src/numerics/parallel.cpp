@@ -1,31 +1,12 @@
 #include "numerics/parallel.hpp"
 
-#include <cstdlib>
-#include <string>
-#include <thread>
-
 #include "runtime/executor.hpp"
 
 namespace lrd::numerics {
 
-namespace detail {
-
-void parallel_for_ranges_erased(std::size_t n, std::size_t grain,
-                                const std::function<void(std::size_t, std::size_t)>& fn,
-                                std::size_t threads) {
-  runtime::Executor::global().parallel_for_ranges(n, grain, fn, threads);
-}
-
-}  // namespace detail
-
-std::size_t default_thread_count() noexcept {
-  if (const char* env = std::getenv("LRDQ_THREADS")) {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && v >= 1) return static_cast<std::size_t>(v);
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
+void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
+                  std::size_t threads) {
+  runtime::Executor::global().parallel_for(n, fn, threads);
 }
 
 }  // namespace lrd::numerics

@@ -1,64 +1,22 @@
-// Minimal data parallelism for the experiment sweeps and the numerics
-// hot paths.
+// Minimal data parallelism for the experiment sweeps.
 //
 // The figure surfaces solve dozens of independent queue models whose
 // per-cell cost is heavy-tailed, so the indices are scheduled by the
 // shared work-stealing executor (runtime::Executor) rather than a static
 // partition; this header stays the stable, dependency-light entry point.
-//
-// Both entry points are templates over the callable: the scheduler pays
-// one type-erased call per *popped index range*, never per element —
-// the per-element calls compile inline against the concrete callable.
-// (The old std::function-per-index signature cost the threaded fold a
-// virtual dispatch on every bin.)
 #pragma once
 
 #include <cstddef>
 #include <functional>
-#include <utility>
 
 namespace lrd::numerics {
-
-namespace detail {
-
-/// Type-erased bridge to runtime::Executor::global().parallel_for_ranges
-/// (keeps runtime/executor.hpp out of this header's include graph).
-void parallel_for_ranges_erased(std::size_t n, std::size_t grain,
-                                const std::function<void(std::size_t, std::size_t)>& fn,
-                                std::size_t threads);
-
-}  // namespace detail
 
 /// Invokes fn(i) for i in [0, n), distributing the indices over up to
 /// `threads` worker threads (0 = hardware concurrency) of the process-wide
 /// work-stealing pool. fn must be safe to call concurrently for distinct
 /// i. The first exception thrown by fn cancels all tasks not yet started
 /// (running tasks finish) and is rethrown after the job winds down.
-template <typename Fn>
-void parallel_for(std::size_t n, Fn&& fn, std::size_t threads = 0) {
-  detail::parallel_for_ranges_erased(
-      n, 1,
-      [&fn](std::size_t begin, std::size_t end) {
-        for (; begin < end; ++begin) fn(begin);
-      },
-      threads);
-}
-
-/// Range-batched variant: fn(begin, end) is invoked on disjoint
-/// half-open subranges covering [0, n) exactly once, each holding up to
-/// `grain` indices — the right entry for cheap per-element work (the
-/// convolver's spectrum multiply), where per-index scheduling would be
-/// all overhead. Same concurrency and error contract as parallel_for.
-template <typename Fn>
-void parallel_for_ranges(std::size_t n, std::size_t grain, Fn&& fn, std::size_t threads = 0) {
-  detail::parallel_for_ranges_erased(
-      n, grain,
-      [&fn](std::size_t begin, std::size_t end) { fn(begin, end); }, threads);
-}
-
-/// Worker count for auto-threaded numerics (the fold engine's
-/// FoldConcurrency default): LRDQ_THREADS when set to a positive
-/// integer, else std::thread::hardware_concurrency(), never 0.
-std::size_t default_thread_count() noexcept;
+void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
+                  std::size_t threads = 0);
 
 }  // namespace lrd::numerics

@@ -9,7 +9,6 @@
 
 #include "core/failpoint.hpp"
 #include "numerics/convolution.hpp"
-#include "numerics/parallel.hpp"
 #include "numerics/pmf.hpp"
 #include "numerics/special_functions.hpp"
 #include "obs/clock.hpp"
@@ -82,28 +81,17 @@ lrd::Status step_guard(const StepHealth& h, const SolverConfig& cfg, const char*
 }  // namespace
 
 DualFoldEngine::DualFoldEngine(std::vector<double> lower_pmf, std::vector<double> upper_pmf,
-                               std::size_t bins, FoldConcurrency concurrency)
+                               std::size_t bins)
     : bins_(bins),
-      threads_(concurrency.threads == 0 ? numerics::default_thread_count() : concurrency.threads),
-      split_(bins >= concurrency.min_bins_for_mt) {
+      conv_(std::move(lower_pmf), std::move(upper_pmf), bins + 1),
+      ws_(conv_.make_workspace()),
+      u_low_(conv_.kernel_size() + bins),  // (2M+1) + (M+1) - 1 = 3M + 1
+      u_high_(conv_.kernel_size() + bins),
+      next_low_(bins + 1),
+      next_high_(bins + 1) {
   if (bins == 0) throw std::invalid_argument("DualFoldEngine: bins must be >= 1");
-  if (lower_pmf.size() != 2 * bins + 1 || upper_pmf.size() != 2 * bins + 1)
+  if (conv_.kernel_size() != 2 * bins + 1)
     throw std::invalid_argument("DualFoldEngine: increment pmfs must have 2 * bins + 1 entries");
-  if (split_) {
-    conv_low_.emplace(std::move(lower_pmf), bins + 1);
-    conv_high_.emplace(std::move(upper_pmf), bins + 1);
-    ws_low_ = conv_low_->make_workspace();
-    ws_high_ = conv_high_->make_workspace();
-    u_low_.resize(conv_low_->kernel_size() + bins);  // (2M+1) + (M+1) - 1 = 3M + 1
-    u_high_.resize(conv_high_->kernel_size() + bins);
-  } else {
-    dual_.emplace(std::move(lower_pmf), std::move(upper_pmf), bins + 1);
-    dual_ws_ = dual_->make_workspace();
-    u_low_.resize(dual_->kernel_size() + bins);
-    u_high_.resize(dual_->kernel_size() + bins);
-  }
-  next_low_.resize(bins + 1);
-  next_high_.resize(bins + 1);
 }
 
 void DualFoldEngine::fold(const std::vector<double>& u, std::vector<double>& next) const {
@@ -122,41 +110,13 @@ void DualFoldEngine::step(std::vector<double>& q_low, std::vector<double>& q_hig
                           StepHealth& low_health, StepHealth& high_health) {
   if (q_low.size() != bins_ + 1 || q_high.size() != bins_ + 1)
     throw std::invalid_argument("DualFoldEngine::step: occupancy pmfs must have bins + 1 entries");
-  if (split_) {
-    // The two chains are fully independent in split mode: convolve,
-    // fold, health-scan and sanitize each on its own convolver and
-    // workspace. The task bodies are identical whether they run on the
-    // pool or inline, so the brackets are bit-identical at any thread
-    // count — only wall time changes.
-    auto chain = [&](std::size_t c) {
-      if (c == 0) {
-        conv_low_->convolve_into(q_low.data(), bins_ + 1, ws_low_, u_low_.data());
-        fold(u_low_, next_low_);
-        low_health.merge(numerics::inspect_mass(next_low_));
-        sanitize(next_low_);
-      } else {
-        conv_high_->convolve_into(q_high.data(), bins_ + 1, ws_high_, u_high_.data());
-        fold(u_high_, next_high_);
-        high_health.merge(numerics::inspect_mass(next_high_));
-        sanitize(next_high_);
-      }
-    };
-    if (threads_ >= 2) {
-      numerics::parallel_for(2, chain, 2);
-    } else {
-      chain(0);
-      chain(1);
-    }
-  } else {
-    dual_->convolve_into(q_low.data(), q_high.data(), bins_ + 1, dual_ws_, u_low_.data(),
-                         u_high_.data());
-    fold(u_low_, next_low_);
-    fold(u_high_, next_high_);
-    low_health.merge(numerics::inspect_mass(next_low_));
-    high_health.merge(numerics::inspect_mass(next_high_));
-    sanitize(next_low_);
-    sanitize(next_high_);
-  }
+  conv_.convolve_into(q_low.data(), q_high.data(), bins_ + 1, ws_, u_low_.data(), u_high_.data());
+  fold(u_low_, next_low_);
+  fold(u_high_, next_high_);
+  low_health.merge(numerics::inspect_mass(next_low_));
+  high_health.merge(numerics::inspect_mass(next_high_));
+  sanitize(next_low_);
+  sanitize(next_high_);
   q_low.swap(next_low_);
   q_high.swap(next_high_);
 }

@@ -18,7 +18,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <optional>
 #include <vector>
 
 #include "core/status.hpp"
@@ -48,51 +47,27 @@ struct StepHealth {
   }
 };
 
-/// Thread policy of the fold engine's per-epoch step. The *data layout*
-/// decision (split vs packed, below) depends only on `min_bins_for_mt`
-/// and the level's bin count — never on `threads` — so a solve computes
-/// bit-identical brackets at any LRDQ_THREADS setting; the thread count
-/// only decides whether the two chains of a split-mode step run on the
-/// work-stealing pool or inline on the calling thread.
-struct FoldConcurrency {
-  /// Workers for the split-mode step; 0 = auto (LRDQ_THREADS when set,
-  /// else hardware concurrency). 1 keeps the step allocation-free.
-  std::size_t threads = 0;
-  /// Levels with bins >= this run the chains as two independent real
-  /// convolutions (parallelizable); below it the packed dual transform
-  /// wins (one FFT round-trip, zero scheduling overhead). 0 forces
-  /// split mode at every size (tests).
-  std::size_t min_bins_for_mt = 1024;
-};
-
 /// The solver's per-epoch hot loop: advances the paired Q_L / Q_H
 /// occupancy chains one epoch (Eq. 19-20), then folds the spilled mass
 /// onto the boundary atoms and renormalizes.
 ///
-/// Two data layouts, chosen at construction by bin count alone (see
-/// FoldConcurrency): small levels batch both chains into a single
-/// complex FFT round-trip — q_low and q_high ride as the real and
-/// imaginary parts of one transform (DualKernelConvolver) — while large
-/// levels (bins >= min_bins_for_mt) run each chain as its own real
-/// convolution (CachedKernelConvolver) with per-chain workspaces, the
-/// shape that lets one large-M solve use two cores. All scratch buffers
-/// are owned by the engine and sized at construction: steady-state
-/// step() calls perform zero heap allocations in packed mode and in
-/// split mode with threads == 1 (the pooled split step allocates one
-/// executor job per call). Not thread-safe: one engine per level per
-/// thread.
+/// One data layout at every level: both chains share a single complex
+/// FFT round-trip — q_low and q_high ride as the real and imaginary
+/// parts of one transform (DualKernelConvolver). The step runs on the
+/// calling thread, so brackets do not depend on any thread setting. All
+/// scratch buffers are owned by the engine and sized at construction:
+/// steady-state step() calls perform zero heap allocations. Not
+/// thread-safe: one engine per level per thread.
 class DualFoldEngine {
  public:
   /// Increment pmfs w_L / w_H for this level; each must have
   /// 2 * bins + 1 entries (bins >= 1) and be finite.
-  DualFoldEngine(std::vector<double> lower_pmf, std::vector<double> upper_pmf, std::size_t bins,
-                 FoldConcurrency concurrency = {});
+  DualFoldEngine(std::vector<double> lower_pmf, std::vector<double> upper_pmf, std::size_t bins);
 
   std::size_t bins() const noexcept { return bins_; }
-  /// True when the chains run as two independent real convolutions.
-  bool split_mode() const noexcept { return split_; }
-  /// Resolved worker count (concurrency.threads, env/hardware for 0).
-  std::size_t threads() const noexcept { return threads_; }
+  /// Always false: the chains never run as two separate convolutions.
+  /// Kept for callers that bucket fold timings by layout.
+  bool split_mode() const noexcept { return false; }
 
   /// One epoch for both chains. `q_low` / `q_high` must have bins() + 1
   /// entries; they are replaced by the folded, sanitized next-state pmfs.
@@ -104,14 +79,8 @@ class DualFoldEngine {
   void fold(const std::vector<double>& u, std::vector<double>& next) const;
 
   std::size_t bins_;
-  std::size_t threads_;
-  bool split_;
-  // Packed layout (bins < min_bins_for_mt): one complex round-trip.
-  std::optional<numerics::DualKernelConvolver> dual_;
-  numerics::DualKernelConvolver::Workspace dual_ws_;
-  // Split layout: one real convolver + workspace per chain.
-  std::optional<numerics::CachedKernelConvolver> conv_low_, conv_high_;
-  numerics::CachedKernelConvolver::Workspace ws_low_, ws_high_;
+  numerics::DualKernelConvolver conv_;
+  numerics::DualKernelConvolver::Workspace ws_;
   std::vector<double> u_low_, u_high_;      // convolution outputs, 3M + 1
   std::vector<double> next_low_, next_high_;  // folded pmfs, M + 1
 };

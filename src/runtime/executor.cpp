@@ -71,8 +71,7 @@ struct Executor::Impl {
 
   struct Job {
     std::size_t n = 0;
-    std::size_t grain = 1;  // max indices handed to fn per scheduling step
-    const std::function<void(std::size_t, std::size_t)>* fn = nullptr;  // half-open range
+    const std::function<void(std::size_t)>* fn = nullptr;
     std::size_t participants = 0;
     std::vector<std::unique_ptr<WorkerDeque>> deques;  // one per participant
 
@@ -99,16 +98,13 @@ struct Executor::Impl {
   bool stop = false;
   JobStats last_stats;                    // guarded by mu
 
-  /// Pops up to `grain` contiguous indices off the back of `d` (LIFO
-  /// end, owner side) — one lock acquisition per popped batch.
-  static bool pop_own(WorkerDeque& d, std::size_t grain, Range& out) {
+  /// Pops one index off the back of `d` (LIFO end, owner side).
+  static bool pop_own(WorkerDeque& d, std::size_t& idx) {
     std::lock_guard<std::mutex> lock(d.mu);
     if (d.items == 0) return false;
     Range& back = d.ranges.back();
-    const std::size_t take = back.size() < grain ? back.size() : grain;
-    out = {back.begin, back.begin + take};
-    back.begin += take;
-    d.items -= take;
+    idx = back.begin++;
+    --d.items;
     if (back.begin == back.end) d.ranges.pop_back();
     return true;
   }
@@ -166,8 +162,8 @@ struct Executor::Impl {
     double busy = 0.0;
     for (;;) {
       if (j.cancel.cancelled()) break;
-      Range r;
-      if (!pop_own(*j.deques[w], j.grain, r)) {
+      std::size_t idx;
+      if (!pop_own(*j.deques[w], idx)) {
         if (!steal_some(j, w)) break;
         continue;
       }
@@ -175,9 +171,8 @@ struct Executor::Impl {
       try {
         obs::Span task_span("executor.task", "executor");
         if (obs::TraceSession::enabled())
-          task_span.annotate("\"begin\": " + std::to_string(r.begin) +
-                             ", \"count\": " + std::to_string(r.size()));
-        (*j.fn)(r.begin, r.end);
+          task_span.annotate("\"index\": " + std::to_string(idx));
+        (*j.fn)(idx);
       } catch (...) {
         {
           std::lock_guard<std::mutex> lock(j.error_mu);
@@ -186,7 +181,7 @@ struct Executor::Impl {
         j.cancel.cancel();
       }
       busy += seconds_since(t0);
-      j.executed.fetch_add(r.size(), std::memory_order_relaxed);
+      j.executed.fetch_add(1, std::memory_order_relaxed);
     }
     j.busy_seconds[w] = busy;
     // acq_rel: the last participant's decrement observes every earlier
@@ -255,19 +250,7 @@ JobStats Executor::last_job_stats() const {
 
 void Executor::parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                             std::size_t threads) {
-  parallel_for_ranges(
-      n, 1,
-      [&fn](std::size_t begin, std::size_t end) {
-        for (; begin < end; ++begin) fn(begin);
-      },
-      threads);
-}
-
-void Executor::parallel_for_ranges(std::size_t n, std::size_t grain,
-                                   const std::function<void(std::size_t, std::size_t)>& fn,
-                                   std::size_t threads) {
   if (n == 0) return;
-  if (grain == 0) grain = 1;
   std::size_t p = threads;
   if (p == 0) {
     const unsigned hw = std::thread::hardware_concurrency();
@@ -284,17 +267,15 @@ void Executor::parallel_for_ranges(std::size_t n, std::size_t grain,
     // Serial fallback (and nested calls from task bodies, which must not
     // wait on the single job slot they already occupy). A throw stops
     // the loop at once — the same skip-the-rest contract as the pool.
-    // Chunks of `grain` keep accounting comparable to the pooled path.
     const auto t0 = obs::now();
     double busy = 0.0;
     std::size_t executed = 0;
     try {
-      for (std::size_t i = 0; i < n; i += grain) {
-        const std::size_t end = n - i < grain ? n : i + grain;
+      for (std::size_t i = 0; i < n; ++i) {
         const auto s0 = obs::now();
-        fn(i, end);
+        fn(i);
         busy += seconds_since(s0);
-        executed += end - i;
+        ++executed;
       }
     } catch (...) {
       tasks_counter().inc(executed);
@@ -316,7 +297,6 @@ void Executor::parallel_for_ranges(std::size_t n, std::size_t grain,
 
   auto job = std::make_shared<Impl::Job>();
   job->n = n;
-  job->grain = grain;
   job->fn = &fn;
   job->participants = p;
   job->deques.reserve(p);

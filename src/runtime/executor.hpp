@@ -88,18 +88,6 @@ class Executor {
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                     std::size_t threads = 0);
 
-  /// Range-batched variant: fn(begin, end) is invoked on disjoint
-  /// half-open subranges that together cover [0, n) exactly once, with a
-  /// worker popping up to `grain` indices per scheduling step — one
-  /// type-erased call (and one deque lock) amortized over `grain`
-  /// elements, which is what the fine-grained numerics fan-outs need.
-  /// Cancellation and the first-exception contract act at range
-  /// granularity; steal-half rebalancing is unchanged (ranges split
-  /// freely, so `grain` bounds batching, not placement).
-  void parallel_for_ranges(std::size_t n, std::size_t grain,
-                           const std::function<void(std::size_t, std::size_t)>& fn,
-                           std::size_t threads = 0);
-
   /// Workers spawned so far (grows on demand, starts at 0).
   std::size_t worker_count() const;
 

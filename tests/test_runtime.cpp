@@ -136,74 +136,6 @@ TEST(RuntimeExecutor, HandlesEmptyAndSingleElementJobs) {
   EXPECT_EQ(exec.last_job_stats().tasks, 1u);
 }
 
-TEST(RuntimeExecutor, RangesCoverEveryIndexExactlyOnce) {
-  // The batched API must partition [0, n) into disjoint half-open
-  // ranges whose union is exact, for grains that do and don't divide n.
-  constexpr std::size_t kN = 777;
-  for (const std::size_t grain : {std::size_t{1}, std::size_t{7}, std::size_t{64},
-                                  std::size_t{1024}}) {
-    std::vector<std::atomic<int>> hits(kN);
-    for (auto& h : hits) h.store(0);
-    runtime::Executor exec;
-    exec.parallel_for_ranges(
-        kN, grain,
-        [&](std::size_t begin, std::size_t end) {
-          ASSERT_LT(begin, end);
-          ASSERT_LE(end, kN);
-          for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-        },
-        4);
-    for (std::size_t i = 0; i < kN; ++i)
-      EXPECT_EQ(hits[i].load(), 1) << "grain " << grain << " index " << i;
-    EXPECT_EQ(exec.last_job_stats().tasks, kN) << "grain " << grain;
-  }
-}
-
-TEST(RuntimeExecutor, RangesBatchCallsByGrain) {
-  // With grain g, a worker draining its own block must receive batches
-  // of up to g indices per callback — far fewer calls than indices.
-  constexpr std::size_t kN = 4096;
-  std::atomic<std::size_t> calls{0}, covered{0};
-  runtime::Executor exec;
-  exec.parallel_for_ranges(
-      kN, 256,
-      [&](std::size_t begin, std::size_t end) {
-        calls.fetch_add(1);
-        covered.fetch_add(end - begin);
-      },
-      2);
-  EXPECT_EQ(covered.load(), kN);
-  // 16 perfect batches; stealing can split some, but nowhere near 1:1.
-  EXPECT_LE(calls.load(), kN / 8);
-}
-
-TEST(RuntimeExecutor, RangesSerialFallbackChunksByGrain) {
-  std::vector<std::pair<std::size_t, std::size_t>> ranges;
-  runtime::Executor::global().parallel_for_ranges(
-      10, 4, [&](std::size_t begin, std::size_t end) { ranges.emplace_back(begin, end); }, 1);
-  ASSERT_EQ(ranges.size(), 3u);
-  EXPECT_EQ(ranges[0], (std::pair<std::size_t, std::size_t>{0, 4}));
-  EXPECT_EQ(ranges[1], (std::pair<std::size_t, std::size_t>{4, 8}));
-  EXPECT_EQ(ranges[2], (std::pair<std::size_t, std::size_t>{8, 10}));
-}
-
-TEST(RuntimeExecutor, NumericsRangeWrapperMatchesSerialSum) {
-  // numerics::parallel_for_ranges templates down to the same executor
-  // API; a compensated per-range partial sum must reproduce the serial
-  // total regardless of how ranges land on workers.
-  constexpr std::size_t kN = 10000;
-  std::atomic<long long> total{0};
-  numerics::parallel_for_ranges(
-      kN, 128,
-      [&](std::size_t begin, std::size_t end) {
-        long long part = 0;
-        for (std::size_t i = begin; i < end; ++i) part += static_cast<long long>(i);
-        total.fetch_add(part);
-      },
-      4);
-  EXPECT_EQ(total.load(), static_cast<long long>(kN) * (kN - 1) / 2);
-}
-
 // -------------------------------------------------------------- cache keys
 
 TEST(RuntimeCacheKey, CanonicalDoubleEncoding) {

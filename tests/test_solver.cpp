@@ -12,6 +12,7 @@
 
 #include "dist/simple_epochs.hpp"
 #include "dist/truncated_pareto.hpp"
+#include "numerics/parallel.hpp"
 #include "numerics/special_functions.hpp"
 #include "queueing/fluid_queue_sim.hpp"
 #include "queueing/solver.hpp"
@@ -418,12 +419,11 @@ void sequential_fold_step(const numerics::CachedKernelConvolver& conv, std::vect
   q = std::move(next);
 }
 
-TEST(SolverFoldEngine, MatchesSequentialPerChainBaseline) {
-  // The batched dual-chain step must reproduce the two independent
-  // per-chain steps it replaced, epoch by epoch.
+// Runs the batched dual-chain step and the two independent per-chain
+// steps it replaced side by side for 64 epochs and compares the pmfs.
+void expect_matches_sequential_baseline(std::size_t bins) {
   Marginal m({2.0, 6.0, 10.0, 14.0, 18.0}, {0.1, 0.2, 0.4, 0.2, 0.1});
   FluidQueueSolver s(m, pareto(0.015, 1.3, 10.0), 12.5, 6.25);
-  const std::size_t bins = 96;
   const auto wl = s.increment_pmf_lower(bins);
   const auto wh = s.increment_pmf_upper(bins);
 
@@ -443,9 +443,22 @@ TEST(SolverFoldEngine, MatchesSequentialPerChainBaseline) {
   EXPECT_TRUE(low_health.finite);
   EXPECT_TRUE(high_health.finite);
   for (std::size_t j = 0; j <= bins; ++j) {
-    EXPECT_NEAR(q_low[j], ref_low[j], 1e-10) << "low bin " << j;
-    EXPECT_NEAR(q_high[j], ref_high[j], 1e-10) << "high bin " << j;
+    EXPECT_NEAR(q_low[j], ref_low[j], 1e-10) << "bins " << bins << " low bin " << j;
+    EXPECT_NEAR(q_high[j], ref_high[j], 1e-10) << "bins " << bins << " high bin " << j;
   }
+}
+
+TEST(SolverFoldEngine, MatchesSequentialPerChainBaseline) {
+  // The batched dual-chain step must reproduce the two independent
+  // per-chain steps it replaced, epoch by epoch.
+  expect_matches_sequential_baseline(96);
+}
+
+TEST(SolverFoldEngine, SplitModeMatchesSequentialBaseline) {
+  // Level sizes that once ran the two chains as separate transforms
+  // (split mode, 1024 bins and above) now take the packed layout; it
+  // must match the per-chain sequential step there too.
+  expect_matches_sequential_baseline(1024);
 }
 
 TEST(SolverFoldEngine, RejectsMalformedInputs) {
@@ -459,78 +472,32 @@ TEST(SolverFoldEngine, RejectsMalformedInputs) {
   EXPECT_THROW(engine.step(q_ok, q_bad, a, b), std::invalid_argument);
 }
 
-TEST(SolverFoldEngine, SplitModeMatchesSequentialBaseline) {
-  // Forcing split mode (min_bins_for_mt = 0) must still reproduce the
-  // per-chain sequential step — the layouts may differ in transform
-  // shape but not in the folded pmfs.
+TEST(SolverFoldEngine, BracketsAreIdenticalOnAnyThread) {
+  // The reproducibility contract: a level computes the same bits on the
+  // calling thread and on any executor worker, below and above 1024
+  // bins. Runs under TSan in CI (Solver* filter).
   Marginal m({2.0, 6.0, 10.0, 14.0, 18.0}, {0.1, 0.2, 0.4, 0.2, 0.1});
   FluidQueueSolver s(m, pareto(0.015, 1.3, 10.0), 12.5, 6.25);
-  const std::size_t bins = 96;
-  const auto wl = s.increment_pmf_lower(bins);
-  const auto wh = s.increment_pmf_upper(bins);
-
-  queueing::DualFoldEngine engine(wl, wh, bins, queueing::FoldConcurrency{1, 0});
-  ASSERT_TRUE(engine.split_mode());
-  std::vector<double> q_low(bins + 1, 0.0), q_high(bins + 1, 0.0);
-  q_low[0] = 1.0;
-  q_high[bins] = 1.0;
-  std::vector<double> ref_low = q_low, ref_high = q_high;
-  const numerics::CachedKernelConvolver conv_low(wl, bins + 1), conv_high(wh, bins + 1);
-
-  queueing::StepHealth low_health, high_health;
-  for (std::size_t step = 0; step < 64; ++step) {
-    engine.step(q_low, q_high, low_health, high_health);
-    sequential_fold_step(conv_low, ref_low, bins);
-    sequential_fold_step(conv_high, ref_high, bins);
-  }
-  for (std::size_t j = 0; j <= bins; ++j) {
-    EXPECT_NEAR(q_low[j], ref_low[j], 1e-10) << "low bin " << j;
-    EXPECT_NEAR(q_high[j], ref_high[j], 1e-10) << "high bin " << j;
+  for (const std::size_t bins : {std::size_t{128}, std::size_t{1024}}) {
+    const auto ref = s.iterate_fixed(bins, 24);
+    std::vector<FluidQueueSolver::LevelSnapshot> runs(4);
+    numerics::parallel_for(runs.size(), [&](std::size_t i) { runs[i] = s.iterate_fixed(bins, 24); },
+                           4);
+    for (const auto& run : runs) {
+      EXPECT_EQ(run.q_lower, ref.q_lower) << "bins " << bins;
+      EXPECT_EQ(run.q_upper, ref.q_upper) << "bins " << bins;
+      EXPECT_EQ(run.loss.lower, ref.loss.lower) << "bins " << bins;
+      EXPECT_EQ(run.loss.upper, ref.loss.upper) << "bins " << bins;
+    }
   }
 }
 
-TEST(SolverFoldEngine, SplitModeBracketsAreThreadCountInvariant) {
-  // The reproducibility contract: thread count picks only where the two
-  // chains run, never the arithmetic, so the solver brackets must be
-  // bit-identical between a pinned single-thread engine and a
-  // multi-worker one. Runs under TSan in CI (Solver* filter).
-  Marginal m({2.0, 6.0, 10.0, 14.0, 18.0}, {0.1, 0.2, 0.4, 0.2, 0.1});
-  FluidQueueSolver s(m, pareto(0.015, 1.3, 10.0), 12.5, 6.25);
-  const std::size_t bins = 96;
-  const auto wl = s.increment_pmf_lower(bins);
-  const auto wh = s.increment_pmf_upper(bins);
-
-  queueing::DualFoldEngine pinned(wl, wh, bins, queueing::FoldConcurrency{1, 0});
-  queueing::DualFoldEngine pooled(wl, wh, bins, queueing::FoldConcurrency{4, 0});
-  ASSERT_TRUE(pinned.split_mode());
-  ASSERT_TRUE(pooled.split_mode());
-  EXPECT_EQ(pooled.threads(), 4u);
-
-  std::vector<double> a_low(bins + 1, 0.0), a_high(bins + 1, 0.0);
-  a_low[0] = 1.0;
-  a_high[bins] = 1.0;
-  std::vector<double> b_low = a_low, b_high = a_high;
-  queueing::StepHealth ha1, ha2, hb1, hb2;
-  for (std::size_t step = 0; step < 48; ++step) {
-    pinned.step(a_low, a_high, ha1, ha2);
-    pooled.step(b_low, b_high, hb1, hb2);
-  }
-  for (std::size_t j = 0; j <= bins; ++j) {
-    EXPECT_EQ(a_low[j], b_low[j]) << "low bin " << j;
-    EXPECT_EQ(a_high[j], b_high[j]) << "high bin " << j;
-  }
-}
-
-TEST(SolverFoldEngine, SplitModeSingleThreadStepIsAllocationFree) {
-  // Split mode with threads == 1 runs both chains inline on the caller
-  // thread through preallocated workspaces: the packed path's
-  // zero-allocation guarantee carries over.
+// Counts heap allocations over 16 steady-state engine steps, after a
+// warm-up that lets any lazy one-time work (plan cache inserts) happen.
+std::size_t steady_state_step_allocations(std::size_t bins) {
   Marginal m({0.0, 3.0}, {2.0 / 3.0, 1.0 / 3.0});
   FluidQueueSolver s(m, std::make_shared<const dist::DeterministicEpoch>(1.0), 2.0, 1.0);
-  const std::size_t bins = 128;
-  queueing::DualFoldEngine engine(s.increment_pmf_lower(bins), s.increment_pmf_upper(bins), bins,
-                                  queueing::FoldConcurrency{1, 0});
-  ASSERT_TRUE(engine.split_mode());
+  queueing::DualFoldEngine engine(s.increment_pmf_lower(bins), s.increment_pmf_upper(bins), bins);
   std::vector<double> q_low(bins + 1, 0.0), q_high(bins + 1, 0.0);
   q_low[0] = 1.0;
   q_high[bins] = 1.0;
@@ -539,32 +506,21 @@ TEST(SolverFoldEngine, SplitModeSingleThreadStepIsAllocationFree) {
 
   const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
   for (int i = 0; i < 16; ++i) engine.step(q_low, q_high, low_health, high_health);
-  const std::size_t after = g_alloc_count.load(std::memory_order_relaxed);
+  return g_alloc_count.load(std::memory_order_relaxed) - before;
+}
 
-  EXPECT_EQ(after - before, 0u) << "steady-state split epoch loop allocated";
+TEST(SolverFoldEngine, SplitModeSingleThreadStepIsAllocationFree) {
+  // Level sizes that once ran split mode now run the packed layout on
+  // the caller thread through preallocated workspaces: the
+  // zero-allocation guarantee holds there as well.
+  EXPECT_EQ(steady_state_step_allocations(2048), 0u) << "steady-state epoch loop allocated";
 }
 
 TEST(SolverFoldEngine, SteadyStateStepIsAllocationFree) {
   // The acceptance criterion of the zero-allocation engine: once the
   // engine and its workspaces exist (and the FFT plans are cached), the
   // epoch loop must not touch the heap at all.
-  Marginal m({0.0, 3.0}, {2.0 / 3.0, 1.0 / 3.0});
-  FluidQueueSolver s(m, std::make_shared<const dist::DeterministicEpoch>(1.0), 2.0, 1.0);
-  const std::size_t bins = 128;
-  queueing::DualFoldEngine engine(s.increment_pmf_lower(bins), s.increment_pmf_upper(bins), bins);
-  std::vector<double> q_low(bins + 1, 0.0), q_high(bins + 1, 0.0);
-  q_low[0] = 1.0;
-  q_high[bins] = 1.0;
-  queueing::StepHealth low_health, high_health;
-  // Warm up: first steps run with everything already sized, but make sure
-  // any lazy one-time work (plan cache inserts) has happened.
-  for (int i = 0; i < 4; ++i) engine.step(q_low, q_high, low_health, high_health);
-
-  const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
-  for (int i = 0; i < 16; ++i) engine.step(q_low, q_high, low_health, high_health);
-  const std::size_t after = g_alloc_count.load(std::memory_order_relaxed);
-
-  EXPECT_EQ(after - before, 0u) << "steady-state epoch loop allocated";
+  EXPECT_EQ(steady_state_step_allocations(128), 0u) << "steady-state epoch loop allocated";
 }
 
 }  // namespace
