@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
         obs::Span span("bench.noop", "bench");
       });
       obs::TraceSession::disable();
-      obs::TraceSession::clear();
+      obs::TraceSession::reset();
     });
 
     h.add("counter_inc", {1, 5}, [](bench::Case& c) {
@@ -106,19 +106,9 @@ int main(int argc, char** argv) {
     // query and solver level crosses. Budget: same order as a counter
     // increment plus the 8-word event store.
     h.add("event_append", {1, 5}, [](bench::Case& c) {
-      obs::flight::set_enabled(true);
       c.measure_ns_per_iter(kIters, [](std::size_t i) {
         obs::flight::record(obs::flight::EventKind::kCacheHit, "bench", i, 0, 0.0);
       });
-    });
-
-    // And the kill switch: a disabled recorder must be one relaxed load.
-    h.add("recorder_ring_disabled", {1, 5}, [](bench::Case& c) {
-      obs::flight::set_enabled(false);
-      c.measure_ns_per_iter(kIters, [](std::size_t i) {
-        obs::flight::record(obs::flight::EventKind::kCacheHit, "bench", i, 0, 0.0);
-      });
-      obs::flight::set_enabled(true);
     });
 
     // Profiler marker left in hot paths while no profile is requested:
@@ -173,7 +163,7 @@ int main(int argc, char** argv) {
       obs::TraceSession::enable();
       c.measure_seconds(run_sweep);
       obs::TraceSession::disable();
-      obs::TraceSession::clear();
+      obs::TraceSession::reset();
       for (const auto& rec : h.records()) {
         if (rec.key != "micro_obs/sweep_tracing_off") continue;
         const obs::OverheadEstimate overhead =

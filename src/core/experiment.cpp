@@ -161,9 +161,7 @@ void run_sweep_cells(
   const std::size_t total = t.rows.size() * nc;
   const auto run_start = obs::now();
   obs::Span run_span("sweep.run", "sweep");
-  if (obs::TraceSession::enabled())
-    run_span.annotate("\"rows\": " + std::to_string(t.rows.size()) +
-                      ", \"cols\": " + std::to_string(nc));
+  run_span.annotate("rows", t.rows.size(), "cols", nc);
   runtime::RunManifest* manifest = opts.manifest;
   if (manifest) {
     manifest->set_grid(t.rows.size(), nc);
@@ -251,9 +249,7 @@ void run_sweep_cells(
           CellOutcome out;
           {
             obs::Span cell_span("sweep.cell", "sweep");
-            if (obs::TraceSession::enabled())
-              cell_span.annotate("\"row\": " + std::to_string(r) +
-                                 ", \"col\": " + std::to_string(c));
+            cell_span.annotate("row", r, "col", c);
             out = compute(r, c, mu);
           }
           const double cell_seconds = seconds_since(t0);
@@ -638,9 +634,7 @@ SweepTable shuffle_loss_vs_buffer_and_cutoff(const traffic::RateTrace& trace,
   shuffled.reserve(cutoffs.size());
   {
     obs::Span shuffle_span("sweep.shuffle", "sweep");
-    if (obs::TraceSession::enabled())
-      shuffle_span.annotate("\"columns\": " + std::to_string(cutoffs.size()) +
-                            ", \"trace_bins\": " + std::to_string(trace.size()));
+    shuffle_span.annotate("columns", cutoffs.size(), "trace_bins", trace.size());
     for (std::size_t c = 0; c < cutoffs.size(); ++c) {
       numerics::Rng rng(seed + 7919 * c);
       shuffled.push_back(

@@ -19,6 +19,7 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
+#include "obs/ring.hpp"
 #include "obs/version.hpp"
 
 namespace lrd::obs::bundle {
@@ -27,7 +28,7 @@ namespace {
 
 // Everything the crash path touches is pre-rendered into fixed static
 // storage by configure(): the handler formats paths and the manifest
-// with the flight layer's hand-rolled formatters and calls only
+// with the signal-safe formatters of obs/ring.hpp and calls only
 // mkdir/open/write/time/signal — no allocation, no stdio, no locks.
 constexpr std::size_t kPathMax = 768;
 constexpr std::size_t kConfigMax = 8192;
@@ -63,23 +64,6 @@ const char* signal_name(int sig) noexcept {
   return "SIG?";
 }
 
-std::size_t append_raw(char* dst, std::size_t at, const char* s) noexcept {
-  const std::size_t n = std::strlen(s);
-  std::memcpy(dst + at, s, n);
-  return at + n;
-}
-
-std::size_t append_u64(char* dst, std::size_t at, std::uint64_t v) noexcept {
-  char digits[20];
-  std::size_t n = 0;
-  do {
-    digits[n++] = static_cast<char>('0' + v % 10);
-    v /= 10;
-  } while (v != 0);
-  for (std::size_t i = 0; i < n; ++i) dst[at + i] = digits[n - 1 - i];
-  return at + n;
-}
-
 bool write_all(int fd, const char* data, std::size_t n) noexcept {
   std::size_t off = 0;
   while (off < n) {
@@ -93,110 +77,82 @@ bool write_all(int fd, const char* data, std::size_t n) noexcept {
   return true;
 }
 
-bool write_file_raw(const char* path, const char* data, std::size_t n) noexcept {
-  const int fd = ::open(path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return false;
-  const bool ok = write_all(fd, data, n);
-  ::close(fd);
-  return ok;
+/// Creates (or truncates) `<dir>/<name>` for writing; -1 on failure.
+int open_in(const char* dir, const char* name) noexcept {
+  char path[kPathMax + 128];  // room for a dump dir's "/<tool>-<pid>-<n>"
+  return ::open(SafeLine(path, sizeof path).str(dir).ch('/').str(name).c_str(),
+                O_WRONLY | O_CREAT | O_TRUNC, 0644);
 }
 
-/// JSON-safe copy into a fixed buffer (quotes/backslashes/control
-/// bytes become '_', overflow truncates) — shared by configure() and
-/// the manifest writers so no dumped string ever needs escaping.
-void copy_sanitized(char* dst, std::size_t cap, std::string_view src) noexcept {
-  std::size_t n = 0;
-  for (char c : src) {
-    if (n + 1 >= cap) break;
-    const auto u = static_cast<unsigned char>(c);
-    dst[n++] = (u < 0x20 || u == 0x7f || c == '"' || c == '\\') ? '_' : c;
-  }
-  dst[n] = '\0';
+bool write_in(const char* dir, const char* name, std::string_view data) noexcept {
+  const int fd = open_in(dir, name);
+  if (fd < 0) return false;
+  const bool ok = write_all(fd, data.data(), data.size());
+  ::close(fd);
+  return ok;
 }
 
 /// Writes the manifest for a bundle at `dir`. `signal` < 0 means a
 /// non-crash dump (metrics.json and maybe cache.json are present).
 bool write_manifest(const char* dir, const char* reason, int sig, bool with_cache) noexcept {
-  char path[kPathMax + 16];
-  std::size_t n = 0;
-  n = append_raw(path, n, dir);
-  n = append_raw(path, n, "/bundle.json");
-  path[n] = '\0';
-
   char body[1024];
-  std::size_t m = 0;
-  m = append_raw(body, m, "{\"schema\": \"lrd-bundle-v1\", \"version\": 1, \"tool\": \"");
-  m = append_raw(body, m, g_tool);
-  m = append_raw(body, m, "\", \"reason\": \"");
-  m = append_raw(body, m, reason);
-  m = append_raw(body, m, "\", \"crash\": ");
-  m = append_raw(body, m, sig >= 0 ? "true" : "false");
-  if (sig >= 0) {
-    m = append_raw(body, m, ", \"signal\": ");
-    m = append_u64(body, m, static_cast<std::uint64_t>(sig));
-  }
-  m = append_raw(body, m, ", \"pid\": ");
-  m = append_u64(body, m, static_cast<std::uint64_t>(::getpid()));
-  m = append_raw(body, m, ", \"timestamp_unix\": ");
-  m = append_u64(body, m, static_cast<std::uint64_t>(::time(nullptr)));
-  m = append_raw(body, m,
-                 ", \"files\": [\"bundle.json\", \"flight.jsonl\", "
-                 "\"profile.jsonl\", \"build.json\", \"config.json\"");
+  SafeLine m(body, sizeof body);
+  m.str("{\"schema\": \"lrd-bundle-v1\", \"version\": 1, \"tool\": \"").str(g_tool);
+  m.str("\", \"reason\": \"").str(reason);
+  m.str("\", \"crash\": ").str(sig >= 0 ? "true" : "false");
+  if (sig >= 0) m.str(", \"signal\": ").u64(static_cast<std::uint64_t>(sig));
+  m.str(", \"pid\": ").u64(static_cast<std::uint64_t>(::getpid()));
+  m.str(", \"timestamp_unix\": ").u64(static_cast<std::uint64_t>(::time(nullptr)));
+  m.str(", \"files\": [\"bundle.json\", \"flight.jsonl\", "
+        "\"profile.jsonl\", \"build.json\", \"config.json\"");
   if (sig < 0) {
-    m = append_raw(body, m, ", \"metrics.json\"");
-    if (with_cache) m = append_raw(body, m, ", \"cache.json\"");
+    m.str(", \"metrics.json\"");
+    if (with_cache) m.str(", \"cache.json\"");
   }
-  m = append_raw(body, m, "]}\n");
-  return write_file_raw(path, body, m);
+  m.str("]}\n");
+  return write_in(dir, "bundle.json", {body, m.size()});
 }
 
-bool write_small(const char* dir, const char* name, const char* data) noexcept {
-  char path[kPathMax + 32];
-  std::size_t n = 0;
-  n = append_raw(path, n, dir);
-  n = append_raw(path, n, "/");
-  n = append_raw(path, n, name);
-  path[n] = '\0';
-  return write_file_raw(path, data, std::strlen(data));
-}
-
-/// The crash-path flight dump: walks the rings with read_ring (atomic
-/// loads into a stack buffer) and appends a synthesized crash_signal
-/// event, so the triggering context and the cause land in one file.
-void write_crash_flight(const char* dir, int sig) noexcept {
-  char path[kPathMax + 16];
-  std::size_t n = 0;
-  n = append_raw(path, n, dir);
-  n = append_raw(path, n, "/flight.jsonl");
-  path[n] = '\0';
-  const int fd = ::open(path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return;
-
-  flight::Event events[kCrashTailPerRing];
-  char line[352];
-  const std::size_t rings = flight::ring_count();
+/// Writes one JSON line per element of every ring's tail to `fd`:
+/// `read(i, buf, max, &tid)` copies ring i's newest elements (atomic
+/// loads into `buf`), `format(element, tid, line, cap)` renders one.
+template <typename T, typename Read, typename Format>
+bool write_tails(int fd, T* buf, std::size_t max, std::size_t rings, Read read,
+                 Format format) noexcept {
+  char line[512];
   for (std::size_t i = 0; i < rings; ++i) {
     std::uint32_t tid = 0;
-    const std::size_t count = flight::read_ring(i, events, kCrashTailPerRing, &tid);
+    const std::size_t count = read(i, buf, max, &tid);
     for (std::size_t k = 0; k < count; ++k) {
-      std::size_t m = flight::format_event_jsonl(events[k], tid, line, sizeof line - 1);
+      std::size_t m = format(buf[k], tid, line, sizeof line - 1);
       if (m == 0) continue;
       line[m++] = '\n';
-      if (!write_all(fd, line, m)) {
-        ::close(fd);
-        return;
-      }
+      if (!write_all(fd, line, m)) return false;
     }
   }
-  flight::Event crash{};
-  crash.ts_us = process_uptime_us();
-  crash.kind = static_cast<std::uint16_t>(flight::EventKind::kCrashSignal);
-  crash.a = static_cast<std::uint64_t>(sig);
-  copy_sanitized(crash.tag, sizeof crash.tag, signal_name(sig));
-  std::size_t m = flight::format_event_jsonl(crash, 0, line, sizeof line - 1);
-  if (m != 0) {
-    line[m++] = '\n';
-    write_all(fd, line, m);
+  return true;
+}
+
+/// The crash-path flight dump: the rings' tails plus a synthesized
+/// crash_signal event, so the triggering context and the cause land in
+/// one file.
+void write_crash_flight(const char* dir, int sig) noexcept {
+  const int fd = open_in(dir, "flight.jsonl");
+  if (fd < 0) return;
+  flight::Event events[kCrashTailPerRing];
+  if (write_tails(fd, events, kCrashTailPerRing, flight::ring_count(), flight::read_ring,
+                  flight::format_event_jsonl)) {
+    flight::Event crash{};
+    crash.ts_us = process_uptime_us();
+    crash.kind = static_cast<std::uint16_t>(flight::EventKind::kCrashSignal);
+    crash.a = static_cast<std::uint64_t>(sig);
+    copy_json_safe(crash.tag, sizeof crash.tag, signal_name(sig));
+    char line[352];
+    std::size_t m = flight::format_event_jsonl(crash, 0, line, sizeof line - 1);
+    if (m != 0) {
+      line[m++] = '\n';
+      write_all(fd, line, m);
+    }
   }
   ::close(fd);
 }
@@ -209,31 +165,11 @@ constexpr std::size_t kCrashProfileTailPerRing = 128;
 /// sample fired — so a crash bundle shows what the process was
 /// executing, attributed to the query that drove it there.
 void write_crash_profile(const char* dir) noexcept {
-  char path[kPathMax + 16];
-  std::size_t n = 0;
-  n = append_raw(path, n, dir);
-  n = append_raw(path, n, "/profile.jsonl");
-  path[n] = '\0';
-  const int fd = ::open(path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  const int fd = open_in(dir, "profile.jsonl");
   if (fd < 0) return;
-
   static profiler::Sample samples[kCrashProfileTailPerRing];  // too big for the signal stack
-  char line[512];
-  const std::size_t rings = profiler::ring_count();
-  for (std::size_t i = 0; i < rings; ++i) {
-    std::uint32_t tid = 0;
-    const std::size_t count =
-        profiler::read_ring(i, samples, kCrashProfileTailPerRing, &tid);
-    for (std::size_t k = 0; k < count; ++k) {
-      std::size_t m = profiler::format_sample_jsonl(samples[k], tid, line, sizeof line - 1);
-      if (m == 0) continue;
-      line[m++] = '\n';
-      if (!write_all(fd, line, m)) {
-        ::close(fd);
-        return;
-      }
-    }
-  }
+  write_tails(fd, samples, kCrashProfileTailPerRing, profiler::ring_count(), profiler::read_ring,
+              profiler::format_sample_jsonl);
   ::close(fd);
 }
 
@@ -254,15 +190,13 @@ extern "C" void crash_handler(int sig) {
     ::mkdir(g_dir, 0755);  // EEXIST is fine
     if (::mkdir(g_crash_dir, 0755) == 0 || errno == EEXIST) {
       char reason[32];
-      std::size_t n = 0;
-      n = append_raw(reason, n, "signal:");
-      n = append_raw(reason, n, signal_name(sig));
-      reason[n] = '\0';
       write_crash_flight(g_crash_dir, sig);
       write_crash_profile(g_crash_dir);
-      write_small(g_crash_dir, "build.json", g_build_json);
-      write_small(g_crash_dir, "config.json", g_config_json);
-      write_manifest(g_crash_dir, reason, sig, false);
+      write_in(g_crash_dir, "build.json", g_build_json);
+      write_in(g_crash_dir, "config.json", g_config_json);
+      write_manifest(g_crash_dir,
+                     SafeLine(reason, sizeof reason).str("signal:").str(signal_name(sig)).c_str(),
+                     sig, false);
     }
   }
   restore_and_reraise(sig);
@@ -285,35 +219,25 @@ void configure(const Config& cfg) {
   }
 
   // Headroom for the "/crash-<pid>" suffix appended below.
-  copy_sanitized(g_dir, sizeof g_dir - 64, dir);
-  copy_sanitized(g_tool, sizeof g_tool, cfg.tool.empty() ? "lrdq" : cfg.tool);
-  {
-    char pid_part[64];
-    std::size_t n = 0;
-    n = append_raw(pid_part, n, "/crash-");
-    n = append_u64(pid_part, n, static_cast<std::uint64_t>(::getpid()));
-    pid_part[n] = '\0';
-    std::size_t m = 0;
-    m = append_raw(g_crash_dir, m, g_dir);
-    m = append_raw(g_crash_dir, m, pid_part);
-    g_crash_dir[m] = '\0';
-  }
+  copy_json_safe(g_dir, sizeof g_dir - 64, dir);
+  copy_json_safe(g_tool, sizeof g_tool, cfg.tool.empty() ? "lrdq" : cfg.tool);
+  SafeLine(g_crash_dir, sizeof g_crash_dir)
+      .str(g_dir)
+      .str("/crash-")
+      .u64(static_cast<std::uint64_t>(::getpid()))
+      .c_str();
   {
     char git[128], bt[64], cc[128];
-    copy_sanitized(git, sizeof git, git_describe());
-    copy_sanitized(bt, sizeof bt, build_type());
-    copy_sanitized(cc, sizeof cc, compiler());
-    std::size_t m = 0;
-    m = append_raw(g_build_json, m, "{\"schema\": \"lrd-build-v1\", \"tool\": \"");
-    m = append_raw(g_build_json, m, g_tool);
-    m = append_raw(g_build_json, m, "\", \"git\": \"");
-    m = append_raw(g_build_json, m, git);
-    m = append_raw(g_build_json, m, "\", \"build_type\": \"");
-    m = append_raw(g_build_json, m, bt);
-    m = append_raw(g_build_json, m, "\", \"compiler\": \"");
-    m = append_raw(g_build_json, m, cc);
-    m = append_raw(g_build_json, m, "\"}\n");
-    g_build_json[m] = '\0';
+    copy_json_safe(git, sizeof git, git_describe());
+    copy_json_safe(bt, sizeof bt, build_type());
+    copy_json_safe(cc, sizeof cc, compiler());
+    SafeLine(g_build_json, sizeof g_build_json)
+        .str("{\"schema\": \"lrd-build-v1\", \"tool\": \"").str(g_tool)
+        .str("\", \"git\": \"").str(git)
+        .str("\", \"build_type\": \"").str(bt)
+        .str("\", \"compiler\": \"").str(cc)
+        .str("\"}\n")
+        .c_str();
   }
   // The config must stay valid JSON in the crash file, so an oversized
   // one is replaced, not truncated mid-token.
@@ -354,7 +278,7 @@ std::string dump(std::string_view reason) {
   flight::record(flight::EventKind::kDump, reason);
 
   char sane_reason[64];
-  copy_sanitized(sane_reason, sizeof sane_reason, reason);
+  copy_json_safe(sane_reason, sizeof sane_reason, reason);
 
   std::string dir(g_dir);
   dir += "/";
@@ -366,25 +290,16 @@ std::string dump(std::string_view reason) {
   ::mkdir(g_dir, 0755);
   if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) return "";
 
-  const std::string flight_jsonl = flight::to_jsonl();
-  if (!write_file_raw((dir + "/flight.jsonl").c_str(), flight_jsonl.data(),
-                      flight_jsonl.size()))
-    return "";
+  if (!write_in(dir.c_str(), "flight.jsonl", flight::to_jsonl())) return "";
   // Folded profile of whatever the sampler has seen; empty when the
   // profiler never ran — the file is still written so the manifest's
   // file list holds.
-  const std::string profile_jsonl = profiler::to_jsonl();
-  write_file_raw((dir + "/profile.jsonl").c_str(), profile_jsonl.data(),
-                 profile_jsonl.size());
-  write_small(dir.c_str(), "build.json", g_build_json);
-  write_small(dir.c_str(), "config.json", g_config_json);
-  const std::string metrics = Registry::global().to_json() + "\n";
-  write_file_raw((dir + "/metrics.json").c_str(), metrics.data(), metrics.size());
+  write_in(dir.c_str(), "profile.jsonl", profiler::to_jsonl());
+  write_in(dir.c_str(), "build.json", g_build_json);
+  write_in(dir.c_str(), "config.json", g_config_json);
+  write_in(dir.c_str(), "metrics.json", Registry::global().to_json() + "\n");
   const bool with_cache = static_cast<bool>(g_cache_provider);
-  if (with_cache) {
-    const std::string cache = g_cache_provider() + "\n";
-    write_file_raw((dir + "/cache.json").c_str(), cache.data(), cache.size());
-  }
+  if (with_cache) write_in(dir.c_str(), "cache.json", g_cache_provider() + "\n");
   if (!write_manifest(dir.c_str(), sane_reason, -1, with_cache)) return "";
   return dir;
 }

@@ -21,8 +21,8 @@
 // Crash path contract: the SIGSEGV/SIGABRT/SIGBUS/SIGFPE/SIGILL
 // handler uses only async-signal-safe calls — mkdir/open/write/time,
 // preallocated flight-ring storage, strings pre-rendered by
-// configure() into static buffers, and the hand-rolled formatters
-// from obs/flight.hpp. No malloc, no stdio, no locks. After writing
+// configure() into static buffers, and the signal-safe formatters
+// from obs/ring.hpp. No malloc, no stdio, no locks. After writing
 // the bundle it restores the default disposition and re-raises, so
 // exit status and core-dump behaviour are unchanged — the bundle is
 // in *addition* to whatever the operator's ulimits say.

@@ -9,183 +9,61 @@
 
 #include "obs/clock.hpp"
 #include "obs/context.hpp"
+#include "obs/ring.hpp"
 
 namespace lrd::obs::flight {
 
 namespace {
 
-/// Preallocated slots per ring. The *logical* capacity (events kept)
-/// can be lowered by reset() for wraparound tests, but the storage is
-/// fixed at registration so the signal path never allocates.
-constexpr std::size_t kAllocCapacity = 4096;
-
-/// Rings available process-wide. Exited threads release their ring for
-/// reuse (events stay readable until overwritten), so this bounds
-/// *concurrent* recording threads, not thread churn.
-constexpr std::size_t kMaxRings = 64;
-
-/// One event as eight relaxed atomic words; the 64-byte Event layout
-/// memcpy's in and out. Single writer per ring; readers validate
-/// against the ring sequence instead of locking.
-struct Slot {
-  std::atomic<std::uint64_t> w[8];
-};
-
-struct Ring {
-  Slot* slots = nullptr;  // kAllocCapacity entries, never freed
-  std::atomic<std::uint64_t> seq{0};
+/// One registration per recording thread. Namespace-scope and
+/// constant-initialized, so the signal handler never touches a
+/// function-local-static guard and an idle ring costs no resident pages.
+struct Registration {
   std::atomic<std::uint32_t> tid{0};
   std::atomic<bool> in_use{false};
+  Ring<Event, kCapacity> events;
 };
 
-// Namespace-scope (constant-initialized) so the signal handler never
-// touches a function-local-static guard.
-Ring g_rings[kMaxRings];
-std::atomic<std::size_t> g_ring_count{0};   // high-water mark, release-published
-std::atomic<std::size_t> g_logical_cap{kAllocCapacity};
+Registration g_regs[kMaxThreads];
+std::atomic<std::size_t> g_ring_count{0};  // high-water mark, release-published
 std::atomic<std::uint64_t> g_dropped{0};
-std::atomic<bool> g_enabled{true};
 std::mutex g_reg_mu;  // registration / reset only — never the record path
 
-std::uint32_t current_tid() noexcept {
-  return static_cast<std::uint32_t>(::syscall(SYS_gettid));
-}
-
-/// Releases the thread's ring at exit so a later thread can reuse the
-/// storage; the recorded events survive until overwritten.
-struct ThreadRing {
-  Ring* ring = nullptr;
+/// Releases the thread's registration at exit so a later thread can
+/// reuse it; the recorded events survive until overwritten.
+struct ThreadRegistration {
+  ThreadSlot slot;
   bool failed = false;
-  ~ThreadRing() {
-    if (ring != nullptr) ring->in_use.store(false, std::memory_order_release);
+  ~ThreadRegistration() {
+    if (slot.index >= 0) g_regs[slot.index].in_use.store(false, std::memory_order_release);
   }
 };
-thread_local ThreadRing t_ring;
+thread_local ThreadRegistration t_reg;
 
-Ring* local_ring() noexcept {
-  if (t_ring.ring != nullptr) return t_ring.ring;
-  if (t_ring.failed) return nullptr;
-  try {
-    std::lock_guard<std::mutex> lock(g_reg_mu);
-    const std::size_t count = g_ring_count.load(std::memory_order_relaxed);
-    for (std::size_t i = 0; i < count; ++i) {
-      Ring& r = g_rings[i];
-      if (!r.in_use.load(std::memory_order_relaxed)) {
-        r.tid.store(current_tid(), std::memory_order_relaxed);
-        r.in_use.store(true, std::memory_order_relaxed);
-        t_ring.ring = &r;
-        return t_ring.ring;
-      }
-    }
-    if (count < kMaxRings) {
-      Ring& r = g_rings[count];
-      r.slots = new Slot[kAllocCapacity]();
-      r.tid.store(current_tid(), std::memory_order_relaxed);
-      r.in_use.store(true, std::memory_order_relaxed);
-      g_ring_count.store(count + 1, std::memory_order_release);
-      t_ring.ring = &r;
-      return t_ring.ring;
-    }
-  } catch (...) {
-    // Allocation failure: this thread records nothing, ever, instead of
-    // retrying an allocation on every event.
-  }
-  t_ring.failed = true;
-  return nullptr;
-}
-
-char sanitize(char c) noexcept {
-  const auto u = static_cast<unsigned char>(c);
-  return (u < 0x20 || u == 0x7f || c == '"' || c == '\\') ? '_' : c;
-}
-
-std::size_t fmt_u64(char* dst, std::uint64_t v) noexcept {
-  char digits[20];
-  std::size_t n = 0;
-  do {
-    digits[n++] = static_cast<char>('0' + v % 10);
-    v /= 10;
-  } while (v != 0);
-  for (std::size_t i = 0; i < n; ++i) dst[i] = digits[n - 1 - i];
-  return n;
-}
-
-/// Fixed-point double formatting without stdio (async-signal-safe).
-/// NaN/Inf become null; magnitudes beyond uint64 are clamped — the
-/// recorded measures (microseconds, milliseconds, costs) never get
-/// there in practice.
-std::size_t fmt_double(char* dst, double v, int decimals) noexcept {
-  if (!(v == v) || v > 1e300 || v < -1e300) {
-    std::memcpy(dst, "null", 4);
-    return 4;
-  }
-  std::size_t n = 0;
-  if (v < 0) {
-    dst[n++] = '-';
-    v = -v;
-  }
-  if (v >= 9.2e18) {
-    std::memcpy(dst + n, "9.2e18", 6);
-    return n + 6;
-  }
-  std::uint64_t scale = 1;
-  for (int i = 0; i < decimals; ++i) scale *= 10;
-  std::uint64_t ip = static_cast<std::uint64_t>(v);
-  std::uint64_t frac =
-      static_cast<std::uint64_t>((v - static_cast<double>(ip)) * static_cast<double>(scale) + 0.5);
-  if (frac >= scale) {
-    frac -= scale;
-    ++ip;
-  }
-  n += fmt_u64(dst + n, ip);
-  if (decimals > 0) {
-    dst[n++] = '.';
-    for (std::uint64_t div = scale / 10; div != 0; div /= 10)
-      dst[n++] = static_cast<char>('0' + (frac / div) % 10);
-  }
-  return n;
-}
-
-std::size_t fmt_literal(char* dst, const char* s) noexcept {
-  const std::size_t n = std::strlen(s);
-  std::memcpy(dst, s, n);
-  return n;
-}
-
-/// Copies the newest `max_events` events of `r` into `out` (oldest
-/// first); `first_index` gets the ring sequence number of out[0].
-/// Events the writer may have overwritten during the read are dropped,
-/// so every returned Event is intact.
-std::size_t read_ring_impl(Ring& r, Event* out, std::size_t max_events,
-                           std::uint64_t* first_index) noexcept {
-  const std::size_t cap = g_logical_cap.load(std::memory_order_relaxed);
-  const std::uint64_t s1 = r.seq.load(std::memory_order_acquire);
-  std::uint64_t lo = s1 > cap ? s1 - cap : 0;
-  if (s1 - lo > max_events) lo = s1 - max_events;
-  std::size_t n = 0;
-  for (std::uint64_t k = lo; k < s1; ++k) {
-    std::uint64_t w[8];
-    const Slot& slot = r.slots[k % cap];
-    for (int i = 0; i < 8; ++i) w[i] = slot.w[i].load(std::memory_order_relaxed);
-    std::memcpy(&out[n], w, sizeof(Event));
-    ++n;
-  }
-  std::atomic_thread_fence(std::memory_order_acquire);
-  const std::uint64_t s2 = r.seq.load(std::memory_order_relaxed);
-  const std::uint64_t lo2 = s2 > cap ? s2 - cap : 0;
-  if (lo2 > lo) {
-    // The writer lapped into [lo, lo2) while we read: those slots may
-    // hold a mix of old and new words. Drop them.
-    const std::size_t drop = static_cast<std::size_t>(std::min<std::uint64_t>(lo2 - lo, n));
-    std::memmove(out, out + drop, (n - drop) * sizeof(Event));
-    n -= drop;
-    lo = lo2;
-  }
-  if (first_index != nullptr) *first_index = lo;
-  return n;
+ThreadSlot register_thread() noexcept {
+  const auto tid = static_cast<std::uint32_t>(::syscall(SYS_gettid));
+  std::lock_guard<std::mutex> lock(g_reg_mu);
+  const std::size_t count = g_ring_count.load(std::memory_order_relaxed);
+  std::size_t i = 0;
+  while (i < count && g_regs[i].in_use.load(std::memory_order_relaxed)) ++i;
+  if (i == kMaxThreads) return {};
+  g_regs[i].tid.store(tid, std::memory_order_relaxed);
+  g_regs[i].in_use.store(true, std::memory_order_relaxed);
+  if (i == count) g_ring_count.store(count + 1, std::memory_order_release);
+  return {static_cast<int>(i), tid};
 }
 
 }  // namespace
+
+ThreadSlot this_thread() noexcept {
+  if (t_reg.slot.index < 0 && !t_reg.failed) {
+    // A thread that finds every registration taken records nothing,
+    // ever, instead of retrying on every event.
+    t_reg.slot = register_thread();
+    t_reg.failed = t_reg.slot.index < 0;
+  }
+  return t_reg.slot;
+}
 
 const char* event_kind_name(EventKind k) noexcept {
   switch (k) {
@@ -209,22 +87,11 @@ const char* event_kind_name(EventKind k) noexcept {
   return "unknown";
 }
 
-bool enabled() noexcept {
-  if constexpr (!kObsEnabled) return false;
-  return g_enabled.load(std::memory_order_relaxed);
-}
-
-void set_enabled(bool on) noexcept {
-  if constexpr (!kObsEnabled) { (void)on; return; }
-  g_enabled.store(on, std::memory_order_relaxed);
-}
-
 void record(EventKind kind, std::string_view tag, std::uint64_t a, std::uint64_t b,
             double x) noexcept {
   if constexpr (!kObsEnabled) { (void)kind; (void)tag; (void)a; (void)b; (void)x; return; }
-  if (!g_enabled.load(std::memory_order_relaxed)) return;
-  Ring* r = local_ring();
-  if (r == nullptr) {
+  const ThreadSlot self = this_thread();
+  if (self.index < 0) {
     g_dropped.fetch_add(1, std::memory_order_relaxed);
     return;
   }
@@ -235,31 +102,19 @@ void record(EventKind kind, std::string_view tag, std::uint64_t a, std::uint64_t
   e.b = b;
   e.x = x;
   e.kind = static_cast<std::uint16_t>(kind);
-  const std::size_t len = std::min(tag.size(), kMaxTagBytes);
-  for (std::size_t i = 0; i < len; ++i) e.tag[i] = sanitize(tag[i]);
-
-  std::uint64_t w[8];
-  std::memcpy(w, &e, sizeof e);
-  const std::uint64_t s = r->seq.load(std::memory_order_relaxed);
-  const std::size_t cap = g_logical_cap.load(std::memory_order_relaxed);
-  Slot& slot = r->slots[s % cap];
-  for (int i = 0; i < 8; ++i) slot.w[i].store(w[i], std::memory_order_relaxed);
-  r->seq.store(s + 1, std::memory_order_release);
+  copy_json_safe(e.tag, sizeof e.tag, tag);
+  g_regs[self.index].events.push(e);
 }
 
 std::vector<Recorded> snapshot() {
   std::vector<Recorded> out;
   if constexpr (!kObsEnabled) return out;
-  const std::size_t count = g_ring_count.load(std::memory_order_acquire);
-  std::vector<Event> buf(g_logical_cap.load(std::memory_order_relaxed));
-  for (std::size_t i = 0; i < count; ++i) {
-    Ring& r = g_rings[i];
-    if (r.slots == nullptr) continue;
+  std::vector<Event> buf(kCapacity);
+  for (std::size_t i = 0; i < ring_count(); ++i) {
     std::uint64_t first = 0;
-    const std::size_t n = read_ring_impl(r, buf.data(), buf.size(), &first);
-    const std::uint32_t tid = r.tid.load(std::memory_order_relaxed);
-    for (std::size_t k = 0; k < n; ++k)
-      out.push_back(Recorded{buf[k], tid, first + k});
+    const std::size_t n = g_regs[i].events.read_tail(buf.data(), buf.size(), &first);
+    const std::uint32_t tid = g_regs[i].tid.load(std::memory_order_relaxed);
+    for (std::size_t k = 0; k < n; ++k) out.push_back(Recorded{buf[k], tid, first + k});
   }
   std::stable_sort(out.begin(), out.end(), [](const Recorded& a, const Recorded& b) {
     return a.event.ts_us < b.event.ts_us;
@@ -280,22 +135,15 @@ std::string to_jsonl() {
 
 std::uint64_t total_recorded() noexcept {
   std::uint64_t total = 0;
-  const std::size_t count = g_ring_count.load(std::memory_order_acquire);
-  for (std::size_t i = 0; i < count; ++i)
-    total += g_rings[i].seq.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < ring_count(); ++i) total += g_regs[i].events.appended();
   return total;
 }
 
 std::uint64_t dropped() noexcept { return g_dropped.load(std::memory_order_relaxed); }
 
-void reset(std::size_t capacity) {
-  if constexpr (!kObsEnabled) { (void)capacity; return; }
+void reset() {
   std::lock_guard<std::mutex> lock(g_reg_mu);
-  if (capacity == 0 || capacity > kAllocCapacity) capacity = kAllocCapacity;
-  g_logical_cap.store(capacity, std::memory_order_relaxed);
-  const std::size_t count = g_ring_count.load(std::memory_order_relaxed);
-  for (std::size_t i = 0; i < count; ++i)
-    g_rings[i].seq.store(0, std::memory_order_relaxed);
+  for (std::size_t i = 0; i < ring_count(); ++i) g_regs[i].events.clear();
   g_dropped.store(0, std::memory_order_relaxed);
 }
 
@@ -303,40 +151,23 @@ std::size_t ring_count() noexcept { return g_ring_count.load(std::memory_order_a
 
 std::size_t read_ring(std::size_t i, Event* out, std::size_t max_events,
                       std::uint32_t* tid) noexcept {
-  if (i >= ring_count()) return 0;
-  Ring& r = g_rings[i];
-  if (r.slots == nullptr || out == nullptr || max_events == 0) return 0;
-  if (tid != nullptr) *tid = r.tid.load(std::memory_order_relaxed);
-  return read_ring_impl(r, out, max_events, nullptr);
+  if (i >= ring_count() || out == nullptr) return 0;
+  if (tid != nullptr) *tid = g_regs[i].tid.load(std::memory_order_relaxed);
+  return g_regs[i].events.read_tail(out, max_events);
 }
 
 std::size_t format_event_jsonl(const Event& e, std::uint32_t tid, char* buf,
                                std::size_t cap) noexcept {
-  // Worst case: literals (~70) + three doubles (~27 each) + four u64s
-  // (20 each) + kind name (~18) + tag (19) — comfortably under 320.
-  char tmp[320];
-  std::size_t n = 0;
-  n += fmt_literal(tmp + n, "{\"ts_us\": ");
-  n += fmt_double(tmp + n, e.ts_us, 3);
-  n += fmt_literal(tmp + n, ", \"qid\": ");
-  n += fmt_u64(tmp + n, e.qid);
-  n += fmt_literal(tmp + n, ", \"kind\": \"");
-  n += fmt_literal(tmp + n, event_kind_name(static_cast<EventKind>(e.kind)));
-  n += fmt_literal(tmp + n, "\", \"tag\": \"");
-  for (std::size_t i = 0; i < sizeof e.tag && e.tag[i] != '\0'; ++i)
-    tmp[n++] = sanitize(e.tag[i]);
-  n += fmt_literal(tmp + n, "\", \"a\": ");
-  n += fmt_u64(tmp + n, e.a);
-  n += fmt_literal(tmp + n, ", \"b\": ");
-  n += fmt_u64(tmp + n, e.b);
-  n += fmt_literal(tmp + n, ", \"x\": ");
-  n += fmt_double(tmp + n, e.x, 6);
-  n += fmt_literal(tmp + n, ", \"tid\": ");
-  n += fmt_u64(tmp + n, tid);
-  n += fmt_literal(tmp + n, "}");
-  if (n > cap) return 0;
-  std::memcpy(buf, tmp, n);
-  return n;
+  SafeLine line(buf, cap);
+  line.str("{\"ts_us\": ").fixed(e.ts_us, 3);
+  line.str(", \"qid\": ").u64(e.qid);
+  line.str(", \"kind\": \"").str(event_kind_name(static_cast<EventKind>(e.kind)));
+  line.str("\", \"tag\": \"").safe(std::string_view(e.tag, strnlen(e.tag, sizeof e.tag)));
+  line.str("\", \"a\": ").u64(e.a);
+  line.str(", \"b\": ").u64(e.b);
+  line.str(", \"x\": ").fixed(e.x, 6);
+  line.str(", \"tid\": ").u64(tid).ch('}');
+  return line.size();
 }
 
 }  // namespace lrd::obs::flight

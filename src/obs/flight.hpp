@@ -13,20 +13,17 @@
 // production within the same <2% budget the span layer honors
 // (bench: micro_obs `event_append`).
 //
-// Crash-safety contract: the storage is plain pre-allocated atomics,
-// so a signal handler (obs/bundle.hpp) can walk the rings and format
-// events with write(2) only — `ring_count`, `read_ring` and
+// Crash-safety contract: the rings are obs::Ring instances (obs/ring.hpp)
+// in static storage, so a signal handler (obs/bundle.hpp) can walk them
+// and format events with write(2) only — `ring_count`, `read_ring` and
 // `format_event_jsonl` are async-signal-safe. Tags are sanitized at
 // record time (quotes, backslashes and control bytes become '_'),
-// so a dump never needs JSON escaping.
+// so a dump never needs JSON escaping. A snapshot is exact per ring —
+// never a torn event — but only *recent*: events older than the ring
+// capacity are gone, by design.
 //
-// Consistency model: each ring is single-writer (its owning thread).
-// The writer stores the event's words with relaxed atomics, then
-// publishes with one release store of the ring sequence; readers
-// re-check the sequence after reading and drop any slot the writer
-// may have overwritten mid-read. A snapshot is therefore exact per
-// ring — never a torn event — but only *recent*: events older than
-// the ring capacity are gone, by design.
+// The per-thread registration that owns a flight ring is also where the
+// trace layer keeps the thread's span ring (obs/trace.cpp, same index).
 //
 // Compiled out with the rest of the obs layer under -DLRD_OBS_DISABLED:
 // record() becomes an empty inline function.
@@ -88,15 +85,29 @@ static_assert(std::is_trivially_copyable_v<Event>);
 /// guaranteed NUL.
 inline constexpr std::size_t kMaxTagBytes = sizeof(Event{}.tag) - 1;
 
-/// True when events are being recorded. Defaults to ON — the recorder
-/// is the always-on layer — and is one relaxed load on the hot path.
-bool enabled() noexcept;
-void set_enabled(bool on) noexcept;
+/// Events kept per thread: the newest kCapacity survive.
+inline constexpr std::size_t kCapacity = 4096;
+
+/// Threads registered at once. A thread registers on its first event
+/// (or span) and releases its registration at exit, so this bounds
+/// *concurrent* recording threads, not thread churn.
+inline constexpr std::size_t kMaxThreads = 64;
+
+/// The calling thread's registration: its ring `index` (below
+/// ring_count()) and OS thread id. `index` is -1 when all kMaxThreads
+/// registrations are held by live threads.
+struct ThreadSlot {
+  int index = -1;
+  std::uint32_t tid = 0;
+};
+/// Registers the calling thread on first use (one mutex acquisition per
+/// thread); later calls read a thread-local.
+ThreadSlot this_thread() noexcept;
 
 /// Records one event on the calling thread's ring, stamped with the
 /// thread's active query id (obs::current_query_id). Never throws,
-/// never blocks (first call per thread takes a registration mutex once;
-/// if every ring slot is taken the event is counted dropped instead).
+/// never blocks (first call per thread registers it; if every
+/// registration is taken the event is counted dropped instead).
 void record(EventKind kind, std::string_view tag, std::uint64_t a = 0,
             std::uint64_t b = 0, double x = 0.0) noexcept;
 
@@ -122,11 +133,9 @@ std::uint64_t total_recorded() noexcept;
 /// Events that could not be recorded because all rings were taken.
 std::uint64_t dropped() noexcept;
 
-/// Test hook: clears every ring and sets the *logical* capacity (events
-/// kept per thread) to `capacity`, clamped to the preallocated storage;
-/// 0 restores the default. Call only while no other thread is
-/// recording — the rings are reset non-atomically.
-void reset(std::size_t capacity = 0);
+/// Test hook: clears every ring and the dropped count. Call only while
+/// no other thread is recording.
+void reset();
 
 /// Number of rings ever registered. Async-signal-safe.
 std::size_t ring_count() noexcept;

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <limits>
 
+#include "obs/ring.hpp"
+
 namespace lrd::obs {
 
 namespace {
@@ -286,13 +288,7 @@ std::string Registry::to_json() const {
 
 bool Registry::write_file(const std::string& path) const {
   const bool json = path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0;
-  const std::string body = json ? to_json() : to_prometheus();
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (!out) return false;
-  const bool ok =
-      std::fwrite(body.data(), 1, body.size(), out) == body.size() && std::fflush(out) == 0;
-  std::fclose(out);
-  return ok;
+  return write_file_atomic(path, json ? to_json() : to_prometheus());
 }
 
 }  // namespace lrd::obs

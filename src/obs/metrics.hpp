@@ -168,8 +168,9 @@ class Registry {
   /// The same snapshot as one JSON object keyed by metric name.
   std::string to_json() const;
 
-  /// Writes the snapshot to `path`: JSON when the path ends in ".json",
-  /// Prometheus text otherwise. False on I/O failure.
+  /// Writes the snapshot to `path` atomically (temp file + rename): JSON
+  /// when the path ends in ".json", Prometheus text otherwise. False on
+  /// I/O failure.
   bool write_file(const std::string& path) const;
 
   std::size_t size() const;

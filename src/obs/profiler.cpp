@@ -6,6 +6,7 @@
 
 #include "obs/clock.hpp"
 #include "obs/context.hpp"
+#include "obs/ring.hpp"
 
 #if !defined(LRD_OBS_DISABLED)
 
@@ -36,25 +37,18 @@ constexpr std::size_t kRingCapacity = 512;
 /// Rings available process-wide; bounds concurrent sampling threads.
 constexpr std::size_t kMaxRings = 32;
 
-constexpr std::size_t kWords = sizeof(Sample) / 8;
-static_assert(sizeof(Sample) % 8 == 0);
-
-/// One sample as relaxed atomic words; the Sample layout memcpy's in
-/// and out. Single writer per ring (the owning thread, possibly from
-/// inside its own SIGPROF handler — a thread never races itself).
-struct Slot {
-  std::atomic<std::uint64_t> w[kWords];
-};
-
-struct Ring {
+/// One ring per sampling thread, claimed by CAS on `tid` so a thread can
+/// claim from inside its first SIGPROF. Single writer: the owning thread
+/// (sample_now, or its own SIGPROF handler — never both at once, see
+/// take_sample).
+struct ProfRing {
   std::atomic<std::uint32_t> tid{0};  // 0 = unclaimed
-  std::atomic<std::uint64_t> seq{0};
-  Slot slots[kRingCapacity];
+  Ring<Sample, kRingCapacity> samples;
 };
 
 // Static storage (BSS): the signal handler can never allocate, and an
 // unclaimed ring costs only untouched zero pages.
-Ring g_rings[kMaxRings];
+ProfRing g_rings[kMaxRings];
 std::atomic<std::size_t> g_ring_hwm{0};  // high-water mark, release-published
 std::atomic<std::uint32_t> g_epoch{1};   // bumped by reset() to drop TLS claims
 std::atomic<bool> g_running{false};
@@ -94,6 +88,7 @@ int claim_ring() noexcept {
 
 thread_local int t_ring = -1;
 thread_local std::uint32_t t_epoch = 0;
+thread_local bool t_pushing = false;  // this thread is mid-push on its ring
 
 int local_ring() noexcept {
   const std::uint32_t epoch = g_epoch.load(std::memory_order_acquire);
@@ -174,14 +169,18 @@ void take_sample(std::uint64_t pc, std::uint64_t fp, std::uint64_t sp) noexcept 
   }
   s.depth = depth;
 
-  std::uint64_t w[kWords];
-  std::memcpy(w, &s, sizeof s);
-  Ring& r = g_rings[idx];
-  const std::uint64_t seq = r.seq.load(std::memory_order_relaxed);
-  Slot& slot = r.slots[seq % kRingCapacity];
-  for (std::size_t i = 0; i < kWords; ++i)
-    slot.w[i].store(w[i], std::memory_order_relaxed);
-  r.seq.store(seq + 1, std::memory_order_release);
+  // A SIGPROF landing inside sample_now()'s own push would interleave
+  // two pushes on one ring; the handler's sample is dropped instead.
+  if (t_pushing) {
+    g_dropped.fetch_add(1, std::memory_order_relaxed);
+    errno = saved_errno;
+    return;
+  }
+  t_pushing = true;
+  std::atomic_signal_fence(std::memory_order_seq_cst);
+  g_rings[idx].samples.push(s);
+  std::atomic_signal_fence(std::memory_order_seq_cst);
+  t_pushing = false;
   g_total.fetch_add(1, std::memory_order_relaxed);
   errno = saved_errno;
 }
@@ -252,82 +251,6 @@ std::string symbolize(std::uint64_t pc) {
   std::snprintf(buf, sizeof buf, "0x%llx",
                 static_cast<unsigned long long>(pc));
   return buf;
-}
-
-// ---- async-signal-safe formatting helpers --------------------------
-
-std::size_t fmt_u64(char* dst, std::uint64_t v) noexcept {
-  char digits[20];
-  std::size_t n = 0;
-  do {
-    digits[n++] = static_cast<char>('0' + v % 10);
-    v /= 10;
-  } while (v != 0);
-  for (std::size_t i = 0; i < n; ++i) dst[i] = digits[n - 1 - i];
-  return n;
-}
-
-std::size_t fmt_hex(char* dst, std::uint64_t v) noexcept {
-  dst[0] = '0';
-  dst[1] = 'x';
-  char digits[16];
-  std::size_t n = 0;
-  do {
-    digits[n++] = "0123456789abcdef"[v & 0xf];
-    v >>= 4;
-  } while (v != 0);
-  for (std::size_t i = 0; i < n; ++i) dst[2 + i] = digits[n - 1 - i];
-  return 2 + n;
-}
-
-std::size_t fmt_double_3(char* dst, double v) noexcept {
-  if (!(v == v) || v > 1e300 || v < 0) {
-    std::memcpy(dst, "0", 1);
-    return 1;
-  }
-  const auto ip = static_cast<std::uint64_t>(v);
-  const auto frac = static_cast<std::uint64_t>((v - static_cast<double>(ip)) * 1000.0 + 0.5);
-  std::size_t n = fmt_u64(dst, frac >= 1000 ? ip + 1 : ip);
-  dst[n++] = '.';
-  const std::uint64_t f = frac >= 1000 ? 0 : frac;
-  dst[n++] = static_cast<char>('0' + (f / 100) % 10);
-  dst[n++] = static_cast<char>('0' + (f / 10) % 10);
-  dst[n++] = static_cast<char>('0' + f % 10);
-  return n;
-}
-
-std::size_t fmt_literal(char* dst, const char* s) noexcept {
-  const std::size_t n = std::strlen(s);
-  std::memcpy(dst, s, n);
-  return n;
-}
-
-/// Same validated-read discipline as the flight recorder: acquire the
-/// sequence, copy relaxed words, re-check, drop anything the writer
-/// may have lapped mid-read.
-std::size_t read_ring_impl(Ring& r, Sample* out, std::size_t max_samples) noexcept {
-  const std::uint64_t s1 = r.seq.load(std::memory_order_acquire);
-  std::uint64_t lo = s1 > kRingCapacity ? s1 - kRingCapacity : 0;
-  if (s1 - lo > max_samples) lo = s1 - max_samples;
-  std::size_t n = 0;
-  for (std::uint64_t k = lo; k < s1; ++k) {
-    std::uint64_t w[kWords];
-    const Slot& slot = r.slots[k % kRingCapacity];
-    for (std::size_t i = 0; i < kWords; ++i)
-      w[i] = slot.w[i].load(std::memory_order_relaxed);
-    std::memcpy(&out[n], w, sizeof(Sample));
-    ++n;
-  }
-  std::atomic_thread_fence(std::memory_order_acquire);
-  const std::uint64_t s2 = r.seq.load(std::memory_order_relaxed);
-  const std::uint64_t lo2 = s2 > kRingCapacity ? s2 - kRingCapacity : 0;
-  if (lo2 > lo) {
-    const auto drop = static_cast<std::size_t>(
-        lo2 - lo < static_cast<std::uint64_t>(n) ? lo2 - lo : n);
-    std::memmove(out, out + drop, (n - drop) * sizeof(Sample));
-    n -= drop;
-  }
-  return n;
 }
 
 }  // namespace
@@ -406,7 +329,7 @@ std::string to_jsonl() {
   std::vector<Sample> buf(kRingCapacity);
   const std::size_t rings = ring_count();
   for (std::size_t i = 0; i < rings; ++i) {
-    const std::size_t n = read_ring_impl(g_rings[i], buf.data(), buf.size());
+    const std::size_t n = g_rings[i].samples.read_tail(buf.data(), buf.size());
     for (std::size_t k = 0; k < n; ++k) {
       const Sample& s = buf[k];
       std::string stack;
@@ -437,26 +360,13 @@ std::string to_jsonl() {
   return out;
 }
 
-bool write_file(const std::string& path) {
-  const std::string body = to_jsonl();
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool wrote =
-      body.empty() || std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !closed) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
-}
+bool write_file(const std::string& path) { return write_file_atomic(path, to_jsonl()); }
 
 void reset() {
   std::lock_guard<std::mutex> lock(g_ctl_mu);
   const std::size_t rings = g_ring_hwm.load(std::memory_order_relaxed);
   for (std::size_t i = 0; i < rings; ++i) {
-    g_rings[i].seq.store(0, std::memory_order_relaxed);
+    g_rings[i].samples.clear();
     g_rings[i].tid.store(0, std::memory_order_relaxed);
   }
   g_ring_hwm.store(0, std::memory_order_relaxed);
@@ -474,30 +384,22 @@ std::size_t read_ring(std::size_t i, Sample* out, std::size_t max_samples,
                       std::uint32_t* tid) noexcept {
   if (i >= ring_count() || out == nullptr || max_samples == 0) return 0;
   if (tid != nullptr) *tid = g_rings[i].tid.load(std::memory_order_relaxed);
-  return read_ring_impl(g_rings[i], out, max_samples);
+  return g_rings[i].samples.read_tail(out, max_samples);
 }
 
 std::size_t format_sample_jsonl(const Sample& s, std::uint32_t tid, char* buf,
                                 std::size_t cap) noexcept {
-  // Literals (~110) + 16 hex frames (19 each) + three u64s — under 512.
-  char tmp[512];
-  std::size_t n = 0;
-  n += fmt_literal(tmp + n, "{\"schema\": \"lrd-profile-v1\", \"query_id\": ");
-  n += fmt_u64(tmp + n, s.qid);
-  n += fmt_literal(tmp + n, ", \"stack\": \"");
+  SafeLine line(buf, cap);
+  line.str("{\"schema\": \"lrd-profile-v1\", \"query_id\": ").u64(s.qid);
+  line.str(", \"stack\": \"");
   const std::uint32_t depth = s.depth > kMaxFrames ? kMaxFrames : s.depth;
   for (std::uint32_t f = depth; f-- > 0;) {
-    n += fmt_hex(tmp + n, s.pcs[f]);
-    if (f != 0) tmp[n++] = ';';
+    line.hex(s.pcs[f]);
+    if (f != 0) line.ch(';');
   }
-  n += fmt_literal(tmp + n, "\", \"count\": 1, \"ts_us\": ");
-  n += fmt_double_3(tmp + n, s.ts_us);
-  n += fmt_literal(tmp + n, ", \"tid\": ");
-  n += fmt_u64(tmp + n, tid);
-  n += fmt_literal(tmp + n, "}");
-  if (n > cap) return 0;
-  std::memcpy(buf, tmp, n);
-  return n;
+  line.str("\", \"count\": 1, \"ts_us\": ").fixed(s.ts_us, 3);
+  line.str(", \"tid\": ").u64(tid).ch('}');
+  return line.size();
 }
 
 }  // namespace lrd::obs::profiler

@@ -8,8 +8,8 @@
 // walk from the ucontext registers — glibc backtrace() takes rtld
 // locks and deadlocks under signals, so it never runs here) plus the
 // calling thread's obs::current_query_id(), and publishes the sample
-// into the thread's ring with the same single-writer relaxed-words /
-// release-sequence discipline the flight recorder uses. No locks, no
+// into the thread's obs::Ring (obs/ring.hpp), the primitive the flight
+// recorder and the trace spans also record into. No locks, no
 // allocation, no symbolization on the signal path. The build keeps
 // frame pointers (-fno-omit-frame-pointer) so the walk sees real
 // chains in this repo's code; FP-less foreign frames end a stack
@@ -55,7 +55,7 @@ namespace lrd::obs::profiler {
 inline constexpr std::size_t kMaxFrames = 16;
 
 /// One captured sample. Trivially-copyable fixed layout: the ring
-/// stores exactly these bytes as nineteen relaxed atomic words.
+/// stores exactly these 152 bytes as nineteen relaxed atomic words.
 struct Sample {
   double ts_us = 0.0;            ///< clock::process_uptime_us at capture.
   std::uint64_t qid = 0;         ///< Active query id (0 = unattributed).

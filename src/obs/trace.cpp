@@ -1,105 +1,57 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "obs/clock.hpp"
 #include "obs/context.hpp"
+#include "obs/flight.hpp"
+#include "obs/ring.hpp"
 
 namespace lrd::obs {
 
 namespace {
 
+/// One span or instant: a fixed 112-byte record of literals and numbers.
 struct Event {
-  double ts_us = 0.0;
-  double dur_us = -1.0;  // < 0 -> instant event
-  const char* name = "";
-  const char* category = "";
-  std::string args_json;
+  double ts_us;
+  double dur_us;  // < 0 -> instant event
+  std::uint64_t qid;
+  const char* name;
+  const char* category;
+  TraceArgs args;
+  std::uint32_t tid;  // per event: a registration outlives its thread
+  std::uint32_t reserved;
+};
+static_assert(sizeof(Event) == 112);
+
+struct ThreadName {
+  std::uint32_t tid;
+  char text[28];
 };
 
-/// One ring per recording thread. The owning thread appends under `mu`
-/// (uncontended in steady state); the exporter takes the same mutex, so
-/// a concurrent export sees a consistent ring.
-struct ThreadBuffer {
-  std::mutex mu;
-  std::uint32_t tid = 0;
-  std::string name;
-  std::vector<Event> ring;
-  std::size_t capacity = 0;
-  std::size_t next = 0;      // ring write position
-  std::uint64_t total = 0;   // events ever pushed (>= ring size)
+constexpr std::size_t kCapacity = 1 << 15;
 
-  void push(Event e) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (capacity == 0) return;
-    if (ring.size() < capacity) {
-      ring.push_back(std::move(e));
-    } else {
-      ring[next] = std::move(e);
-    }
-    next = (next + 1) % capacity;
-    ++total;
+/// Indexed like the flight recorder's registrations: slot i belongs to
+/// whichever thread holds flight registration i.
+struct ThreadTrace {
+  Ring<Event, kCapacity> events;
+  Ring<ThreadName, 1> name;
+};
+ThreadTrace g_threads[flight::kMaxThreads];
+std::atomic<std::uint64_t> g_unregistered{0};
+
+void push(Event& e) noexcept {
+  const flight::ThreadSlot self = flight::this_thread();
+  if (self.index < 0) {
+    g_unregistered.fetch_add(1, std::memory_order_relaxed);
+    return;
   }
-};
-
-struct Global {
-  std::mutex mu;
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers;
-  std::size_t capacity = 1 << 15;
-  std::uint32_t next_tid = 1;
-};
-
-Global& global() {
-  static Global g;
-  return g;
-}
-
-ThreadBuffer& thread_buffer() {
-  thread_local std::shared_ptr<ThreadBuffer> buf = [] {
-    auto b = std::make_shared<ThreadBuffer>();
-    Global& g = global();
-    std::lock_guard<std::mutex> lock(g.mu);
-    b->tid = g.next_tid++;
-    b->capacity = g.capacity;
-    g.buffers.push_back(b);
-    return b;
-  }();
-  return *buf;
-}
-
-void append_escaped(std::string& out, std::string_view s) {
-  out += '"';
-  for (char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  out += '"';
-}
-
-/// Stamps the thread's active query id into an event's args so spans
-/// join the flight/access/profile artifacts on "qid" without every
-/// call site threading the id through.
-void stamp_query_id(std::string& args_json) {
-  const QueryId qid = current_query_id();
-  if (qid == 0) return;
-  if (!args_json.empty()) args_json += ", ";
-  args_json += "\"qid\": " + std::to_string(qid);
+  e.qid = current_query_id();
+  e.tid = self.tid;
+  e.reserved = 0;
+  g_threads[self.index].events.push(e);
 }
 
 }  // namespace
@@ -109,17 +61,8 @@ std::atomic<bool>& TraceSession::enabled_flag() noexcept {
   return flag;
 }
 
-void TraceSession::enable(std::size_t per_thread_capacity) {
+void TraceSession::enable() {
   if constexpr (!kObsEnabled) return;
-  Global& g = global();
-  {
-    std::lock_guard<std::mutex> lock(g.mu);
-    g.capacity = std::max<std::size_t>(per_thread_capacity, 16);
-    for (auto& b : g.buffers) {
-      std::lock_guard<std::mutex> bl(b->mu);
-      b->capacity = g.capacity;
-    }
-  }
   // Pin the trace epoch before the first span reads it.
   (void)process_uptime_us();
   enabled_flag().store(true, std::memory_order_relaxed);
@@ -127,139 +70,101 @@ void TraceSession::enable(std::size_t per_thread_capacity) {
 
 void TraceSession::disable() { enabled_flag().store(false, std::memory_order_relaxed); }
 
-void TraceSession::clear() {
-  Global& g = global();
-  std::lock_guard<std::mutex> lock(g.mu);
-  for (auto& b : g.buffers) {
-    std::lock_guard<std::mutex> bl(b->mu);
-    b->ring.clear();
-    b->next = 0;
-    b->total = 0;
-  }
+void TraceSession::reset() {
+  for (std::size_t i = 0; i < flight::ring_count(); ++i) g_threads[i].events.clear();
+  g_unregistered.store(0, std::memory_order_relaxed);
 }
 
 std::uint64_t TraceSession::dropped() {
-  Global& g = global();
-  std::lock_guard<std::mutex> lock(g.mu);
-  std::uint64_t dropped = 0;
-  for (auto& b : g.buffers) {
-    std::lock_guard<std::mutex> bl(b->mu);
-    dropped += b->total - b->ring.size();
-  }
+  std::uint64_t dropped = g_unregistered.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < flight::ring_count(); ++i)
+    dropped += std::max<std::uint64_t>(g_threads[i].events.appended(), kCapacity) - kCapacity;
   return dropped;
 }
 
 std::size_t TraceSession::recorded() {
-  Global& g = global();
-  std::lock_guard<std::mutex> lock(g.mu);
   std::size_t n = 0;
-  for (auto& b : g.buffers) {
-    std::lock_guard<std::mutex> bl(b->mu);
-    n += b->ring.size();
-  }
+  for (std::size_t i = 0; i < flight::ring_count(); ++i)
+    n += std::min<std::uint64_t>(g_threads[i].events.appended(), kCapacity);
   return n;
 }
 
 std::string TraceSession::to_json() {
-  struct Out {
-    Event e;
-    std::uint32_t tid;
+  std::string out = "{\n\"displayTimeUnit\": \"ms\",\n\"droppedEvents\": ";
+  out += std::to_string(dropped()) + ",\n\"traceEvents\": [";
+  bool first = true;
+  const auto open_event = [&](const char* head) {
+    out += first ? "\n{" : ",\n{";
+    out += head;
+    first = false;
   };
-  std::vector<Out> events;
-  std::vector<std::pair<std::uint32_t, std::string>> names;
-  std::uint64_t dropped = 0;
-  {
-    Global& g = global();
-    std::lock_guard<std::mutex> lock(g.mu);
-    for (auto& b : g.buffers) {
-      std::lock_guard<std::mutex> bl(b->mu);
-      dropped += b->total - b->ring.size();
-      if (!b->name.empty()) names.emplace_back(b->tid, b->name);
-      // Chronological ring order: oldest first.
-      const bool wrapped = b->total > b->ring.size();
-      const std::size_t n = b->ring.size();
-      for (std::size_t k = 0; k < n; ++k) {
-        const std::size_t i = wrapped ? (b->next + k) % n : k;
-        events.push_back({b->ring[i], b->tid});
-      }
+  char num[96];
+  std::vector<Event> events;
+  for (std::size_t i = 0; i < flight::ring_count(); ++i) {
+    ThreadName name;
+    if (g_threads[i].name.read_tail(&name, 1) == 1) {
+      open_event("\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":");
+      out += std::to_string(name.tid) + ",\"args\":{\"name\":\"" + name.text + "\"}}";
     }
+    const std::size_t have = events.size();
+    events.resize(have + kCapacity);
+    events.resize(have + g_threads[i].events.read_tail(events.data() + have, kCapacity));
   }
   std::stable_sort(events.begin(), events.end(),
-                   [](const Out& a, const Out& b) { return a.e.ts_us < b.e.ts_us; });
+                   [](const Event& a, const Event& b) { return a.ts_us < b.ts_us; });
 
-  std::string out = "{\n\"displayTimeUnit\": \"ms\",\n";
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "\"droppedEvents\": %llu,\n",
-                static_cast<unsigned long long>(dropped));
-  out += buf;
-  out += "\"traceEvents\": [";
-  bool first = true;
-  for (const auto& [tid, name] : names) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    std::snprintf(buf, sizeof buf,
-                  "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%u,\"args\":{\"name\":",
-                  tid);
-    out += buf;
-    append_escaped(out, name);
-    out += "}}";
-  }
-  for (const auto& ev : events) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "{\"name\":";
-    append_escaped(out, ev.e.name);
-    out += ",\"cat\":";
-    append_escaped(out, ev.e.category);
-    if (ev.e.dur_us < 0.0) {
-      std::snprintf(buf, sizeof buf, ",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f", ev.e.ts_us);
-      out += buf;
-    } else {
-      std::snprintf(buf, sizeof buf, ",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f", ev.e.ts_us,
-                    ev.e.dur_us);
-      out += buf;
+  for (const Event& e : events) {
+    open_event("\"name\":\"");
+    ((out += e.name) += "\",\"cat\":\"") += e.category;
+    if (e.dur_us < 0.0)
+      std::snprintf(num, sizeof num, "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f", e.ts_us);
+    else
+      std::snprintf(num, sizeof num, "\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f", e.ts_us,
+                    e.dur_us);
+    out += num;
+    out += ",\"pid\":1,\"tid\":" + std::to_string(e.tid);
+    bool has_args = false;
+    for (const TraceArg& a : e.args) {
+      if (a.key == nullptr) continue;
+      out += has_args ? ", \"" : ",\"args\":{\"";
+      (out += a.key) += "\": " + std::to_string(a.value);
+      has_args = true;
     }
-    std::snprintf(buf, sizeof buf, ",\"pid\":1,\"tid\":%u", ev.tid);
-    out += buf;
-    if (!ev.e.args_json.empty()) out += ",\"args\":{" + ev.e.args_json + "}";
-    out += "}";
+    if (e.qid != 0) {
+      out += has_args ? ", " : ",\"args\":{";
+      out += "\"qid\": " + std::to_string(e.qid);
+      has_args = true;
+    }
+    out += has_args ? "}}" : "}";
   }
   out += first ? "]\n}\n" : "\n]\n}\n";
   return out;
 }
 
 bool TraceSession::write_file(const std::string& path) {
-  const std::string json = to_json();
-  const std::string tmp = path + ".tmp";
-  std::FILE* out = std::fopen(tmp.c_str(), "w");
-  if (!out) return false;
-  const bool wrote = std::fwrite(json.data(), 1, json.size(), out) == json.size() &&
-                     std::fflush(out) == 0;
-  std::fclose(out);
-  if (!wrote) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
+  return write_file_atomic(path, to_json());
 }
 
-void set_thread_name(std::string name) {
+void set_thread_name(std::string_view name) noexcept {
   if constexpr (!kObsEnabled) return;
-  ThreadBuffer& b = thread_buffer();
-  std::lock_guard<std::mutex> lock(b.mu);
-  b.name = std::move(name);
+  const flight::ThreadSlot self = flight::this_thread();
+  if (self.index < 0) return;
+  ThreadName n{};
+  n.tid = self.tid;
+  copy_json_safe(n.text, sizeof n.text, name);
+  g_threads[self.index].name.push(n);
 }
 
-void instant(const char* name, const char* category, std::string args_json) {
+void instant(const char* name, const char* category, const char* key,
+             std::int64_t value) noexcept {
   if (!TraceSession::enabled()) return;
   Event e;
   e.ts_us = process_uptime_us();
   e.dur_us = -1.0;
   e.name = name;
   e.category = category;
-  e.args_json = std::move(args_json);
-  stamp_query_id(e.args_json);
-  thread_buffer().push(std::move(e));
+  e.args = {{{key, value}, {nullptr, 0}, {nullptr, 0}, {nullptr, 0}}};
+  push(e);
 }
 
 double Span::start_timestamp() noexcept { return process_uptime_us(); }
@@ -270,9 +175,8 @@ void Span::record_end() noexcept {
   e.dur_us = std::max(0.0, process_uptime_us() - start_us_);
   e.name = name_;
   e.category = category_;
-  e.args_json = std::move(args_json_);
-  stamp_query_id(e.args_json);
-  thread_buffer().push(std::move(e));
+  e.args = args_;
+  push(e);
 }
 
 }  // namespace lrd::obs

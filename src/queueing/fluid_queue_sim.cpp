@@ -47,9 +47,7 @@ FluidSimResult simulate_fluid_queue(const dist::Marginal& marginal,
   if (auto st = cfg.validate(); !st.is_ok()) throw lrd::ConfigError(st.diagnostics());
 
   obs::Span sim_span("sim.fluid_queue", "sim");
-  if (obs::TraceSession::enabled())
-    sim_span.annotate("\"epochs\": " + std::to_string(cfg.epochs) +
-                      ", \"batches\": " + std::to_string(cfg.batches));
+  sim_span.annotate("epochs", cfg.epochs, "batches", cfg.batches);
 
   numerics::Rng rng(cfg.seed);
   const numerics::AliasTable alias(marginal.probs());

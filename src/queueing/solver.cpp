@@ -547,8 +547,7 @@ SolverResult FluidQueueSolver::solve_impl(const SolverConfig& cfg,
       level_tel = obs::LevelTelemetry{};
       level_tel.bins = bins;
       level_start = obs::now();
-      if (obs::TraceSession::enabled())
-        obs::instant("solver.refine", "solver", "\"bins\": " + std::to_string(bins));
+      obs::instant("solver.refine", "solver", "bins", bins);
     }
   }
 
@@ -591,11 +590,8 @@ SolverResult FluidQueueSolver::solve_impl(const SolverConfig& cfg,
                         result.iterations, result.final_bins,
                         obs::seconds_since(solve_start) * 1e3);
     obs::profiler::sample_now();
-    if (obs::TraceSession::enabled())
-      solve_span.annotate("\"bins\": " + std::to_string(result.final_bins) +
-                          ", \"iterations\": " + std::to_string(result.iterations) +
-                          ", \"levels\": " + std::to_string(result.levels) + ", \"stop\": \"" +
-                          solver_stop_name(result.stop) + "\"");
+    solve_span.annotate("bins", result.final_bins, "iterations", result.iterations, "levels",
+                        result.levels, "stop", static_cast<std::int64_t>(result.stop));
   }
   return result;
 }

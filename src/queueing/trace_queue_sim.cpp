@@ -24,8 +24,7 @@ TraceSimResult simulate_trace_queue(const traffic::RateTrace& trace, double serv
     throw bad("buffer is finite and > 0", "buffer = " + std::to_string(buffer));
 
   obs::Span sim_span("sim.trace_queue", "sim");
-  if (obs::TraceSession::enabled())
-    sim_span.annotate("\"bins\": " + std::to_string(trace.size()));
+  sim_span.annotate("bins", trace.size());
 
   const double delta = trace.bin_seconds();
   const double service_per_slot = service_rate * delta;

@@ -198,11 +198,8 @@ SolverCache::SolverCache(const SolverCacheConfig& cfg)
     compact_locked();
   }
 
-  if (obs::TraceSession::enabled())
-    load_span.annotate("\"loaded\": " + std::to_string(central_.loaded) +
-                       ", \"duplicates\": " + std::to_string(central_.duplicates) +
-                       ", \"corrupt\": " + std::to_string(central_.corrupt) +
-                       ", \"stale\": " + std::to_string(central_.stale));
+  load_span.annotate("loaded", central_.loaded, "duplicates", central_.duplicates, "corrupt",
+                     central_.corrupt, "stale", central_.stale);
 }
 
 SolverCache::~SolverCache() {

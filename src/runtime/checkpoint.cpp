@@ -126,8 +126,7 @@ bool SweepCheckpoint::flush() {
 
 bool SweepCheckpoint::flush_locked() {
   obs::Span flush_span("checkpoint.flush", "checkpoint");
-  if (obs::TraceSession::enabled())
-    flush_span.annotate("\"cells\": " + std::to_string(cells_.size()));
+  flush_span.annotate("cells", cells_.size());
   static obs::Counter& flushes = obs::Registry::global().counter(
       "lrd_checkpoint_flushes_total", "Checkpoint flushes (atomic rewrite of the cell log)");
   flushes.inc();

@@ -147,8 +147,7 @@ struct Executor::Impl {
         }
         job.steals.fetch_add(1, std::memory_order_relaxed);
         steals_counter().inc();
-        if (obs::TraceSession::enabled())
-          obs::instant("executor.steal", "executor", "\"thief\": " + std::to_string(w));
+        obs::instant("executor.steal", "executor", "thief", w);
         return true;
       }
       std::this_thread::yield();
@@ -170,8 +169,7 @@ struct Executor::Impl {
       const auto t0 = obs::now();
       try {
         obs::Span task_span("executor.task", "executor");
-        if (obs::TraceSession::enabled())
-          task_span.annotate("\"index\": " + std::to_string(idx));
+        task_span.annotate("index", idx);
         (*j.fn)(idx);
       } catch (...) {
         {
@@ -259,9 +257,7 @@ void Executor::parallel_for(std::size_t n, const std::function<void(std::size_t)
   p = std::min({p, n, impl_->max_workers});
 
   obs::Span job_span("executor.job", "executor");
-  if (obs::TraceSession::enabled())
-    job_span.annotate("\"n\": " + std::to_string(n) +
-                      ", \"participants\": " + std::to_string(p));
+  job_span.annotate("n", n, "participants", p);
 
   if (p <= 1 || t_inside_worker) {
     // Serial fallback (and nested calls from task bodies, which must not

@@ -1,12 +1,14 @@
 // Tests of the lrd::obs layer: counter totals under threads, log-linear
 // histogram quantile recovery and merge associativity across shards,
-// span nesting/ordering in the exported Chrome trace, registry export
+// span nesting/ordering and ring overflow in the exported Chrome trace,
+// the obs::Ring primitive under a racing reader, registry export
 // formats, and solver convergence telemetry on a real solve.
 //
 // The Obs* suites also run under the ThreadSanitizer CI job (see
 // .github/workflows/ci.yml) to pin down the lock-free recording paths.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -17,7 +19,9 @@
 
 #include "dist/simple_epochs.hpp"
 #include "obs/clock.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/ring.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "obs/version.hpp"
@@ -193,20 +197,20 @@ TEST(ObsRegistry, StableAddressesAndExports) {
 
 TEST(ObsTrace, SpanNestingAndOrdering) {
   SKIP_IF_OBS_DISABLED();
-  obs::TraceSession::enable(256);
-  obs::TraceSession::clear();
+  obs::TraceSession::enable();
+  obs::TraceSession::reset();
   {
     obs::Span outer("obs_test.outer", "test");
-    obs::Span inner("obs_test.inner", "test", "\"k\": 1");
+    obs::Span inner("obs_test.inner", "test");
+    inner.annotate("k", 1, "neg", -7);
     (void)outer;
-    (void)inner;
   }
   obs::instant("obs_test.mark", "test");
   obs::TraceSession::disable();
 
   EXPECT_GE(obs::TraceSession::recorded(), 3u);
   const std::string json = obs::TraceSession::to_json();
-  obs::TraceSession::clear();
+  obs::TraceSession::reset();
 
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);  // the instant
@@ -217,27 +221,39 @@ TEST(ObsTrace, SpanNestingAndOrdering) {
   // The inner span starts no earlier and is fully contained in the outer.
   EXPECT_GE(inner->ts, outer->ts);
   EXPECT_LE(inner->ts + inner->dur, outer->ts + outer->dur + 1e-3);
-  EXPECT_NE(json.find("\"k\": 1"), std::string::npos);  // annotation survived
+  EXPECT_NE(json.find("\"k\": 1, \"neg\": -7"), std::string::npos);  // annotation survived
+  EXPECT_TRUE(static_cast<bool>(obs::json::parse(json))) << json;
 }
 
 TEST(ObsTrace, RingBufferDropsOldestNotNewest) {
   SKIP_IF_OBS_DISABLED();
-  obs::TraceSession::enable(16);  // minimum capacity
-  obs::TraceSession::clear();
-  for (int i = 0; i < 64; ++i) obs::instant("obs_test.flood", "test");
-  obs::instant("obs_test.last", "test");
+  constexpr std::int64_t kCapacity = 1 << 15;  // per-thread ring size
+  constexpr std::int64_t kOverflow = 100;
+  obs::TraceSession::enable();
+  obs::TraceSession::reset();
+  for (std::int64_t i = 0; i < kCapacity + kOverflow; ++i)
+    obs::instant("obs_test.flood", "test", "i", i);
   obs::TraceSession::disable();
-  EXPECT_GE(obs::TraceSession::dropped(), 1u);
-  const std::string json = obs::TraceSession::to_json();
-  obs::TraceSession::clear();
-  // The most recent event survives the ring wrap.
-  EXPECT_NE(json.find("\"obs_test.last\""), std::string::npos);
+  EXPECT_EQ(obs::TraceSession::dropped(), static_cast<std::uint64_t>(kOverflow));
+  EXPECT_EQ(obs::TraceSession::recorded(), static_cast<std::size_t>(kCapacity));
+  auto doc = obs::json::parse(obs::TraceSession::to_json());
+  obs::TraceSession::reset();
+  ASSERT_TRUE(static_cast<bool>(doc));
+  EXPECT_EQ(doc.value().number_at("droppedEvents"), static_cast<double>(kOverflow));
+  // Exactly the newest kCapacity events survive, in append order.
+  std::int64_t expected = kOverflow;
+  for (const obs::json::Value& e : doc.value().find("traceEvents")->items()) {
+    if (e.string_at("name") != "obs_test.flood") continue;
+    ASSERT_EQ(static_cast<std::int64_t>(e.find("args")->number_at("i")), expected);
+    ++expected;
+  }
+  EXPECT_EQ(expected, kCapacity + kOverflow);
 }
 
 TEST(ObsTrace, ConcurrentSpansRecordOnAllThreads) {
   SKIP_IF_OBS_DISABLED();
-  obs::TraceSession::enable(1 << 10);
-  obs::TraceSession::clear();
+  obs::TraceSession::enable();
+  obs::TraceSession::reset();
   constexpr std::size_t kThreads = 4;
   std::vector<std::thread> pool;
   for (std::size_t w = 0; w < kThreads; ++w)
@@ -251,9 +267,73 @@ TEST(ObsTrace, ConcurrentSpansRecordOnAllThreads) {
   for (auto& th : pool) th.join();
   obs::TraceSession::disable();
   EXPECT_GE(obs::TraceSession::recorded(), kThreads * 100u);
-  obs::TraceSession::clear();
+  EXPECT_NE(obs::TraceSession::to_json().find("\"obs-test-thread\""), std::string::npos);
+  obs::TraceSession::reset();
 }
 
+/// A ring element of N words, each word carrying the element's append
+/// index, so a torn read shows up as disagreeing words.
+template <std::size_t N>
+struct Stamped {
+  std::uint64_t w[N];
+  explicit Stamped(std::uint64_t v = 0) {
+    for (auto& x : w) x = v;
+  }
+  bool intact(std::uint64_t v) const {
+    for (auto x : w)
+      if (x != v) return false;
+    return true;
+  }
+};
+
+template <typename T>
+class ObsRing : public ::testing::Test {};
+// The flight recorder's 64-byte event and the profiler's 152-byte sample.
+using RingElements = ::testing::Types<Stamped<8>, Stamped<19>>;
+TYPED_TEST_SUITE(ObsRing, RingElements);
+
+TYPED_TEST(ObsRing, WraparoundKeepsTheNewestCapElementsInOrder) {
+  constexpr std::size_t kCap = 8;
+  auto ring = std::make_unique<obs::Ring<TypeParam, kCap>>();
+  for (std::uint64_t i = 0; i < 20; ++i) ring->push(TypeParam(i));
+  EXPECT_EQ(ring->appended(), 20u);
+
+  TypeParam out[kCap + 4];
+  std::uint64_t first = 0;
+  ASSERT_EQ(ring->read_tail(out, kCap + 4, &first), kCap);
+  EXPECT_EQ(first, 12u);
+  for (std::size_t k = 0; k < kCap; ++k) EXPECT_TRUE(out[k].intact(12 + k)) << k;
+
+  ASSERT_EQ(ring->read_tail(out, 3, &first), 3u);  // a shorter tail: the newest 3
+  EXPECT_EQ(first, 17u);
+  EXPECT_TRUE(out[0].intact(17));
+
+  ring->clear();
+  EXPECT_EQ(ring->read_tail(out, kCap, &first), 0u);
+}
+
+TYPED_TEST(ObsRing, ReaderRacingALappingWriterNeverSeesATornElement) {
+  constexpr std::size_t kCap = 8;  // small, so the writer laps the reader constantly
+  constexpr std::uint64_t kPushes = 1000000;
+  auto ring = std::make_unique<obs::Ring<TypeParam, kCap>>();
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (std::uint64_t i = 0; i < kPushes; ++i) ring->push(TypeParam(i));
+    done.store(true, std::memory_order_release);
+  });
+  TypeParam out[kCap];
+  std::uint64_t checked = 0, torn = 0;
+  for (bool last = false; !last;) {
+    last = done.load(std::memory_order_acquire);
+    std::uint64_t first = 0;
+    const std::size_t n = ring->read_tail(out, kCap, &first);
+    for (std::size_t k = 0; k < n; ++k) torn += out[k].intact(first + k) ? 0 : 1;
+    checked += n;
+  }
+  writer.join();
+  EXPECT_EQ(torn, 0u) << "of " << checked << " elements read";
+  EXPECT_GE(checked, kCap);  // the final read sees a full, quiescent ring
+}
 TEST(ObsTelemetry, RealSolveProducesMonotoneAudit) {
   SKIP_IF_OBS_DISABLED();
   // A lossy three-rate solve that needs at least one refinement level.
