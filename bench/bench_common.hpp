@@ -22,8 +22,8 @@ namespace lrd::bench {
 /// Runtime options every figure binary accepts (all optional; the default
 /// reproduces the historical "just run the sweep" behaviour):
 ///   --threads N       worker threads (0 = hardware; LRDQ_THREADS default)
-///   --cache-dir DIR   persistent solver result cache
-///   --checkpoint FILE periodic sweep checkpoint; --resume to reload it
+///   --cache-dir DIR   persistent solver result cache; rerunning an
+///                     interrupted figure on it solves only unfinished cells
 ///   --manifest FILE   per-run JSON manifest
 ///   --solver-telemetry  per-solve convergence records in the manifest
 ///   --progress        stderr heartbeat (cells done, ETA, cache hit-rate)
@@ -39,15 +39,14 @@ struct FigureOptions {
 };
 
 constexpr const char* kFigureUsage =
-    "usage: figure binary [--threads N] [--cache-dir DIR]\n"
-    "                     [--checkpoint FILE [--resume]] [--manifest FILE]\n"
+    "usage: figure binary [--threads N] [--cache-dir DIR] [--manifest FILE]\n"
     "                     [--solver-telemetry] [--progress]\n"
     "                     [--metrics-out FILE] [--trace-out FILE]\n"
     "       figure binary --help | --version";
 
 inline FigureOptions parse_figure_options(int argc, char** argv) {
-  cli::Args args(argc, argv, {"threads", "cache-dir", "checkpoint", "manifest"},
-                 {"resume", "solver-telemetry", "progress"});
+  cli::Args args(argc, argv, {"threads", "cache-dir", "manifest"},
+                 {"solver-telemetry", "progress"});
   if (args.help()) {
     std::printf("%s\n", kFigureUsage);
     std::exit(0);
@@ -60,8 +59,6 @@ inline FigureOptions parse_figure_options(int argc, char** argv) {
     fo.cache = std::make_shared<runtime::SolverCache>(args.get("cache-dir", ""));
     fo.sweep.cache = fo.cache.get();
   }
-  fo.sweep.checkpoint_path = args.get("checkpoint", "");
-  fo.sweep.resume = args.has("resume");
   fo.manifest_path = args.get("manifest", "");
   if (!fo.manifest_path.empty()) {
     fo.manifest = std::make_shared<runtime::RunManifest>();

@@ -21,7 +21,6 @@
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
 #include "queueing/trace_queue_sim.hpp"
-#include "runtime/checkpoint.hpp"
 #include "runtime/executor.hpp"
 #include "traffic/shuffle.hpp"
 
@@ -41,8 +40,8 @@ std::string format_param(double v) {
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 /// Result of one cell: its loss value plus whether the solve was clean
-/// (no CellIssue). Only clean cells enter the result cache and the
-/// checkpoint, so degraded cells re-solve — and re-diagnose — every run.
+/// (no CellIssue). Only clean cells enter the result cache, so degraded
+/// cells re-solve — and re-diagnose — every run.
 struct CellOutcome {
   double value = kNaN;
   bool clean = false;
@@ -149,10 +148,12 @@ void hash_axes(runtime::Fnv1a& h, const std::vector<double>& rows,
   for (double c : cols) h.f64(c);
 }
 
-/// Generic sweep-cell runner behind every SweepTable driver: applies a
-/// resumed checkpoint, serves cells from the result cache, solves the
-/// rest on the work-stealing executor, and keeps checkpoint + manifest
-/// up to date. `cell_key` is only consulted when a cache is attached.
+/// Generic sweep-cell runner behind every SweepTable driver: serves cells
+/// from the result cache, solves the rest on the work-stealing executor,
+/// and keeps the manifest up to date. `cell_key` is only consulted when a
+/// cache is attached. A cache with a disk tier is also the resume path:
+/// every clean cell is appended and fsynced as it finishes, so rerunning
+/// an interrupted sweep on the same cache serves the finished cells.
 void run_sweep_cells(
     SweepTable& t, const SweepRunOptions& opts, std::uint64_t config_hash,
     const std::function<std::uint64_t(std::size_t, std::size_t)>& cell_key,
@@ -186,42 +187,18 @@ void run_sweep_cells(
     progress = std::make_unique<obs::ProgressMeter>(opts.progress_label, total, std::move(aux));
   }
 
-  std::vector<char> done(total, 0);
-
-  std::unique_ptr<runtime::SweepCheckpoint> ckpt;
-  if (!opts.checkpoint_path.empty()) {
-    ckpt = std::make_unique<runtime::SweepCheckpoint>(opts.checkpoint_path, config_hash,
-                                                      t.rows.size(), nc);
-    ckpt->set_autoflush(opts.checkpoint_every);
-    if (opts.resume) {
-      for (const auto& cell : ckpt->load()) {
-        const std::size_t idx = cell.row * nc + cell.col;
-        if (done[idx]) continue;
-        done[idx] = 1;
-        t.values[cell.row][cell.col] = cell.value;
-        if (manifest)
-          manifest->add_cell(cell.row, cell.col, 0.0,
-                             runtime::RunManifest::CellSource::kCheckpoint);
-        if (progress) progress->advance();
-      }
-    }
-  }
-
   // Cache pass: serve what the result cache already knows.
   std::vector<std::size_t> todo;
   std::vector<std::uint64_t> keys;
   todo.reserve(total);
   keys.reserve(total);
   for (std::size_t idx = 0; idx < total; ++idx) {
-    if (done[idx]) continue;
     const std::size_t r = idx / nc, c = idx % nc;
     std::uint64_t key = 0;
     if (opts.cache) {
       key = cell_key(r, c);
       if (const auto hit = opts.cache->lookup(key)) {
         t.values[r][c] = *hit;
-        done[idx] = 1;
-        if (ckpt) ckpt->record(r, c, *hit);
         if (manifest)
           manifest->add_cell(r, c, 0.0, runtime::RunManifest::CellSource::kCache);
         if (progress) progress->advance();
@@ -238,9 +215,9 @@ void run_sweep_cells(
     executor.parallel_for(
         todo.size(),
         [&](std::size_t k) {
-          // A cancelled sweep skips its pending cells entirely: the
-          // checkpoint keeps only completed cells, so --resume finishes
-          // the surface bit-identically to an uninterrupted run.
+          // A cancelled sweep skips its pending cells entirely: the cache
+          // keeps only completed clean cells, so a rerun on the same cache
+          // finishes the surface bit-identically to an uninterrupted run.
           if (opts.cancellation != nullptr && opts.cancellation->cancelled()) return;
           failpoint_hit("sweep.cell");
           const std::size_t idx = todo[k];
@@ -254,13 +231,10 @@ void run_sweep_cells(
           }
           const double cell_seconds = seconds_since(t0);
           t.values[r][c] = out.value;
-          if (out.clean) {
-            // A retried value converged on a coarser grid than the cache
-            // key describes; keep it for this run (checkpoint) but do not
-            // publish it to the shared cache.
-            if (opts.cache && out.retries == 0) opts.cache->store(keys[k], out.value);
-            if (ckpt) ckpt->record(r, c, out.value);
-          }
+          // A retried value converged on a coarser grid than the cache key
+          // describes; keep it for this run but do not publish it to the
+          // shared cache (so an interrupted run re-solves it).
+          if (out.clean && opts.cache && out.retries == 0) opts.cache->store(keys[k], out.value);
           if (manifest)
             manifest->add_cell(r, c, cell_seconds, runtime::RunManifest::CellSource::kComputed,
                                std::move(out.telemetry_json),
@@ -292,8 +266,6 @@ void run_sweep_cells(
         opts.threads);
     if (manifest) manifest->set_executor_stats(executor.last_job_stats());
   }
-
-  if (ckpt) ckpt->flush();
 
   // Deterministic issue order regardless of worker interleaving — part of
   // what makes a resumed CSV bit-identical to an uninterrupted one.

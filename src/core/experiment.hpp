@@ -68,22 +68,17 @@ struct ModelSweepConfig {
 };
 
 /// Runtime knobs shared by every sweep driver: how many workers to use,
-/// whether to reuse cached cell results, where to checkpoint progress,
-/// and where to record observability data. The default-constructed value
-/// reproduces the plain "compute everything, keep nothing" behaviour, so
-/// existing call sites are unaffected.
+/// whether to reuse cached cell results, and where to record
+/// observability data. The default-constructed value reproduces the plain
+/// "compute everything, keep nothing" behaviour, so existing call sites
+/// are unaffected.
 struct SweepRunOptions {
   /// Worker threads for the cell solves (0 = hardware concurrency).
   std::size_t threads = 0;
   /// Optional solver result cache, shared across sweeps and runs. Only
-  /// clean cells (no CellIssue) are stored or served.
+  /// clean cells (no CellIssue) are stored or served. With a disk tier it
+  /// is also how an interrupted sweep resumes: rerun on the same cache.
   runtime::SolverCache* cache = nullptr;
-  /// Checkpoint file path; empty disables checkpointing.
-  std::string checkpoint_path;
-  /// Reload `checkpoint_path` (if compatible) and skip completed cells.
-  bool resume = false;
-  /// Completed cells between atomic checkpoint rewrites.
-  std::size_t checkpoint_every = 8;
   /// Optional per-run manifest to populate (cell timings, cache counters,
   /// worker utilization, issues).
   runtime::RunManifest* manifest = nullptr;
@@ -103,13 +98,13 @@ struct SweepRunOptions {
   std::size_t cell_deadline_ms = 0;
   /// Deadline-exceeded retries per cell; each retry halves the solver's
   /// max_bins (never below initial_bins), trading bracket tightness for
-  /// meeting the deadline. Retried values are checkpointed but not
-  /// stored in the shared cache (they came from a coarser grid).
+  /// meeting the deadline. Retried values are not stored in the shared
+  /// cache (they came from a coarser grid), so a rerun re-solves them.
   std::size_t max_cell_retries = 1;
   /// Optional cooperative cancellation for the whole sweep: pending
   /// cells are skipped and in-flight solves stop at their next check
-  /// block. The checkpoint stays well-formed, so a --resume run
-  /// completes the surface bit-identically. Non-owning.
+  /// block. Finished clean cells are already in the cache, so a rerun on
+  /// the same cache completes the surface bit-identically. Non-owning.
   const runtime::CancellationToken* cancellation = nullptr;
 };
 

@@ -29,10 +29,6 @@ constexpr const char* kInstrumentedSites[] = {
     "serve.read",        // lrdq_serve: read of one query line
     "serve.write",       // lrdq_serve: write of one response line
     "serve.shed",        // lrdq_serve: admission control rejecting a query
-    "checkpoint.load",   // SweepCheckpoint::load: read of the cell log
-    "checkpoint.write",  // SweepCheckpoint flush: temp-file write
-    "checkpoint.fsync",  // SweepCheckpoint flush: fsync of the temp file
-    "checkpoint.rename", // SweepCheckpoint flush: rename over the log
     "manifest.write",    // RunManifest::write_file: temp-file write
     "manifest.fsync",    // RunManifest::write_file: fsync of the temp file
     "manifest.rename",   // RunManifest::write_file: rename over the manifest

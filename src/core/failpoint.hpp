@@ -3,7 +3,7 @@
 // A failpoint is a named site in the code where a test (or an operator
 // chasing a bug) can inject a failure without touching the source:
 //
-//   LRDQ_FAILPOINTS="cache.append=io_error@3,checkpoint.rename=torn_write@1"
+//   LRDQ_FAILPOINTS="cache.append=io_error@3,manifest.write=torn_write@1"
 //   LRDQ_FAILPOINTS="solve.level=delay:50ms"
 //
 // Spec grammar, comma-separated:  site=mode[:arg][@count]

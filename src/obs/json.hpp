@@ -96,8 +96,8 @@ lrd::Expected<Value> parse_file(const std::string& path);
 /// serialization counterpart shared by the emitters in this layer.
 std::string escape(std::string_view s);
 
-/// Formats a double as a JSON number; NaN/Inf become null (JSON has no
-/// literals for them — same convention as the manifest writer).
+/// Formats a double as a JSON number (`%.9g`); NaN/Inf become null (JSON
+/// has no literals for them).
 std::string number_text(double v);
 
 }  // namespace lrd::obs::json

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <limits>
 
+#include "obs/json.hpp"
 #include "obs/ring.hpp"
 
 namespace lrd::obs {
@@ -19,32 +20,8 @@ std::string format_number(double v) {
   return buf;
 }
 
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
-}
-
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  out += '"';
-}
+using json::escape;
+using json::number_text;
 
 }  // namespace
 
@@ -247,24 +224,24 @@ std::string Registry::to_json() const {
   for (const auto& e : entries_) {
     out += first ? "\n  " : ",\n  ";
     first = false;
-    append_json_string(out, e->name);
+    out += escape(e->name);
     out += ": { \"help\": ";
-    append_json_string(out, e->help);
+    out += escape(e->help);
     switch (e->kind) {
       case Kind::kCounter:
         out += ", \"type\": \"counter\", \"value\": " + std::to_string(e->counter->value()) +
                " }";
         break;
       case Kind::kGauge:
-        out += ", \"type\": \"gauge\", \"value\": " + json_number(e->gauge->value()) + " }";
+        out += ", \"type\": \"gauge\", \"value\": " + number_text(e->gauge->value()) + " }";
         break;
       case Kind::kHistogram: {
         const Histogram& h = *e->histogram;
         out += ", \"type\": \"histogram\", \"count\": " + std::to_string(h.count()) +
-               ", \"sum\": " + json_number(h.sum());
+               ", \"sum\": " + number_text(h.sum());
         for (const auto& [label, q] :
              {std::pair{"p50", 0.5}, std::pair{"p90", 0.9}, std::pair{"p99", 0.99}}) {
-          out += std::string(", \"") + label + "\": " + json_number(h.quantile(q));
+          out += std::string(", \"") + label + "\": " + number_text(h.quantile(q));
         }
         out += ", \"buckets\": [";
         const auto counts = h.snapshot();
@@ -274,7 +251,7 @@ std::string Registry::to_json() const {
           out += first_bucket ? "" : ", ";
           first_bucket = false;
           out += "{ \"le\": ";
-          append_json_string(out, format_number(Histogram::bucket_upper(i)));
+          out += escape(format_number(Histogram::bucket_upper(i)));
           out += ", \"count\": " + std::to_string(counts[i]) + " }";
         }
         out += "] }";

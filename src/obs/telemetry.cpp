@@ -1,23 +1,14 @@
 #include "obs/telemetry.hpp"
 
-#include <cmath>
 #include <cstdio>
+
+#include "obs/json.hpp"
 
 namespace lrd::obs {
 
-namespace {
-
-std::string number(double v) {
-  if (!std::isfinite(v)) return "null";  // JSON has no NaN/Inf literals
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
-}
-
-}  // namespace
-
 std::string SolverTelemetry::to_json() const {
-  std::string out = "{ \"total_seconds\": " + number(total_seconds) + ", \"levels\": [";
+  using json::number_text;  // NaN/Inf become null: JSON has no literals for them
+  std::string out = "{ \"total_seconds\": " + number_text(total_seconds) + ", \"levels\": [";
   char buf[96];
   for (std::size_t i = 0; i < levels.size(); ++i) {
     const LevelTelemetry& l = levels[i];
@@ -25,12 +16,12 @@ std::string SolverTelemetry::to_json() const {
     std::snprintf(buf, sizeof buf, "{ \"bins\": %zu, \"iterations\": %zu", l.bins,
                   l.iterations);
     out += buf;
-    out += ", \"bracket_lower\": " + number(l.bracket_lower);
-    out += ", \"bracket_upper\": " + number(l.bracket_upper);
-    out += ", \"bracket_width\": " + number(l.bracket_width());
-    out += ", \"occupancy_gap\": " + number(l.occupancy_gap);
-    out += ", \"mass_drift\": " + number(l.mass_drift);
-    out += ", \"wall_seconds\": " + number(l.wall_seconds) + " }";
+    out += ", \"bracket_lower\": " + number_text(l.bracket_lower);
+    out += ", \"bracket_upper\": " + number_text(l.bracket_upper);
+    out += ", \"bracket_width\": " + number_text(l.bracket_width());
+    out += ", \"occupancy_gap\": " + number_text(l.occupancy_gap);
+    out += ", \"mass_drift\": " + number_text(l.mass_drift);
+    out += ", \"wall_seconds\": " + number_text(l.wall_seconds) + " }";
   }
   out += levels.empty() ? "] }" : " ] }";
   return out;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <filesystem>
+#include <fstream>
 #include <vector>
 
 #include "core/failpoint.hpp"
@@ -68,36 +69,35 @@ std::string record_payload(std::uint64_t key, double value) {
   return buf;
 }
 
-enum class RecordParse { kOk, kCorrupt };
-
-/// Parses one non-comment line of the cache file. A 3-token line is a v2
-/// record whose CRC must match its payload text; a 2-token line is a
-/// legacy v1 record, accepted only in headerless (v1-era) files — in a
-/// v2 file a 2-token line is a torn append whose truncated value could
-/// still parse as a plausible double, so it must be rejected.
-RecordParse parse_record(const std::string& line, bool v2_file, std::uint64_t& key,
-                         double& value) {
-  std::uint64_t k = 0;
-  double v = 0.0;
+/// One non-comment line of the cache file, scanned as
+/// "<hex key> <value> <8-hex crc>".
+struct ScannedRecord {
+  int fields = 0;     ///< 3 = v2 record shape, 2 = legacy v1 shape
+  bool whole = false; ///< the scanned fields span the entire line
+  std::uint64_t key = 0;
+  double value = 0.0;
   std::uint32_t crc = 0;
-  char tail[8];
-  const int fields =
-      std::sscanf(line.c_str(), "%" SCNx64 " %lf %8" SCNx32 " %7s", &k, &v, &crc, tail);
-  if (fields == 3) {
-    const auto last_space = line.find_last_of(' ');
-    if (last_space == std::string::npos) return RecordParse::kCorrupt;
-    std::string_view payload(line.c_str(), last_space);
-    if (crc32(payload) != crc) return RecordParse::kCorrupt;
-    key = k;
-    value = v;
-    return RecordParse::kOk;
-  }
-  if (fields == 2 && !v2_file) {  // legacy v1 record, no checksum to verify
-    key = k;
-    value = v;
-    return RecordParse::kOk;
-  }
-  return RecordParse::kCorrupt;
+};
+
+ScannedRecord scan_record(const std::string& line) {
+  ScannedRecord r;
+  int used = -1;  // bytes consumed by the last field that matched
+  r.fields = std::sscanf(line.c_str(), "%" SCNx64 " %lf%n %8" SCNx32 "%n", &r.key, &r.value,
+                         &used, &r.crc, &used);
+  // Trailing bytes, or an embedded NUL that hid them from sscanf, mean damage.
+  r.whole = used >= 0 && static_cast<std::size_t>(used) == line.size();
+  return r;
+}
+
+/// A 3-field record is a v2 record whose CRC must match its payload text.
+/// A 2-field record is a legacy v1 record, trusted only in a true v1 file
+/// (no `#` line and no 3-field record): anywhere else it is a torn append
+/// whose truncated value could still parse as a plausible double.
+bool record_ok(const std::string& line, const ScannedRecord& r, bool legacy_v1) {
+  if (!r.whole) return false;
+  if (r.fields == 3)
+    return crc32(std::string_view(line).substr(0, line.find_last_of(' '))) == r.crc;
+  return r.fields == 2 && legacy_v1;
 }
 
 /// Appends damaged raw lines to the quarantine file so corruption is
@@ -133,45 +133,59 @@ SolverCache::SolverCache(const SolverCacheConfig& cfg)
   std::filesystem::create_directories(cfg.disk_dir, ec);  // best effort; open decides
   file_path_ = (std::filesystem::path(cfg.disk_dir) / "solver_cache.txt").string();
 
-  std::vector<std::string> corrupt_lines;
+  // Whole lines, however long, so one damaged line is one corrupt record
+  // and one quarantine line.
+  std::vector<std::string> lines;
+  bool torn_tail = false;  // the last line lacks its '\n'
   const bool load_io_error = core::failpoint_hit("cache.load").io_error();
-  std::FILE* in = load_io_error ? nullptr : std::fopen(file_path_.c_str(), "r");
-  bool file_existed = in != nullptr;
-  bool v2_file = false;
-  bool stale_file = false;
-  if (in != nullptr) {
-    char line[192];
-    while (std::fgets(line, sizeof line, in)) {
-      std::string text(line);
-      while (!text.empty() && (text.back() == '\n' || text.back() == '\r')) text.pop_back();
-      if (text.empty() || text[0] == '#') {
-        if (text == kCacheHeader) v2_file = true;
-        // A salt line under a different version marks the whole file
-        // stale: the persisted losses were computed by other numerics.
-        if (text.rfind(kSaltPrefix, 0) == 0 && text.substr(std::strlen(kSaltPrefix)) != salt_)
-          stale_file = true;
-        continue;
-      }
-      std::uint64_t key = 0;
-      double value = 0.0;
-      if (parse_record(text, v2_file, key, value) == RecordParse::kOk) {
-        if (stale_file) {
-          ++central_.stale;
-          stale_counter().inc();
-          continue;
-        }
-        if (!disk_map_.emplace(key, value).second) {
-          disk_map_[key] = value;  // duplicate key: last write wins
-          ++central_.duplicates;
-        }
-        ++central_.loaded;
-      } else {
-        ++central_.corrupt;
-        corrupt_counter().inc();
-        corrupt_lines.push_back(std::move(text));
-      }
+  std::ifstream in;
+  if (!load_io_error) in.open(file_path_, std::ios::binary);
+  const bool file_existed = in.is_open();
+  for (std::string line; std::getline(in, line);) {
+    torn_tail = in.eof();
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    lines.push_back(std::move(line));
+  }
+  in.close();
+
+  // First pass: the file-wide facts every record's verdict depends on.
+  const std::string salt_line = kSaltPrefix + salt_;
+  bool has_header = false, has_salt = false, stale_file = false, legacy_v1 = true;
+  std::vector<ScannedRecord> scanned(lines.size());
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const std::string& text = lines[i];
+    if (text.empty()) continue;
+    if (text[0] == '#') {
+      legacy_v1 = false;
+      has_header |= text == kCacheHeader;
+      has_salt |= text == salt_line;
+      // A salt line under a different version marks the whole file
+      // stale: the persisted losses were computed by other numerics.
+      stale_file |= text.rfind(kSaltPrefix, 0) == 0 && text != salt_line;
+      continue;
     }
-    std::fclose(in);
+    scanned[i] = scan_record(text);
+    if (scanned[i].fields == 3) legacy_v1 = false;
+  }
+
+  std::vector<std::string> corrupt_lines;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (lines[i].empty() || lines[i][0] == '#') continue;
+    const ScannedRecord& r = scanned[i];
+    if (!record_ok(lines[i], r, legacy_v1)) {
+      ++central_.corrupt;
+      corrupt_counter().inc();
+      corrupt_lines.push_back(std::move(lines[i]));
+    } else if (stale_file) {
+      ++central_.stale;
+      stale_counter().inc();
+    } else {
+      if (!disk_map_.emplace(r.key, r.value).second) {
+        disk_map_[r.key] = r.value;  // duplicate key: last write wins
+        ++central_.duplicates;
+      }
+      ++central_.loaded;
+    }
   }
   quarantine_lines(quarantine_path(), corrupt_lines);
 
@@ -190,10 +204,14 @@ SolverCache::SolverCache(const SolverCacheConfig& cfg)
 
   // Recovery/compaction policy: corruption or staleness rewrites the file
   // clean immediately (damaged records are already quarantined, stale
-  // ones dropped); heavy duplication compacts too, bounding append-only
-  // growth across reruns.
+  // ones dropped). So does an existing file that lacks its header (legacy
+  // v1 or damaged: a CRC-carrying append would make its 2-field records
+  // untrusted), its salt line (a later salt bump must still drop it) or
+  // its final '\n' (the next append would fuse onto the torn line). Heavy
+  // duplication compacts too, bounding append-only growth across reruns.
   if (central_.corrupt > 0 || central_.stale > 0 ||
-      central_.duplicates > kAutoCompactDuplicates) {
+      central_.duplicates > kAutoCompactDuplicates ||
+      (file_existed && (!has_header || !has_salt || torn_tail))) {
     std::lock_guard<std::mutex> lock(disk_mu_);
     compact_locked();
   }

@@ -47,23 +47,27 @@
 //   # salt <version salt>
 //   <16-hex key> <%.17g value> <8-hex CRC32 of "<key> <value>">
 // Appends are flushed and fsynced record-by-record, so a killed run keeps
-// everything stored so far. On load every record's CRC is verified:
-// damaged records (torn appends, bit rot) are moved to
-// `solver_cache.txt.quarantine`, counted in `CacheStats::corrupt` and the
-// `lrd_cache_corrupt_records_total` metric, and never served. A salt line
-// that does not match the configured version salt marks every record in
-// the file stale (`CacheStats::stale`, `lrd_cache_stale_records_total`):
-// they are dropped wholesale and the file is compacted clean under the
-// new salt — the versioned-invalidation path a long-running daemon needs
-// when the solver numerics change underneath its cache. Files without a
-// salt line (legacy v1 files and early-v2 files) still load; the first
-// compaction rewrites them with the header, salt and CRCs. Duplicate keys
-// resolve last-write-wins (`CacheStats::duplicates`); when corruption,
-// staleness or duplication exceeds a threshold the file is compacted —
-// atomically rewritten with one clean v2 record per live entry — so
-// long-lived caches stop growing without bound across reruns. See
-// docs/ROBUSTNESS.md for the failure model and docs/SERVE.md for the
-// serving tier built on top.
+// everything stored so far — which makes the disk tier the resume path of
+// an interrupted sweep: rerunning it on the same directory serves every
+// clean cell that finished. On load every line is read whole and every
+// record's CRC is verified: damaged lines (torn appends, bit rot, garbage
+// of any length) are moved to `solver_cache.txt.quarantine`, counted once
+// each in `CacheStats::corrupt` and the `lrd_cache_corrupt_records_total`
+// metric, and never served. A salt line that does not match the
+// configured version salt marks every record in the file stale
+// (`CacheStats::stale`, `lrd_cache_stale_records_total`): they are
+// dropped wholesale and the file is compacted clean under the new salt —
+// the versioned-invalidation path a long-running daemon needs when the
+// solver numerics change underneath its cache. Legacy v1 files (no `#`
+// line, 2-field records without CRC) still load; a 2-field line in any
+// other file is a torn record and is rejected. A file that lacks the
+// header, the salt line or its final newline is rewritten on load, before
+// any append can land in it. Duplicate keys resolve last-write-wins
+// (`CacheStats::duplicates`); when corruption, staleness or duplication
+// exceeds a threshold the file is compacted — atomically rewritten with
+// one clean v2 record per live entry — so long-lived caches stop growing
+// without bound across reruns. See docs/ROBUSTNESS.md for the failure
+// model and docs/SERVE.md for the serving tier built on top.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,5 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) for the
-// self-validating persistence records (solver cache, sweep checkpoint).
+// self-validating records of the solver cache's disk tier.
 //
 // The checksum guards against torn writes and silent corruption in the
 // plain-text persistence files: each record carries the CRC of its own

@@ -3,53 +3,21 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <limits>
 
 #include "core/failpoint.hpp"
+#include "obs/json.hpp"
 #include "runtime/fsync_util.hpp"
 
 namespace lrd::runtime {
 
 namespace {
 
-void append_escaped(std::string& out, std::string_view s) {
-  out += '"';
-  for (char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  out += '"';
-}
-
-std::string number(double v) {
-  char buf[40];
-  // JSON has no NaN/Inf literals; emit null for them (degraded cells).
-  if (v != v || v == std::numeric_limits<double>::infinity() ||
-      v == -std::numeric_limits<double>::infinity())
-    return "null";
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
-}
+// JSON has no NaN/Inf literals; number_text emits null for them (degraded cells).
+using obs::json::escape;
+using obs::json::number_text;
 
 const char* source_name(RunManifest::CellSource s) {
-  switch (s) {
-    case RunManifest::CellSource::kComputed: return "computed";
-    case RunManifest::CellSource::kCache: return "cache";
-    case RunManifest::CellSource::kCheckpoint: return "checkpoint";
-  }
-  return "unknown";
+  return s == RunManifest::CellSource::kCache ? "cache" : "computed";
 }
 
 }  // namespace
@@ -112,12 +80,11 @@ std::string RunManifest::to_json() const {
     return a.row != b.row ? a.row < b.row : a.col < b.col;
   });
 
-  std::size_t computed = 0, cached = 0, resumed = 0;
+  std::size_t computed = 0, cached = 0;
   std::size_t degraded = 0, timed_out = 0, retried = 0;
   for (const Cell& cell : cells) {
     if (cell.source == CellSource::kComputed) ++computed;
-    else if (cell.source == CellSource::kCache) ++cached;
-    else ++resumed;
+    else ++cached;
     if (cell.flags.degraded) ++degraded;
     if (cell.flags.deadline_exceeded) ++timed_out;
     if (cell.flags.retries > 0) ++retried;
@@ -125,15 +92,15 @@ std::string RunManifest::to_json() const {
 
   std::string out = "{\n";
   out += "  \"tool\": ";
-  append_escaped(out, tool_);
+  out += escape(tool_);
   out += ",\n  \"title\": ";
-  append_escaped(out, title_);
+  out += escape(title_);
   out += ",\n  \"config\": {";
   for (std::size_t i = 0; i < config_.size(); ++i) {
     out += i == 0 ? "\n    " : ",\n    ";
-    append_escaped(out, config_[i].first);
+    out += escape(config_[i].first);
     out += ": ";
-    append_escaped(out, config_[i].second);
+    out += escape(config_[i].second);
   }
   out += config_.empty() ? "},\n" : "\n  },\n";
 
@@ -143,9 +110,8 @@ std::string RunManifest::to_json() const {
   std::snprintf(buf, sizeof buf, "  \"grid\": { \"rows\": %zu, \"cols\": %zu },\n", rows_, cols_);
   out += buf;
   std::snprintf(buf, sizeof buf,
-                "  \"cells\": { \"total\": %zu, \"computed\": %zu, \"cache_hits\": %zu, "
-                "\"resumed\": %zu",
-                cells.size(), computed, cached, resumed);
+                "  \"cells\": { \"total\": %zu, \"computed\": %zu, \"cache_hits\": %zu",
+                cells.size(), computed, cached);
   out += buf;
   // Robustness counts only appear when some cell carried a flag, so
   // manifests from fully healthy runs stay byte-identical to before.
@@ -175,15 +141,16 @@ std::string RunManifest::to_json() const {
   std::snprintf(buf, sizeof buf,
                 "  \"executor\": { \"workers\": %zu, \"steals\": %zu, \"utilization\": %s,\n"
                 "    \"busy_seconds\": [",
-                executor_.participants, executor_.steals, number(executor_.utilization()).c_str());
+                executor_.participants, executor_.steals,
+                number_text(executor_.utilization()).c_str());
   out += buf;
   for (std::size_t i = 0; i < executor_.busy_seconds.size(); ++i) {
     if (i) out += ", ";
-    out += number(executor_.busy_seconds[i]);
+    out += number_text(executor_.busy_seconds[i]);
   }
   out += "] },\n";
 
-  out += "  \"wall_seconds\": " + number(wall_seconds_) + ",\n";
+  out += "  \"wall_seconds\": " + number_text(wall_seconds_) + ",\n";
 
   if (!metrics_json_.empty()) out += "  \"metrics\": " + metrics_json_ + ",\n";
 
@@ -191,9 +158,9 @@ std::string RunManifest::to_json() const {
   for (std::size_t i = 0; i < cells.size(); ++i) {
     out += i == 0 ? "\n    " : ",\n    ";
     std::snprintf(buf, sizeof buf, "{ \"row\": %zu, \"col\": %zu, \"seconds\": %s, \"source\": ",
-                  cells[i].row, cells[i].col, number(cells[i].seconds).c_str());
+                  cells[i].row, cells[i].col, number_text(cells[i].seconds).c_str());
     out += buf;
-    append_escaped(out, source_name(cells[i].source));
+    out += escape(source_name(cells[i].source));
     if (cells[i].flags.deadline_exceeded) out += ", \"deadline_exceeded\": true";
     if (cells[i].flags.retries > 0) {
       std::snprintf(buf, sizeof buf, ", \"retries\": %zu", cells[i].flags.retries);
@@ -208,7 +175,7 @@ std::string RunManifest::to_json() const {
   out += "  \"issues\": [";
   for (std::size_t i = 0; i < issues.size(); ++i) {
     out += i == 0 ? "\n    " : ",\n    ";
-    append_escaped(out, issues[i]);
+    out += escape(issues[i]);
   }
   out += issues.empty() ? "]\n" : "\n  ]\n";
   out += "}\n";

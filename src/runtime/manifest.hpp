@@ -2,7 +2,7 @@
 //
 // A manifest records what a sweep did and what it cost: an echo of the
 // configuration, the config hash, per-cell wall times with their
-// provenance (computed / cache / checkpoint), cache hit/miss counters,
+// provenance (computed / cache), cache hit/miss counters,
 // executor worker utilization, and every recorded CellIssue. The figure
 // binaries and `lrdq_sweep` write one JSON file per run, so a slow or
 // degraded surface can be diagnosed from its artifact instead of by
@@ -14,7 +14,7 @@
 //   "config": { "<flag>": "<value>", ... },
 //   "config_hash": "<16-hex>",
 //   "grid": { "rows": R, "cols": C },
-//   "cells": { "total": N, "computed": a, "cache_hits": b, "resumed": c,
+//   "cells": { "total": N, "computed": a, "cache_hits": b,
 //              "degraded": d, "timed_out": t, "retried": r },  // last 3 optional
 //   "cache": { "hits": h, "misses": m, "stores": s, "loaded": l },
 //   "executor": { "workers": p, "steals": k, "utilization": u,
@@ -54,7 +54,7 @@ struct CellFlags {
 class RunManifest {
  public:
   /// Provenance of one cell value.
-  enum class CellSource { kComputed, kCache, kCheckpoint };
+  enum class CellSource { kComputed, kCache };
 
   void set_tool(std::string tool);
   void set_title(std::string title);

@@ -14,17 +14,14 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/experiment.hpp"
 #include "core/failpoint.hpp"
 #include "core/status.hpp"
 #include "runtime/cache.hpp"
-#include "runtime/checkpoint.hpp"
 #include "runtime/manifest.hpp"
 #include "traffic/trace.hpp"
 
@@ -126,8 +123,7 @@ TEST_F(FailpointTest, EnvVariableArmsEveryTool) {
 TEST_F(FailpointTest, RegistryListsEveryInstrumentedSite) {
   const auto sites = core::failpoint_sites();
   for (const char* site :
-       {"cache.load", "cache.append", "cache.compact", "checkpoint.load", "checkpoint.write",
-        "checkpoint.fsync", "checkpoint.rename", "manifest.write", "manifest.fsync",
+       {"cache.load", "cache.append", "cache.compact", "manifest.write", "manifest.fsync",
         "manifest.rename", "trace.read", "solve.level", "sweep.cell"}) {
     EXPECT_NE(std::find(sites.begin(), sites.end(), site), sites.end())
         << "instrumented site " << site << " missing from the registry";
@@ -156,51 +152,6 @@ TEST_F(FailpointTest, TornCacheAppendIsQuarantinedAndCompactedOnReload) {
   runtime::SolverCache clean(dir);
   EXPECT_EQ(clean.stats().corrupt, 0u);
   EXPECT_EQ(clean.stats().loaded, 1u);
-}
-
-TEST_F(FailpointTest, TornCheckpointNeverYieldsWrongValues) {
-  const std::string path = ::testing::TempDir() + "lrd_fp_ckpt_torn.txt";
-  std::remove(path.c_str());
-  std::map<std::pair<std::size_t, std::size_t>, double> expected;
-  {
-    runtime::SweepCheckpoint ck(path, 0xfeed, 4, 4);
-    for (std::size_t i = 0; i < 4; ++i) {
-      const double v = 1.0 / static_cast<double>(3 + i);
-      ck.record(i, i, v);
-      expected[{i, i}] = v;
-    }
-    core::failpoint_arm("checkpoint.write=torn_write@1");
-    (void)ck.flush();  // file ends up truncated at an arbitrary byte
-    core::failpoint_disarm_all();
-  }
-  runtime::SweepCheckpoint ck(path, 0xfeed, 4, 4);
-  const auto cells = ck.load();
-  EXPECT_LT(cells.size(), 4u) << "a torn file cannot carry every record";
-  for (const auto& cell : cells) {
-    const auto it = expected.find({cell.row, cell.col});
-    ASSERT_NE(it, expected.end());
-    EXPECT_EQ(cell.value, it->second) << "recovered cells must be bit-exact";
-  }
-}
-
-TEST_F(FailpointTest, FailedCheckpointRenameLeavesPriorFileIntact) {
-  const std::string path = ::testing::TempDir() + "lrd_fp_ckpt_rename.txt";
-  std::remove(path.c_str());
-  runtime::SweepCheckpoint ck(path, 0xbee, 2, 2);
-  ck.record(0, 0, 0.5);
-  ASSERT_TRUE(ck.flush());
-  ck.record(1, 1, 0.25);
-  core::failpoint_arm("checkpoint.rename=io_error@1");
-  EXPECT_FALSE(ck.flush());
-  core::failpoint_disarm_all();
-  EXPECT_FALSE(std::filesystem::exists(path + ".tmp")) << "failed flush cleans its temp file";
-  // The previously flushed generation still loads.
-  runtime::SweepCheckpoint probe(path, 0xbee, 2, 2);
-  ASSERT_EQ(probe.load().size(), 1u);
-  // And a healthy flush catches the file back up.
-  ASSERT_TRUE(ck.flush());
-  runtime::SweepCheckpoint after(path, 0xbee, 2, 2);
-  EXPECT_EQ(after.load().size(), 2u);
 }
 
 TEST_F(FailpointTest, ManifestWriteFailuresReportFalseAndCleanUp) {
@@ -239,9 +190,10 @@ std::string csv_of(const core::SweepTable& t) {
 }
 
 /// One "program run" against persistent state rooted at `dir`: trace
-/// ingestion, cache open, checkpointed + manifested sweep, manifest write,
-/// cache compaction. Touches every instrumented failpoint site that the
-/// model-sweep pipeline can reach.
+/// ingestion, cache open, cached + manifested sweep (which resumes from
+/// whatever the disk cache kept), manifest write, cache compaction.
+/// Touches every instrumented failpoint site that the model-sweep
+/// pipeline can reach.
 core::SweepTable run_scenario(const dist::Marginal& m, const std::string& dir,
                               const std::string& trace_path) {
   (void)traffic::RateTrace::try_load_file(trace_path);  // trace.read
@@ -249,15 +201,47 @@ core::SweepTable run_scenario(const dist::Marginal& m, const std::string& dir,
   runtime::RunManifest manifest;
   core::SweepRunOptions opts;
   opts.cache = &cache;
-  opts.checkpoint_path = dir + "/ckpt.txt";
-  opts.checkpoint_every = 1;
-  opts.resume = true;
   opts.manifest = &manifest;
   auto table =
       core::loss_vs_buffer_and_cutoff(m, torture_config(), kTortureBuffers, kTortureCutoffs, opts);
   (void)manifest.write_file(dir + "/manifest.json");  // manifest.{write,fsync,rename}
   (void)cache.compact();                              // cache.compact
   return table;
+}
+
+TEST_F(FailpointTest, CrashMidSweepResumesFromTheDiskCacheBitIdentically) {
+  const dist::Marginal m({2.0, 6.0, 10.0}, {0.3, 0.4, 0.3});
+  const std::string baseline_csv =
+      csv_of(core::loss_vs_buffer_and_cutoff(m, torture_config(), kTortureBuffers,
+                                             kTortureCutoffs));
+  const std::string dir = ::testing::TempDir() + "lrd_fp_crash_resume";
+  std::filesystem::remove_all(dir);
+
+  // One worker, so the crash on the third cell lands after exactly two
+  // cells were stored (appended and fsynced) to the disk tier.
+  core::SweepRunOptions opts;
+  opts.threads = 1;
+  core::failpoint_arm("sweep.cell=crash@3");
+  {
+    runtime::SolverCache cache(dir);
+    opts.cache = &cache;
+    EXPECT_THROW((void)core::loss_vs_buffer_and_cutoff(m, torture_config(), kTortureBuffers,
+                                                       kTortureCutoffs, opts),
+                 core::CrashSimulated);
+  }
+  core::failpoint_disarm_all();
+
+  runtime::SolverCache cache(dir);
+  EXPECT_EQ(cache.stats().loaded, 2u);
+  EXPECT_EQ(cache.stats().corrupt, 0u);
+  runtime::RunManifest manifest;
+  opts.cache = &cache;
+  opts.manifest = &manifest;
+  const auto resumed = core::loss_vs_buffer_and_cutoff(m, torture_config(), kTortureBuffers,
+                                                       kTortureCutoffs, opts);
+  EXPECT_EQ(csv_of(resumed), baseline_csv);
+  EXPECT_EQ(manifest.cells_from(runtime::RunManifest::CellSource::kCache), 2u);
+  EXPECT_EQ(manifest.cells_from(runtime::RunManifest::CellSource::kComputed), 2u);
 }
 
 TEST_F(FailpointTest, TortureEveryRegisteredSiteThenWarmRerunIsBitIdentical) {

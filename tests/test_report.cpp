@@ -353,7 +353,7 @@ TEST(ObsTraceProfile, RejectsNonTraceDocument) {
 
 constexpr const char* kManifestA = R"({
   "tool":"lrdq_sweep","title":"A","wall_seconds":10.0,
-  "cells":{"total":2,"computed":2,"cache_hits":0,"resumed":0},
+  "cells":{"total":2,"computed":2,"cache_hits":0},
   "cache":{"hits":0,"misses":4,"stores":4,"loaded":0},
   "issues":["solver stalled"],
   "cell_times":[
@@ -367,7 +367,7 @@ constexpr const char* kManifestA = R"({
 
 constexpr const char* kManifestB = R"({
   "tool":"lrdq_sweep","title":"B","wall_seconds":8.0,
-  "cells":{"total":2,"computed":1,"cache_hits":1,"resumed":0},
+  "cells":{"total":2,"computed":1,"cache_hits":1},
   "cache":{"hits":2,"misses":2,"stores":2,"loaded":2},
   "issues":[],
   "cell_times":[

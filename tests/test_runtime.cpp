@@ -1,8 +1,7 @@
 // Tests for the parallel experiment runtime: work-stealing executor,
-// content-addressed solver cache, and sweep checkpoint/resume.
+// content-addressed solver cache, and resuming a sweep from the cache.
 #include <atomic>
 #include <chrono>
-#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -11,6 +10,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,8 +19,6 @@
 #include "core/model.hpp"
 #include "numerics/parallel.hpp"
 #include "runtime/cache.hpp"
-#include "runtime/checkpoint.hpp"
-#include "runtime/crc32.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/manifest.hpp"
 
@@ -291,6 +289,41 @@ TEST(RuntimeCache, LegacyHeaderlessFileLoadsWithLastWriteWinning) {
   EXPECT_EQ(*cache.lookup(5), 2.0);
   ASSERT_TRUE(cache.lookup(7).has_value());
   EXPECT_EQ(*cache.lookup(7), 0.25);
+  // The file was migrated to v2 on load, so a CRC-carrying append cannot
+  // turn the legacy records into untrusted 2-field lines of a v2 file.
+  cache.store(9, 0.5);
+  runtime::SolverCache reopened(dir);
+  EXPECT_EQ(reopened.stats().corrupt, 0u);
+  EXPECT_EQ(reopened.stats().loaded, 3u);
+  ASSERT_TRUE(reopened.lookup(5).has_value());
+  EXPECT_EQ(*reopened.lookup(5), 2.0);
+}
+
+TEST(RuntimeCache, SaltlessFileIsStampedOnLoadSoASaltBumpStillDropsIt) {
+  const std::string dir = ::testing::TempDir() + "lrd_cache_saltless";
+  std::filesystem::remove_all(dir);
+  {
+    runtime::SolverCache cache(dir);
+    cache.store(4, 0.5);
+  }
+  // Damage the salt line so it no longer reads as one.
+  const std::string path = dir + "/solver_cache.txt";
+  std::string text = slurp(path);
+  text.replace(text.find("# salt "), 7, "# sa1t ");
+  {
+    std::ofstream f(path, std::ios::trunc | std::ios::binary);
+    f << text;
+  }
+  {
+    runtime::SolverCache cache(dir);
+    EXPECT_EQ(cache.stats().loaded, 1u);
+  }
+  runtime::SolverCacheConfig bumped;
+  bumped.disk_dir = dir;
+  bumped.version_salt = "solver-numerics-v2";
+  runtime::SolverCache cache(bumped);
+  EXPECT_EQ(cache.stats().stale, 1u) << "a record that lost its salt line outlived a bump";
+  EXPECT_FALSE(cache.lookup(4).has_value());
 }
 
 TEST(RuntimeCache, ExplicitCompactRewritesCleanV2File) {
@@ -447,10 +480,13 @@ TEST(RuntimeCache, MigratesV1FileToSaltedV2OnCompact) {
     std::ofstream f(dir + "/solver_cache.txt", std::ios::trunc);
     f << "000000000000000a 0.5\n";   // v1: no header, no salt, no CRC
     f << "000000000000000b 0.25\n";
+    f << "000000000000000c 0.12x5\n";  // damaged mid-value: not a record
   }
   {
     runtime::SolverCache cache(dir);
     EXPECT_EQ(cache.stats().loaded, 2u);
+    EXPECT_EQ(cache.stats().corrupt, 1u);
+    EXPECT_FALSE(cache.lookup(0xc).has_value()) << "a v1 value with trailing bytes is damaged";
     EXPECT_EQ(cache.stats().stale, 0u) << "a salt-less legacy file is not stale";
     ASSERT_TRUE(cache.compact());
   }
@@ -484,106 +520,71 @@ TEST(RuntimeCache, InvalidateClearsBothTiersAndSurvivesReload) {
   EXPECT_TRUE(reopened.lookup(3).has_value());
 }
 
-// ------------------------------------------------------------- checkpoint
-
-TEST(RuntimeCheckpoint, RoundTripsCellsExactly) {
-  const std::string path = ::testing::TempDir() + "lrd_ckpt_rt.txt";
-  std::remove(path.c_str());
-  {
-    runtime::SweepCheckpoint ck(path, 0xabcdef, 3, 4);
-    ck.record(0, 0, 1.0 / 3.0);
-    ck.record(2, 3, 1e-300);
-    ASSERT_TRUE(ck.flush());
+TEST(RuntimeCache, DamagedHeaderNeverAdmitsATornRecord) {
+  // Two ways to lose the header: one flipped byte (v2 -> v3), or the
+  // header and salt lines gone entirely. Either way the file still holds
+  // a 3-field record or a `#` line, so it is no legacy v1 file and a
+  // 2-field torn tail must not load as a record.
+  const std::string header_and_salt =
+      "# lrd-solver-cache v2\n# salt " + std::string(runtime::kCacheVersionSalt) + "\n";
+  const std::pair<std::string, std::string> damages[] = {
+      {"cache v2", "cache v3"},
+      {header_and_salt, ""},
+  };
+  for (const auto& [from, to] : damages) {
+    SCOPED_TRACE("header damage: " + from);
+    const std::string dir = ::testing::TempDir() + "lrd_cache_torn_header";
+    std::filesystem::remove_all(dir);
+    {
+      runtime::SolverCache cache(dir);
+      cache.store(1, 0.5);
+      cache.store(2, 0.123456789);
+    }
+    // The final append is torn: it lost its CRC and the tail of its value.
+    const std::string path = dir + "/solver_cache.txt";
+    std::string text = slurp(path);
+    ASSERT_NE(text.find(from), std::string::npos);
+    text.replace(text.find(from), from.size(), to);
+    text.erase(text.find("0000000000000002 "));
+    text += "0000000000000002 0.12";
+    {
+      std::ofstream f(path, std::ios::trunc | std::ios::binary);
+      f << text;
+    }
+    runtime::SolverCache reopened(dir);
+    EXPECT_EQ(reopened.stats().loaded, 1u);
+    EXPECT_EQ(reopened.stats().corrupt, 1u);
+    EXPECT_FALSE(reopened.lookup(2).has_value()) << "a torn record is lost, never misread";
+    ASSERT_TRUE(reopened.lookup(1).has_value());
+    EXPECT_EQ(*reopened.lookup(1), 0.5);
+    // The damaged header was rewritten clean, so the next open is healthy.
+    runtime::SolverCache clean(dir);
+    EXPECT_EQ(clean.stats().corrupt, 0u);
+    EXPECT_EQ(slurp(path).rfind("# lrd-solver-cache v2\n", 0), 0u);
   }
-  runtime::SweepCheckpoint ck(path, 0xabcdef, 3, 4);
-  const auto cells = ck.load();
-  ASSERT_EQ(cells.size(), 2u);
-  EXPECT_EQ(cells[0].value, 1.0 / 3.0);
-  EXPECT_EQ(cells[1].row, 2u);
-  EXPECT_EQ(cells[1].col, 3u);
-  EXPECT_EQ(cells[1].value, 1e-300);
 }
 
-TEST(RuntimeCheckpoint, IgnoresIncompatibleFiles) {
-  const std::string path = ::testing::TempDir() + "lrd_ckpt_stale.txt";
-  std::remove(path.c_str());
+TEST(RuntimeCache, LongGarbageLineCountsAsOneCorruptRecord) {
+  const std::string dir = ::testing::TempDir() + "lrd_cache_long_line";
+  std::filesystem::remove_all(dir);
   {
-    runtime::SweepCheckpoint ck(path, 0x1111, 2, 2);
-    ck.record(0, 0, 0.5);
-    ASSERT_TRUE(ck.flush());
+    runtime::SolverCache cache(dir);
+    cache.store(1, 2.0);
   }
-  // Different config hash: stale surface, must be ignored.
-  runtime::SweepCheckpoint stale(path, 0x2222, 2, 2);
-  EXPECT_TRUE(stale.load().empty());
-  // Different grid shape: also ignored.
-  runtime::SweepCheckpoint reshaped(path, 0x1111, 3, 2);
-  EXPECT_TRUE(reshaped.load().empty());
-  // Matching binding still loads.
-  runtime::SweepCheckpoint ok(path, 0x1111, 2, 2);
-  EXPECT_EQ(ok.load().size(), 1u);
-}
-
-TEST(RuntimeCheckpoint, SkipsCorruptRecordsAndCountsThem) {
-  const std::string path = ::testing::TempDir() + "lrd_ckpt_crc.txt";
-  std::remove(path.c_str());
+  std::string garbage;
+  while (garbage.size() < 400) garbage += "long garbage line ";
+  garbage.resize(400);
   {
-    runtime::SweepCheckpoint ck(path, 0x77, 4, 4);
-    ck.record(0, 0, 0.5);
-    ck.record(1, 2, 0.25);
-    ASSERT_TRUE(ck.flush());
+    std::ofstream f(dir + "/solver_cache.txt", std::ios::app);
+    f << garbage << '\n';
   }
-  {
-    std::ofstream f(path, std::ios::app);
-    f << "2 2 0.125 00000000\n";  // bit-flipped: shape ok, CRC wrong
-    f << "3 3 0.0625\n";          // torn record: no CRC — untrusted in a v2 file
-    f << "9 9 0.5 " << std::hex << runtime::crc32("9 9 0.5") << "\n";  // out of grid
-  }
-  runtime::SweepCheckpoint ck(path, 0x77, 4, 4);
-  const auto cells = ck.load();
-  ASSERT_EQ(cells.size(), 2u);
-  EXPECT_EQ(ck.corrupt_records(), 3u);
-  EXPECT_EQ(cells[0].value, 0.5);
-  EXPECT_EQ(cells[1].value, 0.25);
-}
-
-TEST(RuntimeCheckpoint, LoadsLegacyV1Files) {
-  const std::string path = ::testing::TempDir() + "lrd_ckpt_v1.txt";
-  std::remove(path.c_str());
-  {
-    std::ofstream f(path, std::ios::trunc);
-    f << "# lrd-sweep-checkpoint v1\n";
-    f << "# config 0000000000000042 rows 2 cols 3\n";
-    f << "0 1 0.5\n";
-    f << "1 2 0.0078125\n";
-  }
-  runtime::SweepCheckpoint ck(path, 0x42, 2, 3);
-  const auto cells = ck.load();
-  ASSERT_EQ(cells.size(), 2u);
-  EXPECT_EQ(ck.corrupt_records(), 0u);
-  EXPECT_EQ(cells[0].row, 0u);
-  EXPECT_EQ(cells[0].col, 1u);
-  EXPECT_EQ(cells[0].value, 0.5);
-  EXPECT_EQ(cells[1].value, 0.0078125);
-}
-
-TEST(RuntimeCheckpoint, WritesCrcOnEveryRecord) {
-  const std::string path = ::testing::TempDir() + "lrd_ckpt_v2fmt.txt";
-  std::remove(path.c_str());
-  runtime::SweepCheckpoint ck(path, 0x1, 2, 2);
-  ck.record(1, 0, 1.0 / 3.0);
-  ASSERT_TRUE(ck.flush());
-  std::ifstream in(path);
-  std::string magic, config, record;
-  std::getline(in, magic);
-  std::getline(in, config);
-  std::getline(in, record);
-  EXPECT_EQ(magic, "# lrd-sweep-checkpoint v2");
-  const auto last_space = record.find_last_of(' ');
-  ASSERT_NE(last_space, std::string::npos);
-  char expected[16];
-  std::snprintf(expected, sizeof expected, "%08" PRIx32,
-                runtime::crc32(std::string_view(record).substr(0, last_space)));
-  EXPECT_EQ(record.substr(last_space + 1), expected);
+  runtime::SolverCache reopened(dir);
+  EXPECT_EQ(reopened.stats().loaded, 1u);
+  EXPECT_EQ(reopened.stats().corrupt, 1u) << "one damaged line, however long, is one record";
+  EXPECT_EQ(slurp(reopened.quarantine_path()), garbage + "\n")
+      << "quarantined verbatim as exactly one line";
+  ASSERT_TRUE(reopened.lookup(1).has_value());
+  EXPECT_EQ(*reopened.lookup(1), 2.0);
 }
 
 // ---------------------------------------------------- sweep driver plumbing
@@ -612,32 +613,35 @@ TEST(RuntimeSweep, InterruptedResumeIsBitIdentical) {
   const auto uninterrupted = core::loss_vs_buffer_and_cutoff(m, cfg, buffers, cutoffs);
   const std::string expected_csv = csv_of(uninterrupted);
 
-  // Full run with checkpointing, then truncate the file to two cells to
+  // Full run on a disk cache, then truncate the file to two cells to
   // simulate an interrupt mid-sweep.
-  const std::string path = ::testing::TempDir() + "lrd_sweep_resume.txt";
-  std::remove(path.c_str());
-  core::SweepRunOptions opts;
-  opts.checkpoint_path = path;
-  opts.checkpoint_every = 1;
-  (void)core::loss_vs_buffer_and_cutoff(m, cfg, buffers, cutoffs, opts);
+  const std::string dir = ::testing::TempDir() + "lrd_sweep_resume";
+  std::filesystem::remove_all(dir);
   {
+    runtime::SolverCache cache(dir);
+    core::SweepRunOptions opts;
+    opts.cache = &cache;
+    (void)core::loss_vs_buffer_and_cutoff(m, cfg, buffers, cutoffs, opts);
+  }
+  {
+    const std::string path = dir + "/solver_cache.txt";
     std::ifstream in(path);
     std::vector<std::string> lines;
     for (std::string line; std::getline(in, line);) lines.push_back(line);
-    ASSERT_EQ(lines.size(), 2u + 4u) << "expected header + one line per cell";
+    ASSERT_EQ(lines.size(), 2u + 4u) << "expected header + salt + one line per cell";
     std::ofstream out(path, std::ios::trunc);
     for (std::size_t i = 0; i < 4; ++i) out << lines[i] << '\n';
   }
 
   runtime::RunManifest manifest;
+  runtime::SolverCache cache(dir);
   core::SweepRunOptions resume_opts;
-  resume_opts.checkpoint_path = path;
-  resume_opts.resume = true;
+  resume_opts.cache = &cache;
   resume_opts.manifest = &manifest;
   const auto resumed = core::loss_vs_buffer_and_cutoff(m, cfg, buffers, cutoffs, resume_opts);
 
   EXPECT_EQ(csv_of(resumed), expected_csv);
-  EXPECT_EQ(manifest.cells_from(runtime::RunManifest::CellSource::kCheckpoint), 2u);
+  EXPECT_EQ(manifest.cells_from(runtime::RunManifest::CellSource::kCache), 2u);
   EXPECT_EQ(manifest.cells_from(runtime::RunManifest::CellSource::kComputed), 2u);
   EXPECT_EQ(manifest.total_cells(), 4u);
 }
@@ -672,26 +676,28 @@ TEST(RuntimeSweep, PreCancelledSweepSkipsEveryCellAndResumeCompletes) {
   const std::vector<double> cutoffs{0.1, 1.0};
   const auto baseline = core::loss_vs_buffer_and_cutoff(m, cfg, buffers, cutoffs);
 
-  const std::string path = ::testing::TempDir() + "lrd_sweep_precancel.txt";
-  std::remove(path.c_str());
+  const std::string dir = ::testing::TempDir() + "lrd_sweep_precancel";
+  std::filesystem::remove_all(dir);
   runtime::CancellationToken token;
   token.cancel();
-  core::SweepRunOptions opts;
-  opts.checkpoint_path = path;
-  opts.checkpoint_every = 1;
-  opts.cancellation = &token;
-  (void)core::loss_vs_buffer_and_cutoff(m, cfg, buffers, cutoffs, opts);
-
-  // Every cell was skipped, so the flushed checkpoint is well-formed but
-  // holds no cells; the resumed run recomputes the full surface.
   {
-    runtime::SweepCheckpoint probe(path, 0, 2, 2);  // wrong binding: just parse
-    EXPECT_TRUE(probe.load().empty());
-    EXPECT_EQ(probe.corrupt_records(), 0u);
+    runtime::SolverCache cache(dir);
+    core::SweepRunOptions opts;
+    opts.cache = &cache;
+    opts.cancellation = &token;
+    (void)core::loss_vs_buffer_and_cutoff(m, cfg, buffers, cutoffs, opts);
   }
+
+  // Every cell was skipped, so the cache file is well-formed but holds no
+  // cells; the resumed run recomputes the full surface.
+  {
+    runtime::SolverCache probe(dir);
+    EXPECT_EQ(probe.stats().loaded, 0u);
+    EXPECT_EQ(probe.stats().corrupt, 0u);
+  }
+  runtime::SolverCache cache(dir);
   core::SweepRunOptions resume_opts;
-  resume_opts.checkpoint_path = path;
-  resume_opts.resume = true;
+  resume_opts.cache = &cache;
   const auto resumed = core::loss_vs_buffer_and_cutoff(m, cfg, buffers, cutoffs, resume_opts);
   EXPECT_EQ(csv_of(resumed), csv_of(baseline));
 }
@@ -703,29 +709,31 @@ TEST(RuntimeSweep, MidSweepCancellationResumesBitIdentically) {
   const std::vector<double> cutoffs{0.1, 1.0};
   const auto baseline = core::loss_vs_buffer_and_cutoff(m, cfg, buffers, cutoffs);
 
-  const std::string path = ::testing::TempDir() + "lrd_sweep_cancel.txt";
-  std::remove(path.c_str());
+  const std::string dir = ::testing::TempDir() + "lrd_sweep_cancel";
+  std::filesystem::remove_all(dir);
   runtime::CancellationToken token;
-  core::SweepRunOptions opts;
-  opts.checkpoint_path = path;
-  opts.checkpoint_every = 1;
-  opts.cancellation = &token;
-  opts.threads = 2;
-  // Cancel from outside while cells are in flight. However many cells the
-  // race lets through (zero to all four), the invariant is the same: the
-  // checkpoint holds only completed cells and a --resume run finishes the
-  // surface bit-identically to an uninterrupted one.
-  std::thread canceller([&token] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    token.cancel();
-  });
-  (void)core::loss_vs_buffer_and_cutoff(m, cfg, buffers, cutoffs, opts);
-  canceller.join();
+  {
+    runtime::SolverCache cache(dir);
+    core::SweepRunOptions opts;
+    opts.cache = &cache;
+    opts.cancellation = &token;
+    opts.threads = 2;
+    // Cancel from outside while cells are in flight. However many cells
+    // the race lets through (zero to all four), the invariant is the same:
+    // the cache holds only completed clean cells and a rerun on it
+    // finishes the surface bit-identically to an uninterrupted one.
+    std::thread canceller([&token] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      token.cancel();
+    });
+    (void)core::loss_vs_buffer_and_cutoff(m, cfg, buffers, cutoffs, opts);
+    canceller.join();
+  }
 
   runtime::RunManifest manifest;
+  runtime::SolverCache cache(dir);
   core::SweepRunOptions resume_opts;
-  resume_opts.checkpoint_path = path;
-  resume_opts.resume = true;
+  resume_opts.cache = &cache;
   resume_opts.manifest = &manifest;
   const auto resumed = core::loss_vs_buffer_and_cutoff(m, cfg, buffers, cutoffs, resume_opts);
   EXPECT_EQ(csv_of(resumed), csv_of(baseline));

@@ -24,16 +24,15 @@ constexpr const char* kUsage =
     "                  --buffers b1,b2,... --cutoffs t1,t2,...\n"
     "                  [--hurst 0.85] [--mean-epoch 0.05] [--utilization 0.8]\n"
     "                  [--gap 0.2] [--seed 7]\n"
-    "                  [--threads N] [--cache-dir DIR]\n"
-    "                  [--checkpoint FILE [--resume]] [--manifest FILE]\n"
+    "                  [--threads N] [--cache-dir DIR] [--manifest FILE]\n"
     "                  [--cell-deadline-ms MS [--max-cell-retries N]]\n"
     "                  [--solver-telemetry] [--progress]\n"
     "                  [--metrics-out FILE] [--trace-out FILE]\n"
     "       lrdq_sweep --help | --version\n"
     "runtime: --threads 0 (or unset) uses hardware concurrency; the\n"
     "      LRDQ_THREADS env var supplies the default. --cache-dir enables\n"
-    "      the on-disk solver result cache. --checkpoint writes progress\n"
-    "      periodically; rerun with --resume to skip completed cells.\n"
+    "      the on-disk solver result cache; rerunning an interrupted sweep\n"
+    "      with the same --cache-dir solves only the unfinished cells.\n"
     "      --manifest records per-cell timings and cache/executor stats\n"
     "      as JSON. --cell-deadline-ms bounds each cell's solve wall time:\n"
     "      a cell that exceeds it keeps a valid (wide) loss bracket and is\n"
@@ -62,9 +61,9 @@ int main(int argc, char** argv) {
   return cli::run_tool(kUsage, [&] {
     cli::Args args(argc, argv,
                    {"rates", "probs", "trace", "buffers", "cutoffs", "hurst", "mean-epoch",
-                    "utilization", "gap", "seed", "threads", "cache-dir", "checkpoint",
-                    "manifest", "cell-deadline-ms", "max-cell-retries"},
-                   {"resume", "solver-telemetry", "progress"});
+                    "utilization", "gap", "seed", "threads", "cache-dir", "manifest",
+                    "cell-deadline-ms", "max-cell-retries"},
+                   {"solver-telemetry", "progress"});
     if (args.help()) {
       std::printf("%s\n", kUsage);
       return 0;
@@ -89,8 +88,6 @@ int main(int argc, char** argv) {
     core::SweepRunOptions opts;
     opts.threads = cli::resolve_threads(args);
     opts.cache = cache ? &*cache : nullptr;
-    opts.checkpoint_path = args.get("checkpoint", "");
-    opts.resume = args.has("resume");
     opts.manifest = manifest_path.empty() ? nullptr : &manifest;
     opts.solver_telemetry = args.has("solver-telemetry");
     opts.progress = args.has("progress");
