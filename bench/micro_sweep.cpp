@@ -4,7 +4,7 @@
 // Solves a deliberately imbalanced loss surface (per-cell solver cost
 // grows steeply with the buffer size, and cells are enumerated row-major,
 // so a static block partition hands one thread the whole heavy row) two
-// ways: with a plain static partition and with the work-stealing
+// ways: with a plain static partition and with the shared-cursor
 // executor. Then runs the same surface through the sweep driver with a
 // solver result cache attached to measure cold vs warm cost.
 //
@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
       c.metric("cells", static_cast<double>(cells));
     });
 
-    h.add("work_stealing", {1, 3}, [&](bench::Case& c) {
+    h.add("executor", {1, 3}, [&](bench::Case& c) {
       c.measure_seconds([&] { numerics::parallel_for(cells, solve_cell, threads); });
       c.metric("threads", static_cast<double>(threads));
       for (const auto& rec : h.records())

@@ -149,7 +149,7 @@ void hash_axes(runtime::Fnv1a& h, const std::vector<double>& rows,
 }
 
 /// Generic sweep-cell runner behind every SweepTable driver: serves cells
-/// from the result cache, solves the rest on the work-stealing executor,
+/// from the result cache, solves the rest on the shared executor,
 /// and keeps the manifest up to date. `cell_key` is only consulted when a
 /// cache is attached. A cache with a disk tier is also the resume path:
 /// every clean cell is appended and fsynced as it finishes, so rerunning

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstddef>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -69,6 +70,20 @@ inline int exit_code_for(ErrorCategory c) noexcept {
     case ErrorCategory::kInternal: return 6;
   }
   return 6;
+}
+
+/// The count a double read from outside bytes (a flag, a wire field, a
+/// trace header) names, or nullopt unless it is a whole number that fits
+/// std::size_t. The range is checked before the cast: casting a double
+/// at or past 2^64 (or a NaN) to an integer is undefined behaviour.
+inline std::optional<std::size_t> size_from_double(double d) noexcept {
+  // 2^digits, exact in a double: the first value past std::size_t's range.
+  constexpr double kLimit =
+      2.0 * static_cast<double>(std::size_t{1} << (std::numeric_limits<std::size_t>::digits - 1));
+  if (!(d >= 0.0 && d < kLimit)) return std::nullopt;
+  const auto n = static_cast<std::size_t>(d);
+  if (static_cast<double>(n) != d) return std::nullopt;
+  return n;
 }
 
 /// One structured failure record. Unused context fields keep their

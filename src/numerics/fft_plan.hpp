@@ -12,7 +12,7 @@
 //
 // Thread safety: fft_plan() lookup is mutex-guarded and the returned
 // plan is immutable, so plans may be shared freely across the
-// work-stealing executor's threads; apply-side state lives entirely in
+// executor's worker threads; apply-side state lives entirely in
 // caller-owned buffers. Plans are never evicted (the working set is a
 // handful of sizes), so returned references stay valid for the life of
 // the process.

@@ -4,7 +4,7 @@
 // Hot-path contract: recording a sample never takes a lock. Counters and
 // histograms are sharded — each thread hashes to one of a fixed set of
 // cache-line-aligned shards and does a relaxed atomic add there — so
-// increments from the work-stealing executor's workers do not bounce one
+// increments from the sweep executor's workers do not bounce one
 // cache line around. Reads (export time) sum the shards; they are
 // monotone but not a consistent snapshot, which is exactly the
 // Prometheus scrape model.

@@ -60,7 +60,7 @@ OverheadEstimate estimate_overhead(const RobustStats& off, const RobustStats& on
 /// One line of BENCH_history.jsonl, parsed.
 struct BenchHistoryRecord {
   std::string bench;  ///< Emitting binary, e.g. "micro_sweep".
-  std::string key;    ///< Benchmark key, e.g. "micro_sweep/work_stealing".
+  std::string key;    ///< Benchmark key, e.g. "micro_sweep/executor".
   std::string unit;   ///< Unit of the sample values ("seconds", "ns", ...).
   std::size_t repeats = 0;
   std::size_t warmup = 0;

@@ -2,7 +2,7 @@
 // trace-event JSON — the file `chrome://tracing` and https://ui.perfetto.dev
 // load directly. One span = one complete ("ph":"X") event with a
 // microsecond timestamp and duration on the recording thread's track;
-// instant events ("ph":"i") mark moments (a steal, a cache hit).
+// instant events ("ph":"i") mark moments (a refinement, a cache hit).
 //
 // Cost model: tracing is off by default. Every instrumentation point is
 // one relaxed atomic load and a predictable branch when disabled — and

@@ -1,21 +1,19 @@
-// Persistent work-stealing executor for the experiment sweeps.
+// Persistent shared-cursor executor for the experiment sweeps.
 //
 // The figure surfaces are grids of independent solves whose per-cell cost
 // is heavy-tailed (cells near rho -> 1 or at large cutoff lags take orders
 // of magnitude longer than their neighbours), so a static block partition
-// leaves most workers idle while one grinds the expensive corner. The
-// executor keeps one deque of index ranges per worker: an owner pops
-// single indices off the back of its own deque, an idle worker steals
-// half of a victim's remaining items off the front. Work only ever
-// shrinks (ranges split, never grow), which keeps termination detection
-// simple and the whole scheduler free of lock-order cycles: no thread
-// ever holds two deque mutexes at once.
+// leaves most workers idle while one grinds the expensive corner. Each job
+// instead keeps one atomic cursor: every participant claims the next
+// unstarted index with a fetch_add until the cursor passes n, so a worker
+// that finishes early simply claims more, and cells start in ascending
+// index order at any thread count.
 //
 // Error contract (shared with numerics::parallel_for, which delegates
 // here): the first exception thrown by a task is captured and rethrown on
 // the submitting thread after the job winds down; the job's cancellation
-// token is set at the moment of capture, so workers skip all tasks they
-// have not yet started instead of grinding through their partitions.
+// token is set at the moment of capture, so participants skip every task
+// they have not yet claimed instead of grinding through the rest.
 //
 // The pool is lazy: no threads exist until the first parallel job, and
 // the pool grows on demand when a caller asks for more workers than have
@@ -47,8 +45,7 @@ class CancellationToken {
 /// the raw material of the per-run manifest's worker-utilization section.
 struct JobStats {
   std::size_t participants = 0;  ///< Workers that took part in the job.
-  std::size_t tasks = 0;         ///< Tasks actually executed (== n unless cancelled).
-  std::size_t steals = 0;        ///< Successful steal-half operations.
+  std::size_t tasks = 0;         ///< Tasks run, a throwing one included (== n unless cancelled).
   double wall_seconds = 0.0;     ///< Submit-to-completion wall time.
   /// Per-participant time spent inside task bodies; utilization is
   /// sum(busy_seconds) / (participants * wall_seconds).
@@ -69,8 +66,7 @@ struct JobStats {
 
 class Executor {
  public:
-  /// `max_workers` caps how far the pool may grow (0 = default cap).
-  explicit Executor(std::size_t max_workers = 0);
+  Executor();
   ~Executor();
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
@@ -82,17 +78,14 @@ class Executor {
   /// (0 = hardware concurrency). Tasks must be safe to run concurrently
   /// for distinct i. The first exception a task throws cancels all tasks
   /// not yet started and is rethrown here once the job winds down.
-  /// Serial fallbacks (threads <= 1, or a call from inside a worker
-  /// thread, which runs inline to avoid deadlock) preserve the same
-  /// contract: the throw stops the loop immediately.
+  /// threads <= 1, and a call from inside a worker thread (which must not
+  /// wait on the job slot it occupies), run the same task loop inline on
+  /// the caller, so the contract is identical: the throw stops the loop.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                     std::size_t threads = 0);
 
-  /// Workers spawned so far (grows on demand, starts at 0).
-  std::size_t worker_count() const;
-
-  /// Accounting for the most recent parallel_for (including the serial
-  /// fallback path, which reports one participant and zero steals).
+  /// Accounting for the most recent top-level parallel_for (an inline run
+  /// reports one participant; nested calls leave it untouched).
   JobStats last_job_stats() const;
 
  private:

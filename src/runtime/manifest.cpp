@@ -139,10 +139,9 @@ std::string RunManifest::to_json() const {
   out += " },\n";
 
   std::snprintf(buf, sizeof buf,
-                "  \"executor\": { \"workers\": %zu, \"steals\": %zu, \"utilization\": %s,\n"
+                "  \"executor\": { \"workers\": %zu, \"utilization\": %s,\n"
                 "    \"busy_seconds\": [",
-                executor_.participants, executor_.steals,
-                number_text(executor_.utilization()).c_str());
+                executor_.participants, number_text(executor_.utilization()).c_str());
   out += buf;
   for (std::size_t i = 0; i < executor_.busy_seconds.size(); ++i) {
     if (i) out += ", ";

@@ -17,8 +17,7 @@
 //   "cells": { "total": N, "computed": a, "cache_hits": b,
 //              "degraded": d, "timed_out": t, "retried": r },  // last 3 optional
 //   "cache": { "hits": h, "misses": m, "stores": s, "loaded": l },
-//   "executor": { "workers": p, "steals": k, "utilization": u,
-//                 "busy_seconds": [...] },
+//   "executor": { "workers": p, "utilization": u, "busy_seconds": [...] },
 //   "wall_seconds": w,
 //   "metrics": { ... },    // optional: obs::Registry JSON snapshot
 //   "cell_times": [ { "row": r, "col": c, "seconds": s, "source": "computed",

@@ -32,9 +32,9 @@ lrd::Diagnostics query_error(std::string message) {
 /// Numbers that must be non-negative integers (max_bins, deadline_ms).
 bool to_size(const json::Value& v, std::size_t& out) {
   if (!v.is_number()) return false;
-  const double d = v.as_number();
-  if (d < 0.0 || d != static_cast<double>(static_cast<std::size_t>(d))) return false;
-  out = static_cast<std::size_t>(d);
+  const auto n = lrd::size_from_double(v.as_number());
+  if (!n) return false;
+  out = *n;
   return true;
 }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <fstream>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -124,22 +125,25 @@ lrd::Expected<RateTrace> RateTrace::try_load(std::istream& is) {
     if (count_tok.empty() || (header >> extra))
       return parse_error(line_no, "header is exactly \"<bin_seconds> <count>\"",
                          "malformed header: '" + line_buf + "'");
-    double count_val = 0.0;
     if (!parse_double(delta_tok, delta) || !std::isfinite(delta) || delta <= 0.0)
       return parse_error(line_no, "bin length is finite and > 0",
                          "bad bin length '" + delta_tok + "'");
-    if (!parse_double(count_tok, count_val) || count_val < 1.0 ||
-        count_val != static_cast<double>(static_cast<std::size_t>(count_val)))
+    double count_val = 0.0;
+    const auto count =
+        parse_double(count_tok, count_val) ? lrd::size_from_double(count_val) : std::nullopt;
+    if (!count || *count == 0)
       return parse_error(line_no, "sample count is a positive integer",
                          "bad sample count '" + count_tok + "'");
-    n = static_cast<std::size_t>(count_val);
+    n = *count;
     if (n > kMaxSamples)
       return parse_error(line_no, "sample count is plausible (<= 2^29)",
                          "declared sample count " + std::to_string(n) + " exceeds the cap");
   }
 
   std::vector<double> rates;
-  rates.reserve(n);
+  // The header is a claim, not a promise: reserve no more than a small
+  // trace up front, so a few bytes declaring 2^29 samples cost nothing.
+  rates.reserve(std::min(n, std::size_t{1} << 16));
   while (rates.size() < n && std::getline(is, line_buf)) {
     ++line_no;
     std::istringstream body(line_buf);

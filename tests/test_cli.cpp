@@ -1,9 +1,11 @@
-// Regression tests for the CLI forensics wiring (tools/cli_common.hpp):
-// an explicit flag must always beat its env-var fallback, and an
-// explicitly empty flag value must disable the feature outright even
-// when the env var is set. These resolutions feed every lrdq_* tool.
+// Regression tests for the CLI plumbing (tools/cli_common.hpp): count
+// flags reject values that are not a count, an explicit flag must always
+// beat its env-var fallback, and an explicitly empty flag value must
+// disable the feature outright even when the env var is set. These
+// resolutions feed every lrdq_* tool.
 #include <cstdlib>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -51,6 +53,15 @@ class ScopedEnv {
   std::string name_;
   std::string saved_;
 };
+
+TEST(CliArgs, GetSizeRejectsWhatIsNotACount) {
+  EXPECT_EQ(make_args({"--max-bins", "4096"}, {"max-bins"}).get_size("max-bins", 1), 4096u);
+  EXPECT_EQ(make_args({}, {"max-bins"}).get_size("max-bins", 7), 7u);
+  for (const char* bad : {"1e300", "18446744073709551616", "-1", "2.5", "nan"})
+    EXPECT_THROW(make_args({"--max-bins", bad}, {"max-bins"}).get_size("max-bins", 1),
+                 std::invalid_argument)
+        << bad;
+}
 
 class ForensicsPrecedence : public ::testing::Test {
  protected:

@@ -202,6 +202,8 @@ TEST(TraceParse, RejectsMalformedHeaderWithLineNumber) {
   EXPECT_FALSE(parse("0 3\n1\n2\n3\n").has_value());        // bin length <= 0
   EXPECT_FALSE(parse("0.01 2.5\n1\n2\n").has_value());      // non-integer count
   EXPECT_FALSE(parse("0.01 99999999999999\n").has_value()); // absurd count, no bad_alloc
+  EXPECT_FALSE(parse("0.01 1e300\n").has_value());          // past 2^64, no cast
+  EXPECT_FALSE(parse("0.01 536870912\n1\n").has_value());   // at the cap: truncated
 }
 
 TEST(TraceParse, RejectsBadRatesWithLineNumber) {

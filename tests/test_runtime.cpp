@@ -1,4 +1,4 @@
-// Tests for the parallel experiment runtime: work-stealing executor,
+// Tests for the parallel experiment runtime: shared-cursor executor,
 // content-addressed solver cache, and resuming a sweep from the cache.
 #include <atomic>
 #include <chrono>
@@ -55,21 +55,29 @@ TEST(RuntimeExecutor, CoversEveryIndexOnceUnderImbalancedCosts) {
   EXPECT_EQ(stats.busy_seconds.size(), stats.participants);
 }
 
-TEST(RuntimeExecutor, StealsFromTheLoadedWorker) {
-  // Worker 0's initial block is the only expensive one; everyone else
-  // drains their own block quickly and must steal to stay busy.
-  constexpr std::size_t kN = 256;
-  std::atomic<std::size_t> executed{0};
+TEST(RuntimeExecutor, ABlockedTaskNeverStrandsTheRest) {
+  // Task 0 blocks until every other task has run. A scheduler that ties
+  // indices to the worker holding task 0 (a static partition strands its
+  // block-mates) would time the spin out and fail.
+  constexpr std::size_t kN = 64;
+  std::atomic<std::size_t> others{0};
+  std::size_t others_while_blocked = 0;
   runtime::Executor exec;
   exec.parallel_for(
       kN,
       [&](std::size_t i) {
-        if (i < kN / 4) busy_wait(std::chrono::microseconds(500));
-        executed.fetch_add(1);
+        if (i != 0) {
+          others.fetch_add(1);
+          return;
+        }
+        const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+        while (others.load() < kN - 1 && std::chrono::steady_clock::now() < give_up)
+          std::this_thread::yield();
+        others_while_blocked = others.load();
       },
-      4);
-  EXPECT_EQ(executed.load(), kN);
-  EXPECT_GE(exec.last_job_stats().steals, 1u);
+      2);
+  EXPECT_EQ(others_while_blocked, kN - 1) << "tasks were stranded behind the blocked one";
+  EXPECT_EQ(exec.last_job_stats().tasks, kN);
 }
 
 TEST(RuntimeExecutor, FirstExceptionCancelsRemainingTasks) {
@@ -109,6 +117,10 @@ TEST(RuntimeExecutor, SerialPathStopsAtFirstThrow) {
                    1),
                std::logic_error);
   EXPECT_EQ(executed, 3u);
+  // The throwing task counts as run, exactly as on the pooled path.
+  const auto stats = runtime::Executor::global().last_job_stats();
+  EXPECT_EQ(stats.participants, 1u);
+  EXPECT_EQ(stats.tasks, 4u);
 }
 
 TEST(RuntimeExecutor, NestedParallelForRunsInline) {

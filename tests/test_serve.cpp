@@ -84,6 +84,11 @@ TEST(ServeProtocol, RejectsUnknownKeysAndBadTypes) {
   EXPECT_FALSE(serve::parse_query(R"({"target_loss": 2})").has_value());
   EXPECT_FALSE(serve::parse_query("not json").has_value());
   EXPECT_FALSE(serve::parse_query("[1, 2]").has_value());
+  // Integers past 2^64 are range-checked before any cast to std::size_t.
+  EXPECT_FALSE(
+      serve::parse_query(R"({"rates":[2,6],"probs":[.5,.5],"max_bins":1e300})").has_value());
+  EXPECT_FALSE(
+      serve::parse_query(R"({"rates":[2,6],"probs":[.5,.5],"deadline_ms":2e19})").has_value());
   const auto diag = serve::parse_query(R"({"bogus": 1})").diagnostics();
   EXPECT_NE(diag.message.find("bogus"), std::string::npos)
       << "diagnostic names the offending key";

@@ -119,10 +119,10 @@ class Args {
   }
 
   std::size_t get_size(const std::string& name, std::size_t fallback) const {
-    const double v = get_double(name, static_cast<double>(fallback));
-    if (v < 0.0 || v != static_cast<double>(static_cast<std::size_t>(v)))
-      throw std::invalid_argument("flag --" + name + ": not a non-negative integer");
-    return static_cast<std::size_t>(v);
+    if (values_.count(name) == 0) return fallback;
+    const auto v = size_from_double(get_double(name, 0.0));
+    if (!v) throw std::invalid_argument("flag --" + name + ": not a non-negative integer");
+    return *v;
   }
 
   /// Comma-separated list of doubles.
