@@ -23,10 +23,8 @@
 #include "harness.hpp"
 #include "numerics/convolution.hpp"
 #include "numerics/fft_plan.hpp"
-#include "numerics/pmf.hpp"
 #include "numerics/random.hpp"
 #include "numerics/simd.hpp"
-#include "numerics/special_functions.hpp"
 #include "queueing/solver.hpp"
 #include "queueing/trace_queue_sim.hpp"
 #include "traffic/fgn.hpp"
@@ -61,49 +59,28 @@ queueing::FluidQueueSolver figure_solver() {
   return queueing::FluidQueueSolver(mtv.marginal, epochs, c, 0.5 * c);
 }
 
-/// One occupancy chain advanced as its own real convolution, with the
-/// fold engine's per-chain work (Eq. 20 fold, health scan, clamp and
-/// renormalize) — the baseline layout fold_step compares against.
-class SplitChain {
- public:
-  SplitChain(std::vector<double> increment_pmf, std::size_t bins, std::size_t start)
-      : bins_(bins),
-        conv_(std::move(increment_pmf), bins + 1),
-        ws_(conv_.make_workspace()),
-        u_(conv_.kernel_size() + bins),
-        q_(bins + 1, 0.0),
-        next_(bins + 1) {
-    q_[start] = 1.0;
-  }
-
-  void step() {
-    conv_.convolve_into(q_.data(), bins_ + 1, ws_, u_.data());
-    numerics::CompensatedSum at_zero, at_buffer;
-    for (std::size_t k = 0; k <= bins_; ++k) at_zero.add(u_[k]);
-    for (std::size_t k = 2 * bins_; k < u_.size(); ++k) at_buffer.add(u_[k]);
-    for (std::size_t j = 1; j < bins_; ++j) next_[j] = u_[bins_ + j];
-    next_[0] = at_zero.value();
-    next_[bins_] = at_buffer.value();
-    health_.merge(numerics::inspect_mass(next_));
-    double total = 0.0;
-    for (double& p : next_) {
-      if (p < 0.0) p = 0.0;
-      total += p;
-    }
-    if (total > 0.0) {
-      const double inv = 1.0 / total;
-      for (double& p : next_) p *= inv;
-    }
-    q_.swap(next_);
-  }
-
- private:
-  std::size_t bins_;
-  numerics::CachedKernelConvolver conv_;
-  numerics::CachedKernelConvolver::Workspace ws_;
-  std::vector<double> u_, q_, next_;
-  queueing::StepHealth health_;
-};
+/// Times `roundtrip` through the harness on the dispatched kernel table,
+/// then on the scalar table with the same warmup and repeats, and records
+/// the scalar median as scalar_ns and speedup_vs_scalar (1.0 when the
+/// dispatcher already selected scalar).
+template <typename Fn>
+void time_against_scalar_table(bench::Case& c, std::size_t iters, Fn&& roundtrip) {
+  c.measure_ns_per_iter(iters, [&](std::size_t) { roundtrip(); });
+  const double simd_ns = obs::robust_stats(c.samples()).median;
+  numerics::simd::set_active_kernels_for_testing(numerics::simd::Isa::kScalar);
+  const auto batch = [&] {
+    const obs::SteadyTime t0 = obs::now();
+    for (std::size_t i = 0; i < iters; ++i) roundtrip();
+    return obs::seconds_since(t0) * 1e9 / static_cast<double>(iters);
+  };
+  for (std::size_t i = 0; i < c.warmup(); ++i) (void)batch();
+  std::vector<double> scalar_samples;
+  for (std::size_t i = 0; i < c.repeats(); ++i) scalar_samples.push_back(batch());
+  numerics::simd::reset_active_kernels_for_testing();
+  const double scalar_ns = obs::robust_stats(scalar_samples).median;
+  c.metric("scalar_ns", scalar_ns);
+  if (simd_ns > 0.0) c.metric("speedup_vs_scalar", scalar_ns / simd_ns);
+}
 
 /// Registers one full-solve case; the solver telemetry rides on the
 /// record as gated metrics.
@@ -161,13 +138,6 @@ int main(int argc, char** argv) {
         c.measure_ns_per_iter(iters,
                               [&](std::size_t) { (void)numerics::convolve_fft(q, w); });
       });
-      h.add("convolve_cached_kernel/" + std::to_string(m), {1, 5}, [m](bench::Case& c) {
-        // The solver's actual inner loop: kernel spectrum cached across calls.
-        const auto q = random_pmf(m + 1, 1);
-        numerics::CachedKernelConvolver conv(random_pmf(2 * m + 1, 2), m + 1);
-        const std::size_t iters = std::max<std::size_t>(1, 16384 / m);
-        c.measure_ns_per_iter(iters, [&](std::size_t) { (void)conv.convolve(q); });
-      });
     }
 
     h.add("plan_cache/lookup", {1, 5}, [](bench::Case& c) {
@@ -191,7 +161,8 @@ int main(int argc, char** argv) {
     });
     h.add("plan_cache/rfft_roundtrip/4096", {1, 5}, [](bench::Case& c) {
       // Real-input forward + inverse via the conjugate-symmetric half
-      // spectrum — the per-call cost inside the cached convolvers.
+      // spectrum — the per-call cost inside convolve_fft, the fGn
+      // generator and the periodogram estimators.
       constexpr std::size_t n = 4096;
       const numerics::RealFft rfft(n);
       const auto x = random_pmf(n, 4);
@@ -203,66 +174,41 @@ int main(int argc, char** argv) {
       });
     });
     h.add("plan_cache/fft_simd", {1, 5}, [](bench::Case& c) {
-      // The complex transform on the runtime-dispatched kernel table,
-      // with the scalar table timed inline for the speedup_vs_scalar
-      // metric (1.0 when the dispatcher already selected scalar).
+      // The complex transform on the runtime-dispatched kernel table
+      // against the scalar table.
       constexpr std::size_t n = 4096;
       const numerics::FftPlan& plan = numerics::fft_plan(n);
       const auto seed = random_pmf(n, 5);
       std::vector<std::complex<double>> buf(n);
       for (std::size_t i = 0; i < n; ++i) buf[i] = seed[i];
-      const auto roundtrip = [&] {
+      time_against_scalar_table(c, 16, [&] {
         plan.forward(buf.data());
         plan.inverse(buf.data());
         for (auto& z : buf) z *= 1.0 / static_cast<double>(n);
-      };
-      c.measure_ns_per_iter(16, [&](std::size_t) { roundtrip(); });
-      const double simd_ns = obs::robust_stats(c.samples()).median;
-      numerics::simd::set_active_kernels_for_testing(numerics::simd::Isa::kScalar);
-      constexpr std::size_t iters = 16;
-      const obs::SteadyTime t0 = obs::now();
-      for (std::size_t i = 0; i < iters; ++i) roundtrip();
-      const double scalar_ns = obs::seconds_since(t0) * 1e9 / static_cast<double>(iters);
-      numerics::simd::reset_active_kernels_for_testing();
-      c.metric("scalar_ns", scalar_ns);
-      if (simd_ns > 0.0) c.metric("speedup_vs_scalar", scalar_ns / simd_ns);
+      });
     });
     h.add("plan_cache/rfft_roundtrip_simd", {1, 5}, [](bench::Case& c) {
-      // Real round-trip on the dispatched kernels vs the scalar table —
-      // the transform cost the solver's convolvers actually pay.
+      // The real round-trip on the dispatched kernel table against the
+      // scalar table.
       constexpr std::size_t n = 4096;
       const numerics::RealFft rfft(n);
       const auto x = random_pmf(n, 6);
       std::vector<std::complex<double>> spec(rfft.spectrum_size());
       std::vector<double> out(n);
-      const auto roundtrip = [&] {
+      time_against_scalar_table(c, 16, [&] {
         rfft.forward(x.data(), x.size(), spec.data());
         rfft.inverse(spec.data(), out.data());
-      };
-      c.measure_ns_per_iter(16, [&](std::size_t) { roundtrip(); });
-      const double simd_ns = obs::robust_stats(c.samples()).median;
-      numerics::simd::set_active_kernels_for_testing(numerics::simd::Isa::kScalar);
-      constexpr std::size_t iters = 16;
-      const obs::SteadyTime t0 = obs::now();
-      for (std::size_t i = 0; i < iters; ++i) roundtrip();
-      const double scalar_ns = obs::seconds_since(t0) * 1e9 / static_cast<double>(iters);
-      numerics::simd::reset_active_kernels_for_testing();
-      c.metric("scalar_ns", scalar_ns);
-      if (simd_ns > 0.0) c.metric("speedup_vs_scalar", scalar_ns / simd_ns);
+      });
     });
 
     for (const std::size_t m : {std::size_t{128}, std::size_t{1024}, std::size_t{4096},
                                 std::size_t{16384}}) {
       h.add("fold_step/" + std::to_string(m), {1, 5}, [m](bench::Case& c) {
         // The solver's per-epoch step (packed dual transform, fold,
-        // health scan, sanitize). The split_ns metric times the same
-        // epoch laid out as two real convolutions, with the same warmup
-        // and repeats — the layout the engine no longer has; a
-        // speedup_vs_split well below 1 would argue for bringing it back.
+        // health scan, sanitize).
         auto solver = figure_solver();
-        const auto wl = solver.increment_pmf_lower(m);
-        const auto wh = solver.increment_pmf_upper(m);
-        queueing::DualFoldEngine engine(wl, wh, m);
+        queueing::DualFoldEngine engine(solver.increment_pmf_lower(m),
+                                        solver.increment_pmf_upper(m), m);
         std::vector<double> q_low(m + 1, 0.0), q_high(m + 1, 0.0);
         q_low[0] = 1.0;
         q_high[m] = 1.0;
@@ -271,23 +217,6 @@ int main(int argc, char** argv) {
         c.measure_ns_per_iter(iters, [&](std::size_t) {
           engine.step(q_low, q_high, low_health, high_health);
         });
-        const double packed_ns = obs::robust_stats(c.samples()).median;
-
-        SplitChain low(wl, m, 0), high(wh, m, m);
-        const auto batch = [&] {
-          const obs::SteadyTime t0 = obs::now();
-          for (std::size_t i = 0; i < iters; ++i) {
-            low.step();
-            high.step();
-          }
-          return obs::seconds_since(t0) * 1e9 / static_cast<double>(iters);
-        };
-        for (std::size_t i = 0; i < c.warmup(); ++i) (void)batch();
-        std::vector<double> split_samples;
-        for (std::size_t i = 0; i < c.repeats(); ++i) split_samples.push_back(batch());
-        const double split_ns = obs::robust_stats(split_samples).median;
-        c.metric("split_ns", split_ns);
-        if (packed_ns > 0.0) c.metric("speedup_vs_split", split_ns / packed_ns);
       });
     }
 

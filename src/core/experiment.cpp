@@ -133,11 +133,13 @@ void hash_marginal(runtime::Fnv1a& h, const dist::Marginal& m) {
 // Deliberately excludes collect_telemetry, deadline_ms and cancellation:
 // none affect a *converged* trajectory (only converged, unretried results
 // are cached), so keys stay stable across observability/deadline settings.
+// The solver constants are hashed where they sat when they were config
+// fields, so keys written then still hit.
 void hash_solver_config(runtime::Fnv1a& h, const queueing::SolverConfig& scfg) {
   h.u64(scfg.initial_bins).u64(scfg.max_bins).f64(scfg.target_relative_gap);
-  h.f64(scfg.zero_loss_threshold).u64(scfg.check_every).f64(scfg.stall_improvement);
+  h.f64(queueing::kZeroLossThreshold).u64(queueing::kCheckEvery).f64(queueing::kStallImprovement);
   h.u64(scfg.max_iterations_per_level).u64(scfg.max_total_iterations);
-  h.f64(scfg.mass_tolerance).f64(scfg.negative_tolerance).f64(scfg.bracket_tolerance);
+  h.f64(queueing::kMassTolerance).f64(queueing::kNegativeTolerance).f64(queueing::kBracketTolerance);
 }
 
 void hash_axes(runtime::Fnv1a& h, const std::vector<double>& rows,

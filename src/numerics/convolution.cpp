@@ -5,8 +5,6 @@
 
 #include "core/status.hpp"
 #include "numerics/fft.hpp"
-#include "numerics/simd.hpp"
-#include "numerics/special_functions.hpp"
 
 namespace lrd::numerics {
 
@@ -70,18 +68,6 @@ std::vector<double> convolve_fft(const std::vector<double>& a, const std::vector
   return out;
 }
 
-std::vector<double> convolve(const std::vector<double>& a, const std::vector<double>& b) {
-  // Crossover re-tuned for the LRD_SIMD butterfly kernels from
-  // BENCH_history.jsonl: the direct path costs ~0.7 ns per a*b product
-  // (micro_solver/convolve_direct/{64,256,1024}), the transform path
-  // ~2.8 us at a 256-point grid (micro_solver/convolve_fft/64) — the
-  // vector butterflies moved the break-even down from the scalar-era
-  // 96x96 to |a|*|b| ~ 4e3. Below it the direct path's tiny constant
-  // wins even against a warm plan cache and AVX2 spectra.
-  if (a.size() * b.size() <= 64 * 64) return convolve_direct(a, b);
-  return convolve_fft(a, b);
-}
-
 std::vector<double> self_convolve(const std::vector<double>& a, std::size_t n) {
   if (n == 0) throw std::invalid_argument("self_convolve: n must be >= 1");
   if (n == 1) return a;
@@ -109,43 +95,6 @@ std::vector<double> self_convolve(const std::vector<double>& a, std::size_t n) {
   return out;
 }
 
-CachedKernelConvolver::CachedKernelConvolver(std::vector<double> kernel,
-                                             std::size_t max_signal_len)
-    : kernel_len_(kernel.size()),
-      max_signal_len_(max_signal_len),
-      n_(kernel.empty() || max_signal_len == 0
-             ? 2
-             : conv_fft_size(kernel.size() + max_signal_len - 1)),
-      rfft_(n_) {
-  if (kernel.empty()) throw std::invalid_argument("CachedKernelConvolver: empty kernel");
-  if (max_signal_len == 0) throw std::invalid_argument("CachedKernelConvolver: max_signal_len == 0");
-  require_finite(kernel, "CachedKernelConvolver");
-  kernel_mass_ = neumaier_sum(kernel);
-  kernel_spectrum_.resize(rfft_.spectrum_size());
-  rfft_.forward(kernel.data(), kernel.size(), kernel_spectrum_.data());
-}
-
-void CachedKernelConvolver::convolve_into(const double* signal, std::size_t len, Workspace& ws,
-                                          double* out) const {
-  if (signal == nullptr || len == 0 || len > max_signal_len_)
-    throw std::invalid_argument("CachedKernelConvolver::convolve_into: bad signal length");
-  rfft_.forward(signal, len, ws.freq.data());
-  simd::active_fft_kernels().cmul(ws.freq.data(), kernel_spectrum_.data(),
-                                  kernel_spectrum_.size());
-  rfft_.inverse(ws.freq.data(), ws.time.data());
-  const std::size_t out_len = len + kernel_len_ - 1;
-  std::copy(ws.time.begin(), ws.time.begin() + static_cast<std::ptrdiff_t>(out_len), out);
-}
-
-std::vector<double> CachedKernelConvolver::convolve(const std::vector<double>& signal) const {
-  if (signal.empty() || signal.size() > max_signal_len_)
-    throw std::invalid_argument("CachedKernelConvolver::convolve: bad signal length");
-  Workspace ws = make_workspace();
-  std::vector<double> out(signal.size() + kernel_len_ - 1);
-  convolve_into(signal.data(), signal.size(), ws, out.data());
-  return out;
-}
-
 DualKernelConvolver::DualKernelConvolver(std::vector<double> kernel_a,
                                          std::vector<double> kernel_b,
                                          std::size_t max_signal_len)
@@ -162,8 +111,6 @@ DualKernelConvolver::DualKernelConvolver(std::vector<double> kernel_a,
   if (max_signal_len == 0) throw std::invalid_argument("DualKernelConvolver: max_signal_len == 0");
   require_finite(kernel_a, "DualKernelConvolver");
   require_finite(kernel_b, "DualKernelConvolver");
-  mass_a_ = neumaier_sum(kernel_a);
-  mass_b_ = neumaier_sum(kernel_b);
   // Full spectra so convolve_into can index bin n - k without wrapping
   // logic; built once per convolver, so the cold complex transform is fine.
   spec_a_.assign(n_, std::complex<double>{});

@@ -89,19 +89,7 @@ void radix4_pass_avx2(std::complex<double>* data, std::size_t n, std::size_t len
     radix4_avx2<false>(data, n, len, wa, wb, wc);
 }
 
-void cmul_avx2(std::complex<double>* a, const std::complex<double>* b, std::size_t count) {
-  double* pa = reinterpret_cast<double*>(a);
-  const double* pb = reinterpret_cast<const double*>(b);
-  std::size_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const __m256d va = _mm256_loadu_pd(pa + 2 * i);
-    const __m256d vb = _mm256_loadu_pd(pb + 2 * i);
-    _mm256_storeu_pd(pa + 2 * i, cmul2(va, vb));
-  }
-  if (i < count) cmul_scalar(a + i, b + i, count - i);
-}
-
-const FftKernels kAvx2Kernels{Isa::kAvx2, "avx2", &radix4_pass_avx2, &cmul_avx2};
+const FftKernels kAvx2Kernels{Isa::kAvx2, "avx2", &radix4_pass_avx2};
 
 }  // namespace
 

@@ -69,17 +69,7 @@ void radix4_pass_neon(std::complex<double>* data, std::size_t n, std::size_t len
     radix4_neon<false>(data, n, len, wa, wb, wc);
 }
 
-void cmul_neon_n(std::complex<double>* a, const std::complex<double>* b, std::size_t count) {
-  double* pa = reinterpret_cast<double*>(a);
-  const double* pb = reinterpret_cast<const double*>(b);
-  for (std::size_t i = 0; i < count; ++i) {
-    const float64x2_t va = vld1q_f64(pa + 2 * i);
-    const float64x2_t vb = vld1q_f64(pb + 2 * i);
-    vst1q_f64(pa + 2 * i, cmul_neon<false>(va, vb));
-  }
-}
-
-const FftKernels kNeonKernels{Isa::kNeon, "neon", &radix4_pass_neon, &cmul_neon_n};
+const FftKernels kNeonKernels{Isa::kNeon, "neon", &radix4_pass_neon};
 
 }  // namespace
 

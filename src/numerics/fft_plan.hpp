@@ -2,13 +2,12 @@
 // per power-of-two size, plus a real-to-complex / complex-to-real
 // transform pair that exploits conjugate symmetry to halve the work.
 //
-// The naive transforms in fft.hpp recompute the twiddle recurrence on
-// every call and allocate fresh output vectors; fine for one-shot
-// analysis, ruinous for the solver's epoch loop, which runs millions of
-// fixed-size transforms. A plan is built once per size, cached process
-// wide, and applied in place with zero heap allocations — the layer
-// everything hot (CachedKernelConvolver, DualKernelConvolver, the
-// Davies-Harte fGn generator, the periodogram estimators) now sits on.
+// A plan is built once per size, cached process wide, and applied in
+// place with zero heap allocations — the solver's epoch loop runs
+// millions of fixed-size transforms. Every transform in the process runs
+// here: the cold wrappers in fft.hpp, the solver's DualKernelConvolver
+// (one complex plan per level), and through RealFft the FFT convolutions,
+// the Davies-Harte fGn generator and the periodogram estimators.
 //
 // Thread safety: fft_plan() lookup is mutex-guarded and the returned
 // plan is immutable, so plans may be shared freely across the
@@ -96,8 +95,8 @@ class RealFft {
 
   /// Forward transform of x[0..len) zero-padded to n (len <= n).
   /// Writes spectrum_size() entries to `spec` (which must not alias x).
-  /// No allocation, no finiteness check — hot-path callers validate
-  /// inputs once up front (see CachedKernelConvolver).
+  /// No allocation, no finiteness check — callers validate inputs once
+  /// up front (see convolve_fft).
   void forward(const double* x, std::size_t len, std::complex<double>* spec) const noexcept;
 
   /// Normalized inverse (divides by n): consumes the half-spectrum in

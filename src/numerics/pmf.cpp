@@ -113,7 +113,7 @@ double Pmf::quantile(double p) const {
 Pmf convolve(const Pmf& a, const Pmf& b) {
   if (std::abs(a.step_ - b.step_) > 1e-12 * std::max(a.step_, b.step_))
     throw std::invalid_argument("convolve(Pmf): steps differ");
-  auto probs = convolve(a.probs_, b.probs_);
+  auto probs = convolve_direct(a.probs_, b.probs_);
   return Pmf(a.origin_ + b.origin_, a.step_, std::move(probs));
 }
 

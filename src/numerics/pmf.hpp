@@ -57,7 +57,8 @@ class Pmf {
   /// Smallest support value v with Pr{X <= v} >= p (p in (0, 1]).
   double quantile(double p) const;
 
-  /// Convolution of two pmfs with identical step. Support origins add.
+  /// Convolution of two pmfs with identical step, by the exact direct
+  /// path. Support origins add.
   friend Pmf convolve(const Pmf& a, const Pmf& b);
 
   /// n-fold self-convolution (distribution of the sum of n iid copies).

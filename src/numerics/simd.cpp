@@ -52,8 +52,7 @@ void radix4_scalar_impl(std::complex<double>* d, std::size_t n, std::size_t len,
   }
 }
 
-const FftKernels kScalarKernels{Isa::kScalar, "scalar", &detail::radix4_pass_scalar,
-                                &detail::cmul_scalar};
+const FftKernels kScalarKernels{Isa::kScalar, "scalar", &detail::radix4_pass_scalar};
 
 /// Best table this CPU supports, honoring the LRDQ_SIMD override.
 const FftKernels* detect() noexcept {
@@ -87,10 +86,6 @@ void radix4_pass_scalar(std::complex<double>* data, std::size_t n, std::size_t l
     radix4_scalar_impl<true>(data, n, len, wa, wb, wc);
   else
     radix4_scalar_impl<false>(data, n, len, wa, wb, wc);
-}
-
-void cmul_scalar(std::complex<double>* a, const std::complex<double>* b, std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) a[i] = cmul1(a[i], b[i]);
 }
 
 }  // namespace detail

@@ -1,5 +1,5 @@
 // LRD_SIMD dispatch layer: runtime-selected vector kernels for the FFT
-// butterfly passes and the convolver's spectrum multiply.
+// butterfly passes.
 //
 // The transform core (fft_plan.cpp) is organized as fused radix-2^2
 // stage pairs whose inner butterfly is a pure data-parallel sweep over
@@ -50,18 +50,12 @@ using Radix4PassFn = void (*)(std::complex<double>* data, std::size_t n, std::si
                               const std::complex<double>* wa, const std::complex<double>* wb,
                               const std::complex<double>* wc, bool inverse);
 
-/// Pointwise complex multiply a[i] *= b[i] for i < count (the cached
-/// convolver's spectrum product).
-using CmulFn = void (*)(std::complex<double>* a, const std::complex<double>* b,
-                        std::size_t count);
-
 /// Immutable kernel table for one ISA. Tables have static storage
 /// duration; pointers to them stay valid for the life of the process.
 struct FftKernels {
   Isa isa;
   const char* name;  ///< "scalar", "avx2" or "neon" — recorded in bench env
   Radix4PassFn radix4_pass;
-  CmulFn cmul;
 };
 
 /// The kernel table in use (detected on first call; see file comment).
@@ -92,7 +86,6 @@ namespace detail {
 void radix4_pass_scalar(std::complex<double>* data, std::size_t n, std::size_t len,
                         const std::complex<double>* wa, const std::complex<double>* wb,
                         const std::complex<double>* wc, bool inverse);
-void cmul_scalar(std::complex<double>* a, const std::complex<double>* b, std::size_t count);
 
 /// Table getters for the vector TUs; null when the ISA is compiled out
 /// (wrong architecture or -DLRD_DISABLE_SIMD). CPU support is checked

@@ -62,19 +62,19 @@ lrd::Status guard_failure(const char* invariant, std::string message) {
 }
 
 /// Evaluates the per-step guardrails for one chain's accumulated health.
-lrd::Status step_guard(const StepHealth& h, const SolverConfig& cfg, const char* chain) {
+lrd::Status step_guard(const StepHealth& h, const char* chain) {
   if (!h.finite)
     return guard_failure("occupancy pmf entries are finite",
                          std::string(chain) + " occupancy pmf contains NaN/Inf after convolution");
-  if (h.min_entry < -cfg.negative_tolerance)
+  if (h.min_entry < -kNegativeTolerance)
     return guard_failure("occupancy pmf entries are non-negative",
                          std::string(chain) + " occupancy pmf entry " + format_g(h.min_entry) +
-                             " below -" + format_g(cfg.negative_tolerance));
-  if (h.mass_dev > cfg.mass_tolerance)
+                             " below -" + format_g(kNegativeTolerance));
+  if (h.mass_dev > kMassTolerance)
     return guard_failure("occupancy pmf conserves unit mass",
                          std::string(chain) + " occupancy pmf mass drifted " +
                              format_g(h.mass_dev) + " from 1 (tolerance " +
-                             format_g(cfg.mass_tolerance) + "); the increment pmf leaks mass");
+                             format_g(kMassTolerance) + "); the increment pmf leaks mass");
   return lrd::Status::ok();
 }
 
@@ -135,20 +135,9 @@ lrd::Status SolverConfig::validate() const {
   if (!(target_relative_gap > 0.0) || !std::isfinite(target_relative_gap))
     return bad("target_relative_gap in (0, inf)",
                "target_relative_gap = " + format_g(target_relative_gap));
-  if (!(zero_loss_threshold >= 0.0) || !std::isfinite(zero_loss_threshold))
-    return bad("zero_loss_threshold in [0, inf)",
-               "zero_loss_threshold = " + format_g(zero_loss_threshold));
-  if (check_every == 0) return bad("check_every >= 1", "check_every = 0");
-  if (!(stall_improvement > 0.0) || !std::isfinite(stall_improvement))
-    return bad("stall_improvement in (0, inf)", "stall_improvement = " + format_g(stall_improvement));
   if (max_iterations_per_level == 0)
     return bad("max_iterations_per_level >= 1", "max_iterations_per_level = 0");
   if (max_total_iterations == 0) return bad("max_total_iterations >= 1", "max_total_iterations = 0");
-  if (!(mass_tolerance > 0.0)) return bad("mass_tolerance > 0", "mass_tolerance = " + format_g(mass_tolerance));
-  if (!(negative_tolerance >= 0.0))
-    return bad("negative_tolerance >= 0", "negative_tolerance = " + format_g(negative_tolerance));
-  if (!(bracket_tolerance >= 0.0))
-    return bad("bracket_tolerance >= 0", "bracket_tolerance = " + format_g(bracket_tolerance));
   return lrd::Status::ok();
 }
 
@@ -387,7 +376,7 @@ SolverResult FluidQueueSolver::solve_impl(const SolverConfig& cfg,
 
   while (true) {
     StepHealth low_health, high_health;
-    for (std::size_t k = 0; k < cfg.check_every; ++k) {
+    for (std::size_t k = 0; k < kCheckEvery; ++k) {
       level.engine.step(q_low, q_high, low_health, high_health);
       ++result.iterations;
       ++level_iterations;
@@ -397,8 +386,8 @@ SolverResult FluidQueueSolver::solve_impl(const SolverConfig& cfg,
       level_tel.mass_drift =
           std::max({level_tel.mass_drift, low_health.mass_dev, high_health.mass_dev});
 
-    lrd::Status guard = step_guard(low_health, cfg, "lower");
-    if (guard.is_ok()) guard = step_guard(high_health, cfg, "upper");
+    lrd::Status guard = step_guard(low_health, "lower");
+    if (guard.is_ok()) guard = step_guard(high_health, "upper");
 
     if (guard.is_ok()) {
       result.loss.lower = loss_from_pmf(q_low, level.kernel);
@@ -408,7 +397,7 @@ SolverResult FluidQueueSolver::solve_impl(const SolverConfig& cfg,
                               "loss bracket [" + format_g(result.loss.lower) + ", " +
                                   format_g(result.loss.upper) + "] is not finite");
       } else if (result.loss.lower - result.loss.upper >
-                 cfg.bracket_tolerance * std::max(result.loss.lower, result.loss.upper)) {
+                 kBracketTolerance * std::max(result.loss.lower, result.loss.upper)) {
         guard = guard_failure("lower bound <= upper bound (Prop. II.1)",
                               "bracket inverted: lower " + format_g(result.loss.lower) +
                                   " > upper " + format_g(result.loss.upper));
@@ -453,7 +442,7 @@ SolverResult FluidQueueSolver::solve_impl(const SolverConfig& cfg,
     healthy.valid = true;
     result.last_healthy_level = result.levels;
 
-    if (result.loss.upper < cfg.zero_loss_threshold) {
+    if (result.loss.upper < kZeroLossThreshold) {
       result.zero_loss = true;
       result.converged = true;
       result.stop = SolverStop::kZeroLoss;
@@ -503,7 +492,7 @@ SolverResult FluidQueueSolver::solve_impl(const SolverConfig& cfg,
     // Declare a stall only after several consecutive low-improvement
     // checks: the gap of a slowly mixing chain shrinks steadily but
     // slowly, and a single noisy check must not trigger refinement.
-    if (std::isfinite(prev_gap) && (prev_gap - gap) < cfg.stall_improvement * prev_gap) {
+    if (std::isfinite(prev_gap) && (prev_gap - gap) < kStallImprovement * prev_gap) {
       ++stalled_checks;
     } else {
       stalled_checks = 0;

@@ -32,6 +32,28 @@
 
 namespace lrd::queueing {
 
+/// Report zero loss when the upper bound falls below this (paper: 1e-10).
+inline constexpr double kZeroLossThreshold = 1e-10;
+/// Evaluate the loss bounds every kCheckEvery iterations.
+inline constexpr std::size_t kCheckEvery = 16;
+/// Refine (double M) after 3 consecutive checks in which the relative gap
+/// improved by less than this factor, while still above target.
+inline constexpr double kStallImprovement = 5e-3;
+
+// Numerical-health guardrails. Each fold step measures the occupancy pmf
+// *before* it is clamped/renormalized; a violation beyond these
+// tolerances trips the guard, which rolls the result back to the last
+// healthy check and attaches a structured diagnostic (it never aborts,
+// hangs, or returns NaN bounds). FFT round-off sits around 1e-14, so the
+// tolerances have orders of magnitude of headroom.
+/// Allowed per-step deviation of total pmf mass from 1.
+inline constexpr double kMassTolerance = 1e-6;
+/// Most negative pre-clamp pmf entry tolerated.
+inline constexpr double kNegativeTolerance = 1e-9;
+/// Relative slack tolerated before lower > upper counts as an inverted
+/// bracket (Prop. II.1 violation).
+inline constexpr double kBracketTolerance = 1e-9;
+
 /// Worst pre-sanitize health seen by one occupancy chain over a check
 /// interval; the solver's guardrails read it before renormalization can
 /// hide drift.
@@ -93,34 +115,13 @@ struct SolverConfig {
   /// Stop when (upper - lower) <= target_relative_gap * midpoint
   /// (the paper uses 20%).
   double target_relative_gap = 0.2;
-  /// Report zero loss when the upper bound falls below this (paper: 1e-10).
-  double zero_loss_threshold = 1e-10;
-  /// Evaluate the loss bounds every `check_every` iterations.
-  std::size_t check_every = 16;
-  /// Refine (double M) after 3 consecutive checks in which the relative
-  /// gap improved by less than this factor, while still above target.
-  double stall_improvement = 5e-3;
   /// Safety cap on iterations within one level.
   std::size_t max_iterations_per_level = 30000;
   /// Safety cap on total iterations across levels.
   std::size_t max_total_iterations = 300000;
 
-  // Numerical-health guardrails. Each fold step measures the occupancy
-  // pmf *before* it is clamped/renormalized; a violation beyond these
-  // tolerances trips the guard, which rolls the result back to the last
-  // healthy check and attaches a structured diagnostic (it never aborts,
-  // hangs, or returns NaN bounds). FFT round-off sits around 1e-14, so
-  // the defaults have orders of magnitude of headroom.
-  /// Allowed per-step deviation of total pmf mass from 1.
-  double mass_tolerance = 1e-6;
-  /// Most negative pre-clamp pmf entry tolerated.
-  double negative_tolerance = 1e-9;
-  /// Relative slack tolerated before lower > upper counts as an inverted
-  /// bracket (Prop. II.1 violation).
-  double bracket_tolerance = 1e-9;
-
   /// Wall-clock budget for one solve in milliseconds; 0 = unbounded. The
-  /// clock is checked at every check-block boundary (every `check_every`
+  /// clock is checked at every check-block boundary (every kCheckEvery
   /// iterations), so a solve returns within one check block of the
   /// deadline — with a *valid but wide* bracket (Prop. II.1 holds at any
   /// iteration count), SolverStop::kDeadlineExceeded, and a
@@ -152,7 +153,7 @@ struct SolverConfig {
 enum class SolverStop {
   kNone = 0,         ///< solve() has not run.
   kConverged,        ///< Bracket met target_relative_gap.
-  kZeroLoss,         ///< Upper bound fell below zero_loss_threshold.
+  kZeroLoss,         ///< Upper bound fell below kZeroLossThreshold.
   kIterationBudget,  ///< max_total_iterations exhausted before convergence.
   kBinBudget,        ///< Stalled and max_bins prevents further refinement.
   kGuardTripped,     ///< A numerical-health guardrail fired; result rolled

@@ -160,34 +160,6 @@ TEST(Convolution, SelfConvolveIdentity) {
   EXPECT_DOUBLE_EQ(out[1], 0.75);
 }
 
-TEST(CachedKernelConvolver, MatchesDirectConvolution) {
-  Rng rng(99);
-  std::vector<double> kernel(41), signal(21);
-  for (auto& v : kernel) v = rng.uniform(0.0, 1.0);
-  for (auto& v : signal) v = rng.uniform(0.0, 1.0);
-  CachedKernelConvolver conv(kernel, signal.size());
-  auto fast = conv.convolve(signal);
-  auto direct = convolve_direct(signal, kernel);
-  ASSERT_EQ(fast.size(), direct.size());
-  for (std::size_t i = 0; i < fast.size(); ++i) EXPECT_NEAR(fast[i], direct[i], 1e-10);
-}
-
-TEST(CachedKernelConvolver, ReusableAcrossSignals) {
-  CachedKernelConvolver conv({0.5, 0.5}, 4);
-  auto a = conv.convolve({1.0, 0.0, 0.0, 1.0});
-  auto b = conv.convolve({0.0, 2.0});
-  EXPECT_NEAR(a[0], 0.5, 1e-12);
-  EXPECT_NEAR(a[4], 0.5, 1e-12);
-  EXPECT_NEAR(b[1], 1.0, 1e-12);
-  EXPECT_NEAR(b[2], 1.0, 1e-12);
-}
-
-TEST(CachedKernelConvolver, RejectsOversizedSignal) {
-  CachedKernelConvolver conv({1.0}, 2);
-  EXPECT_THROW(conv.convolve({1.0, 2.0, 3.0}), std::invalid_argument);
-  EXPECT_THROW(conv.convolve({}), std::invalid_argument);
-}
-
 TEST(FftPlanCache, ForwardInverseIsIdentityPerCachedSize) {
   for (const std::size_t n : {2u, 4u, 8u, 32u, 256u, 1024u}) {
     const FftPlan& plan = fft_plan(n);
@@ -299,35 +271,6 @@ TEST(RealFft, RejectsBadSizes) {
   EXPECT_THROW(RealFft(12), std::invalid_argument);
 }
 
-TEST(CachedKernelConvolver, ConvolveIntoMatchesAllocatingPath) {
-  Rng rng(23);
-  std::vector<double> kernel(65), signal(33);
-  for (auto& v : kernel) v = rng.uniform(-1.0, 1.0);
-  for (auto& v : signal) v = rng.uniform(-1.0, 1.0);
-  const CachedKernelConvolver conv(kernel, signal.size());
-  auto ws = conv.make_workspace();
-  std::vector<double> out(signal.size() + kernel.size() - 1, -1.0);
-  conv.convolve_into(signal.data(), signal.size(), ws, out.data());
-  const auto ref = conv.convolve(signal);
-  ASSERT_EQ(out.size(), ref.size());
-  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_DOUBLE_EQ(out[i], ref[i]);
-}
-
-TEST(CachedKernelConvolver, WorkspaceIsReusableAcrossCallsAndLengths) {
-  const CachedKernelConvolver conv({0.5, 0.25, 0.25}, 8);
-  auto ws = conv.make_workspace();
-  std::vector<double> out(10);
-  const std::vector<double> s1{1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0};
-  conv.convolve_into(s1.data(), s1.size(), ws, out.data());
-  EXPECT_NEAR(out[0], 0.5, 1e-12);
-  EXPECT_NEAR(out[9], 0.25, 1e-12);
-  const std::vector<double> s2{0.0, 4.0};
-  conv.convolve_into(s2.data(), s2.size(), ws, out.data());
-  EXPECT_NEAR(out[1], 2.0, 1e-12);
-  EXPECT_NEAR(out[2], 1.0, 1e-12);
-  EXPECT_NEAR(out[3], 1.0, 1e-12);
-}
-
 TEST(DualKernelConvolver, MatchesTwoSequentialConvolutions) {
   Rng rng(31);
   const std::size_t m = 48;
@@ -359,8 +302,6 @@ TEST(DualKernelConvolver, PackedPmfPairConservesBothMasses) {
   const auto ka = make_pmf(2 * m + 1), kb = make_pmf(2 * m + 1);
   const auto a = make_pmf(m + 1), b = make_pmf(m + 1);
   const DualKernelConvolver dual(ka, kb, m + 1);
-  EXPECT_NEAR(dual.kernel_mass_a(), 1.0, 1e-12);
-  EXPECT_NEAR(dual.kernel_mass_b(), 1.0, 1e-12);
   auto ws = dual.make_workspace();
   std::vector<double> out_a(3 * m + 1), out_b(3 * m + 1);
   dual.convolve_into(a.data(), b.data(), a.size(), ws, out_a.data(), out_b.data());
@@ -399,22 +340,6 @@ TEST(Convolution, SelfConvolveSpectrumMatchesIterative) {
     for (std::size_t i = 0; i < fast.size(); ++i)
       EXPECT_NEAR(fast[i], iterative[i], 1e-12) << "n " << n << " index " << i;
   }
-}
-
-TEST(CachedKernelConvolver, ProbabilityMassIsConserved) {
-  // Convolving two pmfs must keep total mass at one (the solver relies on it).
-  Rng rng(5);
-  std::vector<double> kernel(201), signal(101);
-  double ks = 0.0, ss = 0.0;
-  for (auto& v : kernel) { v = rng.uniform(); ks += v; }
-  for (auto& v : signal) { v = rng.uniform(); ss += v; }
-  for (auto& v : kernel) v /= ks;
-  for (auto& v : signal) v /= ss;
-  CachedKernelConvolver conv(kernel, signal.size());
-  auto out = conv.convolve(signal);
-  double total = 0.0;
-  for (double v : out) total += v;
-  EXPECT_NEAR(total, 1.0, 1e-12);
 }
 
 }  // namespace

@@ -62,7 +62,6 @@ std::vector<double> random_pmf(std::size_t n, std::uint64_t seed) {
 TEST(FftSimdDispatch, ActiveTableIsCoherent) {
   const simd::FftKernels& k = simd::active_fft_kernels();
   ASSERT_NE(k.radix4_pass, nullptr);
-  ASSERT_NE(k.cmul, nullptr);
   ASSERT_NE(k.name, nullptr);
   EXPECT_STREQ(k.name, simd::active_isa_name());
   const std::string name = k.name;
@@ -96,24 +95,6 @@ TEST(FftSimdDispatch, UnavailableIsaIsRefusedWithoutSideEffects) {
 #endif
   EXPECT_FALSE(simd::set_active_kernels_for_testing(missing));
   EXPECT_STREQ(simd::active_isa_name(), "scalar");
-}
-
-TEST(FftSimdDispatch, CmulMatchesScalarReferenceOnOddCounts) {
-  // Vector cmul kernels carry a scalar tail; exercise every remainder
-  // class around the vector width on the active table.
-  KernelGuard guard;
-  if (!force_vector_kernels()) GTEST_SKIP() << "no vector ISA on this build/CPU";
-  const simd::CmulFn vec = simd::active_fft_kernels().cmul;
-  for (std::size_t count : {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{5},
-                            std::size_t{8}, std::size_t{13}}) {
-    auto a = random_complex(count, 100 + count);
-    const auto b = random_complex(count, 200 + count);
-    auto ref = a;
-    simd::detail::cmul_scalar(ref.data(), b.data(), count);
-    vec(a.data(), b.data(), count);
-    for (std::size_t i = 0; i < count; ++i)
-      EXPECT_NEAR(std::abs(a[i] - ref[i]), 0.0, 1e-14) << "count " << count << " i " << i;
-  }
 }
 
 /// Power-of-two transform sizes 8..16384 (the solver's working range).
@@ -188,21 +169,31 @@ TEST_P(FftSimdParity, RealRoundTripRecoversInputOnBothTables) {
   }
 }
 
-TEST_P(FftSimdParity, CachedConvolutionAgreesAcrossTables) {
-  // The solver-facing surface: a cached-kernel convolution of pmfs must
-  // give the same masses whichever table multiplied the spectra.
+TEST_P(FftSimdParity, DualConvolutionAgreesAcrossTables) {
+  // The solver-facing surface: DualKernelConvolver runs every epoch of
+  // both occupancy chains, so its pmf outputs must agree whichever table
+  // ran the butterflies of the kernel spectra and the packed round-trip.
   const std::size_t bins = GetParam();
   KernelGuard guard;
-  const auto kernel = random_pmf(2 * bins + 1, bins + 7);
-  const auto signal = random_pmf(bins + 1, bins + 11);
+  const auto kernel_a = random_pmf(2 * bins + 1, bins + 7);
+  const auto kernel_b = random_pmf(2 * bins + 1, bins + 13);
+  const auto a = random_pmf(bins + 1, bins + 11);
+  const auto b = random_pmf(bins + 1, bins + 17);
+  const std::size_t out_len = a.size() + kernel_a.size() - 1;
+  const auto convolve_pair = [&] {
+    const DualKernelConvolver dual(kernel_a, kernel_b, a.size());
+    auto ws = dual.make_workspace();
+    std::vector<double> out(2 * out_len);
+    dual.convolve_into(a.data(), b.data(), a.size(), ws, out.data(), out.data() + out_len);
+    return out;
+  };
 
   ASSERT_TRUE(simd::set_active_kernels_for_testing(simd::Isa::kScalar));
-  const auto scalar_out = CachedKernelConvolver(kernel, signal.size()).convolve(signal);
+  const auto scalar_out = convolve_pair();
 
   if (!force_vector_kernels()) GTEST_SKIP() << "no vector ISA on this build/CPU";
-  const auto vector_out = CachedKernelConvolver(kernel, signal.size()).convolve(signal);
+  const auto vector_out = convolve_pair();
 
-  ASSERT_EQ(vector_out.size(), scalar_out.size());
   for (std::size_t i = 0; i < scalar_out.size(); ++i)
     EXPECT_NEAR(vector_out[i], scalar_out[i], 1e-12) << "bins " << bins << " i " << i;
 }

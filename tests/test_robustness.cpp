@@ -130,9 +130,6 @@ TEST(Validation, SolverConfigReportsPreciseField) {
   EXPECT_NE(st.describe().find("initial_bins"), std::string::npos);
 
   c = SolverConfig{};
-  c.mass_tolerance = -1.0;
-  EXPECT_FALSE(c.validate().is_ok());
-  c = SolverConfig{};
   c.target_relative_gap = kNan;
   EXPECT_FALSE(c.validate().is_ok());
   c = SolverConfig{};
