@@ -204,8 +204,9 @@ int main(int argc, char** argv) {
     for (const std::size_t m : {std::size_t{128}, std::size_t{1024}, std::size_t{4096},
                                 std::size_t{16384}}) {
       h.add("fold_step/" + std::to_string(m), {1, 5}, [m](bench::Case& c) {
-        // The solver's per-epoch step (packed dual transform, fold,
-        // health scan, sanitize).
+        // The solver's per-epoch step (packed next_pow2(2M)-point
+        // circular transform, fold with exact atoms, health scan,
+        // sanitize).
         auto solver = figure_solver();
         queueing::DualFoldEngine engine(solver.increment_pmf_lower(m),
                                         solver.increment_pmf_upper(m), m);

@@ -96,34 +96,34 @@ std::vector<double> self_convolve(const std::vector<double>& a, std::size_t n) {
 }
 
 DualKernelConvolver::DualKernelConvolver(std::vector<double> kernel_a,
-                                         std::vector<double> kernel_b,
-                                         std::size_t max_signal_len)
-    : kernel_len_(kernel_a.size()),
-      max_signal_len_(max_signal_len),
-      n_(kernel_a.empty() || max_signal_len == 0
-             ? 2
-             : conv_fft_size(kernel_a.size() + max_signal_len - 1)),
-      plan_(&fft_plan(n_)) {
+                                         std::vector<double> kernel_b, std::size_t n)
+    : n_(n) {
   if (kernel_a.empty() || kernel_b.empty())
     throw std::invalid_argument("DualKernelConvolver: empty kernel");
   if (kernel_a.size() != kernel_b.size())
     throw std::invalid_argument("DualKernelConvolver: kernels must have equal length");
-  if (max_signal_len == 0) throw std::invalid_argument("DualKernelConvolver: max_signal_len == 0");
+  if (n < 2 || !is_pow2(n))
+    throw std::invalid_argument("DualKernelConvolver: n must be a power of two >= 2");
   require_finite(kernel_a, "DualKernelConvolver");
   require_finite(kernel_b, "DualKernelConvolver");
+  plan_ = &fft_plan(n_);
   // Full spectra so convolve_into can index bin n - k without wrapping
-  // logic; built once per convolver, so the cold complex transform is fine.
+  // logic; built once per convolver, so the cold complex transform is
+  // fine. A kernel longer than n wraps mod n (accumulated, since several
+  // taps can land on one point): the wrapped kernel's n-point DFT equals
+  // the full kernel's transform at the n-th roots of unity, which is what
+  // an n-point circular convolution multiplies by.
   spec_a_.assign(n_, std::complex<double>{});
   spec_b_.assign(n_, std::complex<double>{});
-  for (std::size_t i = 0; i < kernel_len_; ++i) spec_a_[i] = kernel_a[i];
-  for (std::size_t i = 0; i < kernel_len_; ++i) spec_b_[i] = kernel_b[i];
+  for (std::size_t i = 0; i < kernel_a.size(); ++i) spec_a_[i % n_] += kernel_a[i];
+  for (std::size_t i = 0; i < kernel_b.size(); ++i) spec_b_[i % n_] += kernel_b[i];
   plan_->forward(spec_a_.data());
   plan_->forward(spec_b_.data());
 }
 
 void DualKernelConvolver::convolve_into(const double* a, const double* b, std::size_t len,
                                         Workspace& ws, double* out_a, double* out_b) const {
-  if (a == nullptr || b == nullptr || len == 0 || len > max_signal_len_)
+  if (a == nullptr || b == nullptr || len == 0 || len > n_)
     throw std::invalid_argument("DualKernelConvolver::convolve_into: bad signal length");
   std::complex<double>* x = ws.freq.data();
   for (std::size_t j = 0; j < len; ++j) x[j] = {a[j], b[j]};
@@ -170,8 +170,7 @@ void DualKernelConvolver::convolve_into(const double* a, const double* b, std::s
   }
   plan_->inverse(x);
   const double inv_n = 1.0 / static_cast<double>(n_);
-  const std::size_t out_len = len + kernel_len_ - 1;
-  for (std::size_t i = 0; i < out_len; ++i) {
+  for (std::size_t i = 0; i < n_; ++i) {
     out_a[i] = x[i].real() * inv_n;
     out_b[i] = x[i].imag() * inv_n;
   }

@@ -1,6 +1,6 @@
 // Linear convolution of real sequences, direct and FFT-based, plus the
-// packed two-kernel convolver the solver runs once per epoch (the inner
-// loop of the queue-occupancy recursion, Eq. 19 of the paper).
+// packed two-kernel circular convolver the solver runs once per epoch
+// (the inner loop of the queue-occupancy recursion, Eq. 19 of the paper).
 //
 // Workspace ownership: DualKernelConvolver::convolve_into never
 // allocates — the caller constructs a Workspace once (per level, per
@@ -32,20 +32,27 @@ std::vector<double> convolve_fft(const std::vector<double>& a, const std::vector
 /// churn. Small outputs fall back to exact repeated direct convolution.
 std::vector<double> self_convolve(const std::vector<double>& a, std::size_t n);
 
-/// Two same-length kernels, two signals, one complex FFT round-trip:
-/// the classic two-for-one trick. The signals ride as the real and
-/// imaginary parts of a single complex transform, the packed spectrum is
-/// split by conjugate symmetry, multiplied bin-wise by the respective
-/// kernel spectra, recombined, and brought back with one inverse — the
-/// per-epoch cost of the solver's paired Q_L / Q_H chains. The kernels
-/// are validated finite and transformed once, at construction; signals
-/// are NOT re-scanned per call — the solver owns guardrails that catch
-/// runtime NaN/Inf.
+/// Two same-length kernels, two signals, one complex FFT round-trip of
+/// a fixed power-of-two size n: the classic two-for-one trick. The
+/// signals ride as the real and imaginary parts of a single complex
+/// transform, the packed spectrum is split by conjugate symmetry,
+/// multiplied bin-wise by the respective kernel spectra, recombined, and
+/// brought back with one inverse — the per-epoch cost of the solver's
+/// paired Q_L / Q_H chains.
+///
+/// The result is the n-point *circular* convolution: output k is the sum
+/// of the linear convolution's entries k, k + n, k + 2n, ... A linear
+/// convolution is the same object with n >= len + kernel length - 1; the
+/// solver instead runs n = next_pow2(2M) and reads only the entries that
+/// no wrap reaches (queueing::DualFoldEngine). The kernels are validated
+/// finite and transformed once, at construction; signals are NOT
+/// re-scanned per call — the solver owns guardrails that catch runtime
+/// NaN/Inf.
 class DualKernelConvolver {
  public:
-  /// Kernels must be non-empty, finite, and the same length.
-  DualKernelConvolver(std::vector<double> kernel_a, std::vector<double> kernel_b,
-                      std::size_t max_signal_len);
+  /// Kernels must be non-empty, finite, and the same length; `n` must be
+  /// a power of two >= 2. A kernel longer than n is wrapped mod n.
+  DualKernelConvolver(std::vector<double> kernel_a, std::vector<double> kernel_b, std::size_t n);
 
   struct Workspace {
     std::vector<std::complex<double>> freq;  ///< one bin per FFT point
@@ -54,18 +61,15 @@ class DualKernelConvolver {
     return Workspace{std::vector<std::complex<double>>(n_)};
   }
 
-  /// out_a = a * kernel_a and out_b = b * kernel_b, both of size
-  /// `len + kernel_size() - 1`, in one FFT round-trip. Zero allocations.
+  /// out_a = a (*) kernel_a and out_b = b (*) kernel_b, the n-point
+  /// circular convolutions, for signals of 1 <= len <= n entries; both
+  /// outputs must hold n entries. One FFT round-trip, zero allocations.
   void convolve_into(const double* a, const double* b, std::size_t len, Workspace& ws,
                      double* out_a, double* out_b) const;
 
-  std::size_t kernel_size() const noexcept { return kernel_len_; }
-
  private:
-  std::size_t kernel_len_;
-  std::size_t max_signal_len_;
   std::size_t n_;
-  const FftPlan* plan_;                         // full complex plan of size n_
+  const FftPlan* plan_ = nullptr;               // full complex plan of size n_
   std::vector<std::complex<double>> spec_a_;    // full n_-bin kernel spectra
   std::vector<std::complex<double>> spec_b_;
 };

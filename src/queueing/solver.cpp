@@ -9,6 +9,7 @@
 
 #include "core/failpoint.hpp"
 #include "numerics/convolution.hpp"
+#include "numerics/fft.hpp"
 #include "numerics/pmf.hpp"
 #include "numerics/special_functions.hpp"
 #include "obs/clock.hpp"
@@ -80,27 +81,49 @@ lrd::Status step_guard(const StepHealth& h, const char* chain) {
 
 }  // namespace
 
+DualFoldEngine::Tails DualFoldEngine::tails(const std::vector<double>& w, std::size_t bins) {
+  if (bins == 0) throw std::invalid_argument("DualFoldEngine: bins must be >= 1");
+  if (w.size() != 2 * bins + 1)
+    throw std::invalid_argument("DualFoldEngine: increment pmfs must have 2 * bins + 1 entries");
+  // Occupancy j plus increment (i - M) lands at or below 0 iff i <= M - j
+  // and at or above B iff i >= 2M - j: a compensated running sum from
+  // each end of w gives both tails for every j.
+  Tails t{std::vector<double>(bins + 1), std::vector<double>(bins + 1)};
+  numerics::CompensatedSum low, high;
+  for (std::size_t j = bins + 1; j-- > 0;) {
+    low.add(w[bins - j]);
+    t.zero[j] = low.value();
+  }
+  for (std::size_t j = 0; j <= bins; ++j) {
+    high.add(w[2 * bins - j]);
+    t.full[j] = high.value();
+  }
+  return t;
+}
+
 DualFoldEngine::DualFoldEngine(std::vector<double> lower_pmf, std::vector<double> upper_pmf,
                                std::size_t bins)
     : bins_(bins),
-      conv_(std::move(lower_pmf), std::move(upper_pmf), bins + 1),
+      low_tails_(tails(lower_pmf, bins)),
+      high_tails_(tails(upper_pmf, bins)),
+      conv_(std::move(lower_pmf), std::move(upper_pmf), numerics::next_pow2(2 * bins)),
       ws_(conv_.make_workspace()),
-      u_low_(conv_.kernel_size() + bins),  // (2M+1) + (M+1) - 1 = 3M + 1
-      u_high_(conv_.kernel_size() + bins),
+      u_low_(ws_.freq.size()),
+      u_high_(ws_.freq.size()),
       next_low_(bins + 1),
-      next_high_(bins + 1) {
-  if (bins == 0) throw std::invalid_argument("DualFoldEngine: bins must be >= 1");
-  if (conv_.kernel_size() != 2 * bins + 1)
-    throw std::invalid_argument("DualFoldEngine: increment pmfs must have 2 * bins + 1 entries");
-}
+      next_high_(bins + 1) {}
 
-void DualFoldEngine::fold(const std::vector<double>& u, std::vector<double>& next) const {
-  // Eq. 20: entry k of u corresponds to occupancy (k - M) d; everything
-  // at or below 0 folds into the empty-buffer atom, everything at or
-  // above B into the full-buffer atom.
+void DualFoldEngine::fold(const std::vector<double>& q, const Tails& t,
+                          const std::vector<double>& u, std::vector<double>& next) const {
+  // Eq. 20: entry k of u corresponds to occupancy (k - M) d. The interior
+  // M + 1 <= k <= 2M - 1 is un-aliased in the circular output; everything
+  // at or below 0 folds into the empty-buffer atom and everything at or
+  // above B into the full-buffer atom, both taken exactly from q.
   numerics::CompensatedSum at_zero, at_buffer;
-  for (std::size_t k = 0; k <= bins_; ++k) at_zero.add(u[k]);              // values <= 0
-  for (std::size_t k = 2 * bins_; k < u.size(); ++k) at_buffer.add(u[k]);  // values >= B
+  for (std::size_t j = 0; j <= bins_; ++j) {
+    at_zero.add(q[j] * t.zero[j]);
+    at_buffer.add(q[j] * t.full[j]);
+  }
   for (std::size_t j = 1; j < bins_; ++j) next[j] = u[bins_ + j];
   next[0] = at_zero.value();
   next[bins_] = at_buffer.value();
@@ -111,8 +134,8 @@ void DualFoldEngine::step(std::vector<double>& q_low, std::vector<double>& q_hig
   if (q_low.size() != bins_ + 1 || q_high.size() != bins_ + 1)
     throw std::invalid_argument("DualFoldEngine::step: occupancy pmfs must have bins + 1 entries");
   conv_.convolve_into(q_low.data(), q_high.data(), bins_ + 1, ws_, u_low_.data(), u_high_.data());
-  fold(u_low_, next_low_);
-  fold(u_high_, next_high_);
+  fold(q_low, low_tails_, u_low_, next_low_);
+  fold(q_high, high_tails_, u_high_, next_high_);
   low_health.merge(numerics::inspect_mass(next_low_));
   high_health.merge(numerics::inspect_mass(next_high_));
   sanitize(next_low_);

@@ -75,11 +75,19 @@ struct StepHealth {
 ///
 /// One data layout at every level: both chains share a single complex
 /// FFT round-trip — q_low and q_high ride as the real and imaginary
-/// parts of one transform (DualKernelConvolver). The step runs on the
-/// calling thread, so brackets do not depend on any thread setting. All
-/// scratch buffers are owned by the engine and sized at construction:
-/// steady-state step() calls perform zero heap allocations. Not
-/// thread-safe: one engine per level per thread.
+/// parts of one transform (DualKernelConvolver). The transform is a
+/// circular convolution on n = next_pow2(2M) points: the linear result
+/// u = q * w lives on [0, 3M], and for M + 1 <= k <= 2M - 1 every alias
+/// k - n, k + n falls outside it, so the fold's interior is read
+/// un-aliased. The two boundary atoms never touch the transform: they
+/// are dot products of the pre-step pmf with per-level tail sums of the
+/// increment pmf, next[0] = sum_j q[j] sum_{i <= M-j} w[i] and
+/// next[M] = sum_j q[j] sum_{i >= 2M-j} w[i].
+///
+/// The step runs on the calling thread, so brackets do not depend on any
+/// thread setting. All scratch buffers are owned by the engine and sized
+/// at construction: steady-state step() calls perform zero heap
+/// allocations. Not thread-safe: one engine per level per thread.
 class DualFoldEngine {
  public:
   /// Increment pmfs w_L / w_H for this level; each must have
@@ -98,12 +106,21 @@ class DualFoldEngine {
             StepHealth& high_health);
 
  private:
-  void fold(const std::vector<double>& u, std::vector<double>& next) const;
+  /// Mass of w on the increments that empty / fill the buffer from each
+  /// occupancy j: zero[j] = sum_{i <= M-j} w[i], full[j] = sum_{i >= 2M-j} w[i].
+  struct Tails {
+    std::vector<double> zero, full;  // M + 1 entries each
+  };
+  static Tails tails(const std::vector<double>& w, std::size_t bins);
+
+  void fold(const std::vector<double>& q, const Tails& t, const std::vector<double>& u,
+            std::vector<double>& next) const;
 
   std::size_t bins_;
+  Tails low_tails_, high_tails_;  // built before conv_ takes the pmfs
   numerics::DualKernelConvolver conv_;
   numerics::DualKernelConvolver::Workspace ws_;
-  std::vector<double> u_low_, u_high_;      // convolution outputs, 3M + 1
+  std::vector<double> u_low_, u_high_;        // circular convolution outputs, n entries
   std::vector<double> next_low_, next_high_;  // folded pmfs, M + 1
 };
 

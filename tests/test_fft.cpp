@@ -272,6 +272,10 @@ TEST(RealFft, RejectsBadSizes) {
 }
 
 TEST(DualKernelConvolver, MatchesTwoSequentialConvolutions) {
+  // Output k of the n-point convolver is the sum of the linear
+  // convolution's entries k, k + n, k + 2n, ...: with n >= len + kernel - 1
+  // that is the linear convolution itself (256), below it the result is
+  // wrapped (128), and at 64 the kernel is longer than n and wraps too.
   Rng rng(31);
   const std::size_t m = 48;
   std::vector<double> ka(2 * m + 1), kb(2 * m + 1), a(m + 1), b(m + 1);
@@ -279,17 +283,26 @@ TEST(DualKernelConvolver, MatchesTwoSequentialConvolutions) {
   for (auto& v : kb) v = rng.uniform(-1.0, 1.0);
   for (auto& v : a) v = rng.uniform(-1.0, 1.0);
   for (auto& v : b) v = rng.uniform(-1.0, 1.0);
-  const DualKernelConvolver dual(ka, kb, a.size());
-  auto ws = dual.make_workspace();
-  std::vector<double> out_a(a.size() + ka.size() - 1), out_b(b.size() + kb.size() - 1);
-  dual.convolve_into(a.data(), b.data(), a.size(), ws, out_a.data(), out_b.data());
-  const auto ref_a = convolve_direct(a, ka);
-  const auto ref_b = convolve_direct(b, kb);
-  for (std::size_t i = 0; i < out_a.size(); ++i) EXPECT_NEAR(out_a[i], ref_a[i], 1e-10) << "a " << i;
-  for (std::size_t i = 0; i < out_b.size(); ++i) EXPECT_NEAR(out_b[i], ref_b[i], 1e-10) << "b " << i;
+  const auto lin_a = convolve_direct(a, ka);
+  const auto lin_b = convolve_direct(b, kb);
+  for (const std::size_t n : {std::size_t{256}, std::size_t{128}, std::size_t{64}}) {
+    std::vector<double> ref_a(n, 0.0), ref_b(n, 0.0);
+    for (std::size_t i = 0; i < lin_a.size(); ++i) ref_a[i % n] += lin_a[i];
+    for (std::size_t i = 0; i < lin_b.size(); ++i) ref_b[i % n] += lin_b[i];
+    const DualKernelConvolver dual(ka, kb, n);
+    auto ws = dual.make_workspace();
+    std::vector<double> out_a(n), out_b(n);
+    dual.convolve_into(a.data(), b.data(), a.size(), ws, out_a.data(), out_b.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_NEAR(out_a[i], ref_a[i], 1e-10) << "n " << n << " a " << i;
+      EXPECT_NEAR(out_b[i], ref_b[i], 1e-10) << "n " << n << " b " << i;
+    }
+  }
 }
 
 TEST(DualKernelConvolver, PackedPmfPairConservesBothMasses) {
+  // At the solver's size (n = 2M, so the output is wrapped) every
+  // output sums to signal mass times kernel mass, like the linear one.
   Rng rng(37);
   const std::size_t m = 64;
   auto make_pmf = [&](std::size_t n) {
@@ -301,9 +314,9 @@ TEST(DualKernelConvolver, PackedPmfPairConservesBothMasses) {
   };
   const auto ka = make_pmf(2 * m + 1), kb = make_pmf(2 * m + 1);
   const auto a = make_pmf(m + 1), b = make_pmf(m + 1);
-  const DualKernelConvolver dual(ka, kb, m + 1);
+  const DualKernelConvolver dual(ka, kb, 2 * m);
   auto ws = dual.make_workspace();
-  std::vector<double> out_a(3 * m + 1), out_b(3 * m + 1);
+  std::vector<double> out_a(2 * m), out_b(2 * m);
   dual.convolve_into(a.data(), b.data(), a.size(), ws, out_a.data(), out_b.data());
   double ta = 0.0, tb = 0.0;
   for (double v : out_a) ta += v;
@@ -317,10 +330,15 @@ TEST(DualKernelConvolver, RejectsBadConfigurations) {
   EXPECT_THROW(DualKernelConvolver({1.0}, {}, 4), std::invalid_argument);
   EXPECT_THROW(DualKernelConvolver({1.0, 2.0}, {1.0}, 4), std::invalid_argument);
   EXPECT_THROW(DualKernelConvolver({1.0}, {1.0}, 0), std::invalid_argument);
+  EXPECT_THROW(DualKernelConvolver({1.0}, {1.0}, 1), std::invalid_argument);
+  EXPECT_THROW(DualKernelConvolver({1.0}, {1.0}, 6), std::invalid_argument);
   const DualKernelConvolver dual({1.0, 1.0}, {1.0, 1.0}, 2);
   auto ws = dual.make_workspace();
   std::vector<double> a{1.0, 2.0, 3.0}, out(4);
+  // A signal longer than n has no n-point circular convolution here.
   EXPECT_THROW(dual.convolve_into(a.data(), a.data(), 3, ws, out.data(), out.data()),
+               std::invalid_argument);
+  EXPECT_THROW(dual.convolve_into(a.data(), a.data(), 0, ws, out.data(), out.data()),
                std::invalid_argument);
 }
 

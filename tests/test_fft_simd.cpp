@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "numerics/convolution.hpp"
+#include "numerics/fft.hpp"
 #include "numerics/fft_plan.hpp"
 #include "numerics/random.hpp"
 #include "numerics/simd.hpp"
@@ -179,12 +180,13 @@ TEST_P(FftSimdParity, DualConvolutionAgreesAcrossTables) {
   const auto kernel_b = random_pmf(2 * bins + 1, bins + 13);
   const auto a = random_pmf(bins + 1, bins + 11);
   const auto b = random_pmf(bins + 1, bins + 17);
-  const std::size_t out_len = a.size() + kernel_a.size() - 1;
+  // The solver's size: a wrapped circular transform, next_pow2(2M) points.
+  const std::size_t n = next_pow2(2 * bins);
   const auto convolve_pair = [&] {
-    const DualKernelConvolver dual(kernel_a, kernel_b, a.size());
+    const DualKernelConvolver dual(kernel_a, kernel_b, n);
     auto ws = dual.make_workspace();
-    std::vector<double> out(2 * out_len);
-    dual.convolve_into(a.data(), b.data(), a.size(), ws, out.data(), out.data() + out_len);
+    std::vector<double> out(2 * n);
+    dual.convolve_into(a.data(), b.data(), a.size(), ws, out.data(), out.data() + n);
     return out;
   };
 

@@ -453,14 +453,19 @@ void expect_matches_direct_baseline(std::size_t bins) {
 
 TEST(SolverFoldEngine, MatchesSequentialPerChainBaseline) {
   // The packed dual-chain step must reproduce two independent per-chain
-  // direct steps, epoch by epoch.
-  expect_matches_direct_baseline(96);
+  // direct steps, epoch by epoch. The engine's circular transform wraps
+  // differently per size: 1 and 2 bins run at n = 2M, where kernel entry
+  // 2M wraps onto 0 and the un-aliased interior is empty or one entry;
+  // 3 and 96 run at n > 2M.
+  for (const std::size_t bins : {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{96}})
+    expect_matches_direct_baseline(bins);
 }
 
 TEST(SolverFoldEngine, SplitModeMatchesSequentialBaseline) {
   // Level sizes that once ran the two chains as separate transforms
   // (split mode, 1024 bins and above) take the packed layout; it must
-  // match the per-chain direct step there too.
+  // match the per-chain direct step there too. 1024 is a power-of-two
+  // level, so the transform runs at n = 2M.
   expect_matches_direct_baseline(1024);
 }
 
