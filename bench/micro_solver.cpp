@@ -7,6 +7,8 @@
 //     convergence telemetry (iteration count, mass drift, occupancy gap)
 //     so lrdq_bench_check can flag convergence regressions, not just
 //     wall-time ones;
+//   * the two layers of a solve: one level's build (increment pmfs,
+//     overflow kernel, engine construction) and the per-epoch fold step;
 //   * supporting paths: trace-driven queue simulation, fGn generation.
 //
 // Results print to stdout and append to BENCH_history.jsonl
@@ -23,6 +25,7 @@
 #include "harness.hpp"
 #include "numerics/convolution.hpp"
 #include "numerics/fft_plan.hpp"
+#include "numerics/grid.hpp"
 #include "numerics/random.hpp"
 #include "numerics/simd.hpp"
 #include "queueing/solver.hpp"
@@ -200,6 +203,23 @@ int main(int argc, char** argv) {
         rfft.inverse(spec.data(), out.data());
       });
     });
+
+    for (const std::size_t m : {std::size_t{128}, std::size_t{4096}}) {
+      h.add("level_build/" + std::to_string(m), {1, 5}, [m](bench::Case& c) {
+        // One level's build as perfbench's layer replay defines it: the
+        // public increment pmfs, the M + 1 overflow-kernel points and the
+        // fold engine's constructor.
+        auto solver = figure_solver();
+        const numerics::Grid grid(solver.buffer(), m);
+        std::vector<double> kernel(m + 1);
+        const std::size_t iters = std::max<std::size_t>(1, 1024 / m);
+        c.measure_ns_per_iter(iters, [&](std::size_t) {
+          queueing::DualFoldEngine engine(solver.increment_pmf_lower(m),
+                                          solver.increment_pmf_upper(m), m);
+          for (std::size_t j = 0; j <= m; ++j) kernel[j] = solver.overflow_kernel(grid.value(j));
+        });
+      });
+    }
 
     for (const std::size_t m : {std::size_t{128}, std::size_t{1024}, std::size_t{4096},
                                 std::size_t{16384}}) {

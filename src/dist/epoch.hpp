@@ -11,7 +11,10 @@
 // atom at T_c):
 //   ccdf_open(t)   = Pr{T >  t}   (right-continuous ccdf)
 //   ccdf_closed(t) = Pr{T >= t}   (left limit; differs at atoms)
-// Both are 1 for t <= 0 since epochs are strictly positive.
+// Both are 1 for t <= 0 since epochs are strictly positive. ccdf_both
+// returns the pair from one evaluation: the queue solver needs both at
+// every grid point of a level (the open one for w_H, the closed one for
+// w_L), and away from an atom they are the same number.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +40,14 @@ class EpochDistribution {
 
   /// Pr{T >= t}.
   virtual double ccdf_closed(double t) const = 0;
+
+  /// Both of the above at one t; each result equals the single call bit
+  /// for bit. The default makes the two calls; a distribution whose two
+  /// ccdfs share their expensive part overrides it to compute that once.
+  virtual void ccdf_both(double t, double& open, double& closed) const {
+    open = ccdf_open(t);
+    closed = ccdf_closed(t);
+  }
 
   /// Excess mean E[(T - u)^+] = integral_u^inf Pr{T > t} dt, u >= 0.
   /// This single functional yields both the autocovariance of the fluid

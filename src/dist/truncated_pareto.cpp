@@ -30,6 +30,7 @@ TruncatedPareto::TruncatedPareto(double theta, double alpha, double cutoff)
   // (the mean would diverge and the loss functional is undefined).
   if (!(alpha > 1.0) || !std::isfinite(alpha)) bad_param("alpha > 1 (paper: 1 < alpha < 2)", "alpha", alpha);
   if (!(cutoff > 0.0)) bad_param("cutoff is > 0 (possibly +inf)", "cutoff", cutoff);
+  if (!std::isinf(cutoff_)) excess_tail_ = std::pow((cutoff_ + theta_) / theta_, 1.0 - alpha_);
 }
 
 double TruncatedPareto::atom_mass() const noexcept {
@@ -49,12 +50,22 @@ double TruncatedPareto::ccdf_closed(double t) const {
   return std::pow((t + theta_) / theta_, -alpha_);
 }
 
+void TruncatedPareto::ccdf_both(double t, double& open, double& closed) const {
+  if (t <= 0.0) {
+    open = closed = 1.0;
+  } else if (t > cutoff_) {
+    open = closed = 0.0;
+  } else {
+    closed = std::pow((t + theta_) / theta_, -alpha_);
+    open = t >= cutoff_ ? 0.0 : closed;
+  }
+}
+
 double TruncatedPareto::excess_mean(double u) const {
   if (u < 0.0) u = 0.0;
   if (u >= cutoff_) return 0.0;
   const double head = std::pow((u + theta_) / theta_, 1.0 - alpha_);
-  const double tail = std::isinf(cutoff_) ? 0.0 : std::pow((cutoff_ + theta_) / theta_, 1.0 - alpha_);
-  return theta_ / (alpha_ - 1.0) * (head - tail);
+  return theta_ / (alpha_ - 1.0) * (head - excess_tail_);
 }
 
 double TruncatedPareto::mean() const { return excess_mean(0.0); }

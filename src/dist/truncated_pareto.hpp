@@ -33,6 +33,9 @@ class TruncatedPareto final : public EpochDistribution {
   double variance() const override;
   double ccdf_open(double t) const override;
   double ccdf_closed(double t) const override;
+  /// One pow(): the two ccdfs differ only at t == T_c (open 0, closed the
+  /// atom mass).
+  void ccdf_both(double t, double& open, double& closed) const override;
   double excess_mean(double u) const override;
   double max_support() const override { return cutoff_; }
   double sample(numerics::Rng& rng) const override;
@@ -55,6 +58,9 @@ class TruncatedPareto final : public EpochDistribution {
   double theta_;
   double alpha_;
   double cutoff_;
+  /// ((T_c + theta)/theta)^(1 - alpha), the cutoff term of excess_mean
+  /// (0 when T_c is infinite); computed once, at construction.
+  double excess_tail_ = 0.0;
 };
 
 }  // namespace lrd::dist

@@ -122,9 +122,12 @@ DualKernelConvolver::DualKernelConvolver(std::vector<double> kernel_a,
 }
 
 void DualKernelConvolver::convolve_into(const double* a, const double* b, std::size_t len,
-                                        Workspace& ws, double* out_a, double* out_b) const {
+                                        Workspace& ws, std::size_t first, std::size_t count,
+                                        double* out_a, double* out_b) const {
   if (a == nullptr || b == nullptr || len == 0 || len > n_)
     throw std::invalid_argument("DualKernelConvolver::convolve_into: bad signal length");
+  if (first > n_ || count > n_ - first)
+    throw std::invalid_argument("DualKernelConvolver::convolve_into: window outside the n outputs");
   std::complex<double>* x = ws.freq.data();
   for (std::size_t j = 0; j < len; ++j) x[j] = {a[j], b[j]};
   for (std::size_t j = len; j < n_; ++j) x[j] = {0.0, 0.0};
@@ -170,9 +173,10 @@ void DualKernelConvolver::convolve_into(const double* a, const double* b, std::s
   }
   plan_->inverse(x);
   const double inv_n = 1.0 / static_cast<double>(n_);
-  for (std::size_t i = 0; i < n_; ++i) {
-    out_a[i] = x[i].real() * inv_n;
-    out_b[i] = x[i].imag() * inv_n;
+  const std::complex<double>* y = x + first;
+  for (std::size_t i = 0; i < count; ++i) {
+    out_a[i] = y[i].real() * inv_n;
+    out_b[i] = y[i].imag() * inv_n;
   }
 }
 

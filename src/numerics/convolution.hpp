@@ -6,8 +6,11 @@
 // allocates — the caller constructs a Workspace once (per level, per
 // thread) and threads it through every call. Workspaces are cheap,
 // movable, and tied to the convolver's FFT size; sharing one across
-// threads is not allowed. The allocating functions (`convolve_direct`,
-// `convolve_fft`, `self_convolve`) serve cold callers and tests.
+// threads is not allowed. The outputs are a window of the caller's
+// choosing, written straight into the caller's buffers, so a caller that
+// reads only part of the result needs no n-entry output buffer. The
+// allocating functions (`convolve_direct`, `convolve_fft`,
+// `self_convolve`) serve cold callers and tests.
 #pragma once
 
 #include <complex>
@@ -43,11 +46,11 @@ std::vector<double> self_convolve(const std::vector<double>& a, std::size_t n);
 /// The result is the n-point *circular* convolution: output k is the sum
 /// of the linear convolution's entries k, k + n, k + 2n, ... A linear
 /// convolution is the same object with n >= len + kernel length - 1; the
-/// solver instead runs n = next_pow2(2M) and reads only the entries that
-/// no wrap reaches (queueing::DualFoldEngine). The kernels are validated
-/// finite and transformed once, at construction; signals are NOT
-/// re-scanned per call — the solver owns guardrails that catch runtime
-/// NaN/Inf.
+/// solver instead runs n = next_pow2(2M) and asks for only the window
+/// of entries that no wrap reaches (queueing::DualFoldEngine). The
+/// kernels are validated finite and transformed once, at construction;
+/// signals are NOT re-scanned per call — the solver owns guardrails that
+/// catch runtime NaN/Inf.
 class DualKernelConvolver {
  public:
   /// Kernels must be non-empty, finite, and the same length; `n` must be
@@ -61,11 +64,13 @@ class DualKernelConvolver {
     return Workspace{std::vector<std::complex<double>>(n_)};
   }
 
-  /// out_a = a (*) kernel_a and out_b = b (*) kernel_b, the n-point
-  /// circular convolutions, for signals of 1 <= len <= n entries; both
-  /// outputs must hold n entries. One FFT round-trip, zero allocations.
+  /// The window [first, first + count) of a (*) kernel_a and b (*)
+  /// kernel_b, the n-point circular convolutions, for signals of
+  /// 1 <= len <= n entries: out_a[i] and out_b[i] receive entry first + i,
+  /// and nothing else is written (first + count <= n; count may be 0). One
+  /// FFT round-trip, zero allocations.
   void convolve_into(const double* a, const double* b, std::size_t len, Workspace& ws,
-                     double* out_a, double* out_b) const;
+                     std::size_t first, std::size_t count, double* out_a, double* out_b) const;
 
  private:
   std::size_t n_;

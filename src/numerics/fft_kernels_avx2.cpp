@@ -1,3 +1,4 @@
+// Include only numerics/simd.hpp: an inline helper emitted with -mavx2 -mfma can be all TUs' copy.
 // AVX2+FMA kernel table. This is the only TU compiled with
 // -mavx2 -mfma (see src/CMakeLists.txt); the dispatcher in simd.cpp
 // checks the avx2/fma CPUID bits before publishing this table, so no

@@ -1,3 +1,4 @@
+// Include only numerics/simd.hpp: an inline helper emitted from a vector TU can be every TU's copy.
 // NEON kernel table for aarch64, where Advanced SIMD is baseline — no
 // special compile flags and no CPUID check needed. A 128-bit register
 // holds one complex double, so the win over scalar comes from the

@@ -43,6 +43,21 @@ double pmf_mean(const std::vector<double>& q, double step) {
   return acc.value();
 }
 
+/// Eq. 21 / 22 as differences of an increment ccdf sampled at 2M
+/// consecutive grid points s[0..2M-1]: bin 0 lumps the mass below s[0]'s
+/// point, bin 2M the mass at or beyond s[2M-1]'s. w_L takes Pr{W >= i d}
+/// at i = -M+1..M, w_H takes Pr{W > i d} at i = -M..M-1; either way each
+/// point is evaluated once and serves the two bins that share it as an
+/// edge.
+std::vector<double> pmf_from_ccdf(const double* s, std::size_t bins) {
+  std::vector<double> w(2 * bins + 1);
+  w[0] = 1.0 - s[0];
+  for (std::size_t k = 1; k < 2 * bins; ++k) w[k] = s[k - 1] - s[k];
+  w[2 * bins] = s[2 * bins - 1];
+  for (double& p : w) p = std::max(p, 0.0);
+  return w;
+}
+
 /// Clamp FFT round-off and renormalize to total mass one.
 void sanitize(std::vector<double>& q) {
   double total = 0.0;
@@ -108,23 +123,16 @@ DualFoldEngine::DualFoldEngine(std::vector<double> lower_pmf, std::vector<double
       high_tails_(tails(upper_pmf, bins)),
       conv_(std::move(lower_pmf), std::move(upper_pmf), numerics::next_pow2(2 * bins)),
       ws_(conv_.make_workspace()),
-      u_low_(ws_.freq.size()),
-      u_high_(ws_.freq.size()),
       next_low_(bins + 1),
       next_high_(bins + 1) {}
 
-void DualFoldEngine::fold(const std::vector<double>& q, const Tails& t,
-                          const std::vector<double>& u, std::vector<double>& next) const {
-  // Eq. 20: entry k of u corresponds to occupancy (k - M) d. The interior
-  // M + 1 <= k <= 2M - 1 is un-aliased in the circular output; everything
-  // at or below 0 folds into the empty-buffer atom and everything at or
-  // above B into the full-buffer atom, both taken exactly from q.
+void DualFoldEngine::fold_atoms(const std::vector<double>& q, const Tails& t,
+                                std::vector<double>& next) const {
   numerics::CompensatedSum at_zero, at_buffer;
   for (std::size_t j = 0; j <= bins_; ++j) {
     at_zero.add(q[j] * t.zero[j]);
     at_buffer.add(q[j] * t.full[j]);
   }
-  for (std::size_t j = 1; j < bins_; ++j) next[j] = u[bins_ + j];
   next[0] = at_zero.value();
   next[bins_] = at_buffer.value();
 }
@@ -133,9 +141,15 @@ void DualFoldEngine::step(std::vector<double>& q_low, std::vector<double>& q_hig
                           StepHealth& low_health, StepHealth& high_health) {
   if (q_low.size() != bins_ + 1 || q_high.size() != bins_ + 1)
     throw std::invalid_argument("DualFoldEngine::step: occupancy pmfs must have bins + 1 entries");
-  conv_.convolve_into(q_low.data(), q_high.data(), bins_ + 1, ws_, u_low_.data(), u_high_.data());
-  fold(q_low, low_tails_, u_low_, next_low_);
-  fold(q_high, high_tails_, u_high_, next_high_);
+  // Eq. 20: entry k of the circular output is occupancy (k - M) d. Its
+  // un-aliased interior M + 1 <= k <= 2M - 1 is next[1..M-1], written in
+  // place; everything at or below 0 folds into the empty-buffer atom and
+  // everything at or above B into the full-buffer atom, both taken
+  // exactly from q.
+  conv_.convolve_into(q_low.data(), q_high.data(), bins_ + 1, ws_, bins_ + 1, bins_ - 1,
+                      next_low_.data() + 1, next_high_.data() + 1);
+  fold_atoms(q_low, low_tails_, next_low_);
+  fold_atoms(q_high, high_tails_, next_high_);
   low_health.merge(numerics::inspect_mass(next_low_));
   high_health.merge(numerics::inspect_mass(next_high_));
   sanitize(next_low_);
@@ -179,12 +193,6 @@ const char* solver_stop_name(SolverStop stop) noexcept {
   return "unknown";
 }
 
-struct FluidQueueSolver::Level {
-  numerics::Grid grid;
-  DualFoldEngine engine;       // batched Q_L / Q_H epoch step
-  std::vector<double> kernel;  // E[W_l | Q = j d] for j = 0..M
-};
-
 FluidQueueSolver::FluidQueueSolver(dist::Marginal marginal, dist::EpochPtr epochs,
                                    double service_rate, double buffer)
     : marginal_(std::move(marginal)),
@@ -203,35 +211,40 @@ FluidQueueSolver::FluidQueueSolver(dist::Marginal marginal, dist::EpochPtr epoch
     throw bad("buffer is finite and > 0", "buffer = " + format_g(buffer));
 }
 
-double FluidQueueSolver::increment_ccdf_open(double w) const {
+template <FluidQueueSolver::Sides sides>
+FluidQueueSolver::IncrementCcdf FluidQueueSolver::increment_ccdf(double w) const {
+  // W = T (lambda - c), summed over the rates in marginal order: a rate
+  // above c gives Pr{T > t} / Pr{T >= t} at t = w / (lambda - c), a rate
+  // below c gives 1 - Pr{T >= t} / 1 - Pr{T > t}, and a rate equal to c
+  // adds a step at w = 0. Only the epoch ccdfs the wanted sides read are
+  // evaluated.
+  constexpr bool want_open = sides != Sides::kClosed;
+  constexpr bool want_closed = sides != Sides::kOpen;
   const auto& rates = marginal_.rates();
   const auto& probs = marginal_.probs();
-  double s = 0.0;
+  IncrementCcdf s;
   for (std::size_t i = 0; i < rates.size(); ++i) {
     const double dr = rates[i] - service_rate_;
-    if (dr > 0.0) {
-      s += probs[i] * epochs_->ccdf_open(w / dr);
-    } else if (dr < 0.0) {
-      s += probs[i] * (1.0 - epochs_->ccdf_closed(w / dr));
-    } else if (w < 0.0) {
-      s += probs[i];
+    if (dr == 0.0) {
+      if (want_open && w < 0.0) s.open += probs[i];
+      if (want_closed && w <= 0.0) s.closed += probs[i];
+      continue;
     }
-  }
-  return s;
-}
-
-double FluidQueueSolver::increment_ccdf_closed(double w) const {
-  const auto& rates = marginal_.rates();
-  const auto& probs = marginal_.probs();
-  double s = 0.0;
-  for (std::size_t i = 0; i < rates.size(); ++i) {
-    const double dr = rates[i] - service_rate_;
+    const double t = w / dr;
+    double t_open = 0.0, t_closed = 0.0;  // Pr{T > t}, Pr{T >= t}
+    if constexpr (sides == Sides::kBoth) {
+      epochs_->ccdf_both(t, t_open, t_closed);
+    } else if ((sides == Sides::kOpen) == (dr > 0.0)) {
+      t_open = epochs_->ccdf_open(t);
+    } else {
+      t_closed = epochs_->ccdf_closed(t);
+    }
     if (dr > 0.0) {
-      s += probs[i] * epochs_->ccdf_closed(w / dr);
-    } else if (dr < 0.0) {
-      s += probs[i] * (1.0 - epochs_->ccdf_open(w / dr));
-    } else if (w <= 0.0) {
-      s += probs[i];
+      if (want_open) s.open += probs[i] * t_open;
+      if (want_closed) s.closed += probs[i] * t_closed;
+    } else {
+      if (want_open) s.open += probs[i] * (1.0 - t_closed);
+      if (want_closed) s.closed += probs[i] * (1.0 - t_open);
     }
   }
   return s;
@@ -242,16 +255,11 @@ std::vector<double> FluidQueueSolver::increment_pmf_lower(std::size_t bins) cons
   const numerics::Grid grid(buffer_, bins);
   const double d = grid.step();
   const auto m = static_cast<double>(bins);
-  std::vector<double> w(2 * bins + 1);
   // Eq. 21: i = -M lumps everything below (-M+1)d; i = M lumps [Md, inf).
-  w[0] = 1.0 - increment_ccdf_closed((-m + 1.0) * d);
-  for (std::size_t k = 1; k < 2 * bins; ++k) {
-    const double i = static_cast<double>(k) - m;
-    w[k] = increment_ccdf_closed(i * d) - increment_ccdf_closed((i + 1.0) * d);
-  }
-  w[2 * bins] = increment_ccdf_closed(m * d);
-  for (double& p : w) p = std::max(p, 0.0);
-  return w;
+  std::vector<double> closed(2 * bins);  // Pr{W >= i d}, i = -M+1..M
+  for (std::size_t j = 0; j < 2 * bins; ++j)
+    closed[j] = increment_ccdf<Sides::kClosed>((static_cast<double>(j + 1) - m) * d).closed;
+  return pmf_from_ccdf(closed.data(), bins);
 }
 
 std::vector<double> FluidQueueSolver::increment_pmf_upper(std::size_t bins) const {
@@ -259,16 +267,11 @@ std::vector<double> FluidQueueSolver::increment_pmf_upper(std::size_t bins) cons
   const numerics::Grid grid(buffer_, bins);
   const double d = grid.step();
   const auto m = static_cast<double>(bins);
-  std::vector<double> w(2 * bins + 1);
   // Eq. 22: i = -M lumps (-inf, -Md]; i = M lumps ((M-1)d, inf).
-  w[0] = 1.0 - increment_ccdf_open(-m * d);
-  for (std::size_t k = 1; k < 2 * bins; ++k) {
-    const double i = static_cast<double>(k) - m;
-    w[k] = increment_ccdf_open((i - 1.0) * d) - increment_ccdf_open(i * d);
-  }
-  w[2 * bins] = increment_ccdf_open((m - 1.0) * d);
-  for (double& p : w) p = std::max(p, 0.0);
-  return w;
+  std::vector<double> open(2 * bins);  // Pr{W > i d}, i = -M..M-1
+  for (std::size_t j = 0; j < 2 * bins; ++j)
+    open[j] = increment_ccdf<Sides::kOpen>((static_cast<double>(j) - m) * d).open;
+  return pmf_from_ccdf(open.data(), bins);
 }
 
 double FluidQueueSolver::overflow_kernel(double x) const {
@@ -276,8 +279,32 @@ double FluidQueueSolver::overflow_kernel(double x) const {
                                        std::min(x, buffer_));
 }
 
-FluidQueueSolver::Level FluidQueueSolver::build_level(std::size_t bins) const {
-  return build_level_with(bins, increment_pmf_lower(bins), increment_pmf_upper(bins));
+FluidQueueSolver::Level FluidQueueSolver::build_level(std::size_t bins, const Level* coarse) const {
+  const numerics::Grid grid(buffer_, bins);
+  const double d = grid.step();
+  const auto m = static_cast<double>(bins);
+  // Refinement carry-over: with d = 2 d' exactly, fine point 2j d' is
+  // coarse point j d bit for bit, so every even fine entry is a coarse
+  // entry and only the odd ones are evaluated.
+  const bool carry = coarse != nullptr && !coarse->ccdf_open.empty() &&
+                     2 * coarse->grid.bins() == bins && 2.0 * d == coarse->grid.step();
+  std::vector<double> open(2 * bins + 1), closed(2 * bins + 1);
+  for (std::size_t k = 0; k <= 2 * bins; ++k) {
+    if (carry && k % 2 == 0) {
+      open[k] = coarse->ccdf_open[k / 2];
+      closed[k] = coarse->ccdf_closed[k / 2];
+    } else {
+      const IncrementCcdf s = increment_ccdf<Sides::kBoth>((static_cast<double>(k) - m) * d);
+      open[k] = s.open;
+      closed[k] = s.closed;
+    }
+  }
+  std::vector<double> kernel(bins + 1);
+  for (std::size_t j = 0; j <= bins; ++j)
+    kernel[j] = carry && j % 2 == 0 ? coarse->kernel[j / 2] : overflow_kernel(grid.value(j));
+  DualFoldEngine engine(pmf_from_ccdf(closed.data() + 1, bins), pmf_from_ccdf(open.data(), bins),
+                        bins);
+  return Level{grid, std::move(engine), std::move(kernel), std::move(open), std::move(closed)};
 }
 
 FluidQueueSolver::Level FluidQueueSolver::build_level_with(std::size_t bins,
@@ -287,7 +314,7 @@ FluidQueueSolver::Level FluidQueueSolver::build_level_with(std::size_t bins,
   std::vector<double> kernel(bins + 1);
   for (std::size_t j = 0; j <= bins; ++j) kernel[j] = overflow_kernel(grid.value(j));
   return Level{grid, DualFoldEngine(std::move(lower_pmf), std::move(upper_pmf), bins),
-               std::move(kernel)};
+               std::move(kernel), {}, {}};
 }
 
 double FluidQueueSolver::loss_from_pmf(const std::vector<double>& q,
@@ -348,7 +375,7 @@ SolverResult FluidQueueSolver::solve_impl(const SolverConfig& cfg,
   // least one sample carrying this query's id (no-op when the
   // profiler is off — one relaxed load).
   obs::profiler::sample_now();
-  Level level = make_level(bins);
+  Level level = make_level(bins, nullptr);
   result.levels = 1;
 
   std::vector<double> q_low = dirac(bins + 1, 0);
@@ -549,7 +576,8 @@ SolverResult FluidQueueSolver::solve_impl(const SolverConfig& cfg,
         qh[2 * j] = q_high[j];
       }
       bins = fine;
-      level = make_level(bins);
+      // The fine level is built from the coarse one before it replaces it.
+      level = make_level(bins, &level);
       q_low = std::move(ql);
       q_high = std::move(qh);
       ++result.levels;
@@ -609,7 +637,9 @@ SolverResult FluidQueueSolver::solve_impl(const SolverConfig& cfg,
 }
 
 SolverResult FluidQueueSolver::solve(const SolverConfig& cfg) const {
-  return solve_impl(cfg, [this](std::size_t bins) { return build_level(bins); });
+  return solve_impl(cfg, [this](std::size_t bins, const Level* coarse) {
+    return build_level(bins, coarse);
+  });
 }
 
 SolverResult FluidQueueSolver::solve_with_increments(const SolverConfig& cfg,
@@ -623,10 +653,10 @@ SolverResult FluidQueueSolver::solve_with_increments(const SolverConfig& cfg,
         "override increment pmfs have 2 * initial_bins + 1 entries",
         "got " + std::to_string(lower_pmf.size()) + " / " + std::to_string(upper_pmf.size()) +
             " entries, want " + std::to_string(want)));
-  return solve_impl(cfg, [&](std::size_t bins) {
+  return solve_impl(cfg, [&](std::size_t bins, const Level* coarse) {
     if (bins == cfg.initial_bins)
       return build_level_with(bins, lower_pmf, upper_pmf);
-    return build_level(bins);
+    return build_level(bins, coarse);
   });
 }
 

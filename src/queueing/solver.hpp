@@ -13,6 +13,12 @@
 // solver iterates until the bracket is tight, doubling M (and re-seeding
 // the fine recursion from the coarse distributions, footnote 3) whenever
 // convergence stalls.
+//
+// Level build: each level samples the increment ccdfs Pr{W > i d} and
+// Pr{W >= i d} once per grid point i = -M..M (one EpochDistribution::
+// ccdf_both per rate), takes both increment pmfs as differences of those
+// two tables, and keeps the tables so the refinement to 2M reuses them at
+// its even grid points, which are the coarse points bit for bit.
 #pragma once
 
 #include <algorithm>
@@ -84,10 +90,12 @@ struct StepHealth {
 /// increment pmf, next[0] = sum_j q[j] sum_{i <= M-j} w[i] and
 /// next[M] = sum_j q[j] sum_{i >= 2M-j} w[i].
 ///
-/// The step runs on the calling thread, so brackets do not depend on any
-/// thread setting. All scratch buffers are owned by the engine and sized
-/// at construction: steady-state step() calls perform zero heap
-/// allocations. Not thread-safe: one engine per level per thread.
+/// The convolver writes that interior straight into the next-state pmf,
+/// so the engine holds no n-entry output buffer. The step runs on the
+/// calling thread, so brackets do not depend on any thread setting. All
+/// scratch buffers are owned by the engine and sized at construction:
+/// steady-state step() calls perform zero heap allocations. Not
+/// thread-safe: one engine per level per thread.
 class DualFoldEngine {
  public:
   /// Increment pmfs w_L / w_H for this level; each must have
@@ -113,14 +121,13 @@ class DualFoldEngine {
   };
   static Tails tails(const std::vector<double>& w, std::size_t bins);
 
-  void fold(const std::vector<double>& q, const Tails& t, const std::vector<double>& u,
-            std::vector<double>& next) const;
+  /// Eq. 20's boundary atoms next[0] and next[M], taken exactly from q.
+  void fold_atoms(const std::vector<double>& q, const Tails& t, std::vector<double>& next) const;
 
   std::size_t bins_;
   Tails low_tails_, high_tails_;  // built before conv_ takes the pmfs
   numerics::DualKernelConvolver conv_;
   numerics::DualKernelConvolver::Workspace ws_;
-  std::vector<double> u_low_, u_high_;        // circular convolution outputs, n entries
   std::vector<double> next_low_, next_high_;  // folded pmfs, M + 1
 };
 
@@ -283,18 +290,41 @@ class FluidQueueSolver {
   double service_rate_;
   double buffer_;
 
-  struct Level;
-  Level build_level(std::size_t bins) const;
+  /// One discretization level: its grid, fold engine and overflow kernel,
+  /// and the increment ccdf tables its pmfs were built from, kept for the
+  /// next refinement to read. A level built from injected pmfs has none.
+  struct Level {
+    numerics::Grid grid;
+    DualFoldEngine engine;       // batched Q_L / Q_H epoch step
+    std::vector<double> kernel;  // E[W_l | Q = j d] for j = 0..M
+    // Pr{W > i d} / Pr{W >= i d} for i = -M..M (index i + M), or empty.
+    std::vector<double> ccdf_open, ccdf_closed;
+  };
+  /// The level at `bins`. When `coarse` is the level at bins / 2 and has
+  /// tables, its tables and kernel fill the even entries (fine point 2j
+  /// is coarse point j bit for bit) and only the odd ones are evaluated;
+  /// the result equals a fresh build bit for bit.
+  Level build_level(std::size_t bins, const Level* coarse = nullptr) const;
   Level build_level_with(std::size_t bins, std::vector<double> lower_pmf,
                          std::vector<double> upper_pmf) const;
   template <typename MakeLevel>
   SolverResult solve_impl(const SolverConfig& cfg, const MakeLevel& make_level) const;
 
-  /// Pr{W >= w} (closed) / Pr{W > w} (open) of the per-epoch increment.
-  double increment_ccdf_closed(double w) const;
-  double increment_ccdf_open(double w) const;
+  /// Pr{W > w} (open) and Pr{W >= w} (closed) of the per-epoch increment.
+  struct IncrementCcdf {
+    double open = 0.0;
+    double closed = 0.0;
+  };
+  /// Which of the two increment ccdfs a call computes; the other stays 0.
+  /// A one-sided call makes one epoch-ccdf call per rate, kBoth one
+  /// ccdf_both per rate.
+  enum class Sides { kOpen, kClosed, kBoth };
+  template <Sides sides>
+  IncrementCcdf increment_ccdf(double w) const;
 
   double loss_from_pmf(const std::vector<double>& q, const std::vector<double>& kernel) const;
+
+  friend struct LevelBuildProbe;  // tests: carried levels against fresh builds
 };
 
 }  // namespace lrd::queueing

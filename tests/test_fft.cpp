@@ -292,7 +292,7 @@ TEST(DualKernelConvolver, MatchesTwoSequentialConvolutions) {
     const DualKernelConvolver dual(ka, kb, n);
     auto ws = dual.make_workspace();
     std::vector<double> out_a(n), out_b(n);
-    dual.convolve_into(a.data(), b.data(), a.size(), ws, out_a.data(), out_b.data());
+    dual.convolve_into(a.data(), b.data(), a.size(), ws, 0, n, out_a.data(), out_b.data());
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_NEAR(out_a[i], ref_a[i], 1e-10) << "n " << n << " a " << i;
       EXPECT_NEAR(out_b[i], ref_b[i], 1e-10) << "n " << n << " b " << i;
@@ -317,7 +317,7 @@ TEST(DualKernelConvolver, PackedPmfPairConservesBothMasses) {
   const DualKernelConvolver dual(ka, kb, 2 * m);
   auto ws = dual.make_workspace();
   std::vector<double> out_a(2 * m), out_b(2 * m);
-  dual.convolve_into(a.data(), b.data(), a.size(), ws, out_a.data(), out_b.data());
+  dual.convolve_into(a.data(), b.data(), a.size(), ws, 0, 2 * m, out_a.data(), out_b.data());
   double ta = 0.0, tb = 0.0;
   for (double v : out_a) ta += v;
   for (double v : out_b) tb += v;
@@ -336,9 +336,14 @@ TEST(DualKernelConvolver, RejectsBadConfigurations) {
   auto ws = dual.make_workspace();
   std::vector<double> a{1.0, 2.0, 3.0}, out(4);
   // A signal longer than n has no n-point circular convolution here.
-  EXPECT_THROW(dual.convolve_into(a.data(), a.data(), 3, ws, out.data(), out.data()),
+  EXPECT_THROW(dual.convolve_into(a.data(), a.data(), 3, ws, 0, 2, out.data(), out.data()),
                std::invalid_argument);
-  EXPECT_THROW(dual.convolve_into(a.data(), a.data(), 0, ws, out.data(), out.data()),
+  EXPECT_THROW(dual.convolve_into(a.data(), a.data(), 0, ws, 0, 2, out.data(), out.data()),
+               std::invalid_argument);
+  // The output window must lie inside the n circular outputs.
+  EXPECT_THROW(dual.convolve_into(a.data(), a.data(), 2, ws, 1, 2, out.data(), out.data()),
+               std::invalid_argument);
+  EXPECT_THROW(dual.convolve_into(a.data(), a.data(), 2, ws, 3, 0, out.data(), out.data()),
                std::invalid_argument);
 }
 

@@ -186,7 +186,7 @@ TEST_P(FftSimdParity, DualConvolutionAgreesAcrossTables) {
     const DualKernelConvolver dual(kernel_a, kernel_b, n);
     auto ws = dual.make_workspace();
     std::vector<double> out(2 * n);
-    dual.convolve_into(a.data(), b.data(), a.size(), ws, out.data(), out.data() + n);
+    dual.convolve_into(a.data(), b.data(), a.size(), ws, 0, n, out.data(), out.data() + n);
     return out;
   };
 

@@ -1,6 +1,7 @@
 // Tests of the bounded queue solver: exact cases, Proposition II.1
-// monotonicity, increment-pmf structure, agreement with Monte Carlo, and
-// the zero-allocation guarantee of the batched epoch engine.
+// monotonicity, increment-pmf structure, agreement with Monte Carlo, the
+// exactness of the fused and carried level build, and the zero-allocation
+// guarantee of the batched epoch engine.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,9 +11,12 @@
 #include <new>
 #include <numeric>
 
+#include "core/model.hpp"
+#include "core/traces.hpp"
 #include "dist/simple_epochs.hpp"
 #include "dist/truncated_pareto.hpp"
 #include "numerics/convolution.hpp"
+#include "numerics/grid.hpp"
 #include "numerics/parallel.hpp"
 #include "numerics/special_functions.hpp"
 #include "queueing/fluid_queue_sim.hpp"
@@ -57,6 +61,19 @@ void* counted_alloc(std::size_t size) noexcept {
 [[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+
+namespace lrd::queueing {
+
+// Test seam, a friend of FluidQueueSolver: its private level builder, so a
+// level carried across a refinement can be compared with a fresh build.
+struct LevelBuildProbe {
+  using Level = FluidQueueSolver::Level;
+  static Level build(const FluidQueueSolver& s, std::size_t bins, const Level* coarse) {
+    return s.build_level(bins, coarse);
+  }
+};
+
+}  // namespace lrd::queueing
 
 namespace {
 
@@ -461,11 +478,10 @@ TEST(SolverFoldEngine, MatchesSequentialPerChainBaseline) {
     expect_matches_direct_baseline(bins);
 }
 
-TEST(SolverFoldEngine, SplitModeMatchesSequentialBaseline) {
-  // Level sizes that once ran the two chains as separate transforms
-  // (split mode, 1024 bins and above) take the packed layout; it must
-  // match the per-chain direct step there too. 1024 is a power-of-two
-  // level, so the transform runs at n = 2M.
+TEST(SolverFoldEngine, PackedLayoutMatchesSequentialBaselineAt1024) {
+  // A large power-of-two level: the transform runs at n = 2M and the
+  // interior is written straight into the next-state pmf. The packed
+  // dual-chain step must match the per-chain direct step there too.
   expect_matches_direct_baseline(1024);
 }
 
@@ -517,9 +533,9 @@ std::size_t steady_state_step_allocations(std::size_t bins) {
   return g_alloc_count.load(std::memory_order_relaxed) - before;
 }
 
-TEST(SolverFoldEngine, SplitModeSingleThreadStepIsAllocationFree) {
-  // Level sizes that once ran split mode run the packed layout on the
-  // caller thread through preallocated workspaces: the zero-allocation
+TEST(SolverFoldEngine, PackedLayoutStepIsAllocationFreeAt2048) {
+  // A large level runs on the caller thread through the workspace and
+  // next-state buffers sized at construction: the zero-allocation
   // guarantee holds there as well.
   EXPECT_EQ(steady_state_step_allocations(2048), 0u) << "steady-state epoch loop allocated";
 }
@@ -529,6 +545,138 @@ TEST(SolverFoldEngine, SteadyStateStepIsAllocationFree) {
   // engine and its workspaces exist (and the FFT plans are cached), the
   // epoch loop must not touch the heap at all.
   EXPECT_EQ(steady_state_step_allocations(128), 0u) << "steady-state epoch loop allocated";
+}
+
+// A marginal with one rate equal to c (the zero-increment step at w = 0)
+// and a cutoff on a grid edge: with B = 1 and M a power of two, w = +-0.5
+// is the grid point i = +-M/2, and the rates 4 and 0 (c = 2) map it to
+// t = T_c = 0.25 exactly, so the open and closed tables differ there.
+FluidQueueSolver atom_on_edge_solver() {
+  return FluidQueueSolver(Marginal({0.0, 2.0, 4.0}, {0.4, 0.4, 0.2}), pareto(0.05, 1.4, 0.25), 2.0,
+                          1.0);
+}
+
+FluidQueueSolver mtv_solver(double buffer, double cutoff) {
+  const core::TraceModel mtv = core::mtv_model();
+  core::ModelConfig mc;
+  mc.hurst = mtv.hurst;
+  mc.mean_epoch = mtv.mean_epoch;
+  mc.utilization = mtv.utilization;
+  mc.normalized_buffer = buffer;
+  mc.cutoff = cutoff;
+  return core::FluidModel(mtv.marginal, mc).solver();
+}
+
+/// Eq. 21 / 22 from a level's ccdf tables (index i + M): w_L takes
+/// differences of Pr{W >= i d}, w_H of Pr{W > i d}.
+std::vector<double> pmf_from_table(const std::vector<double>& ccdf, std::size_t bins, bool lower) {
+  std::vector<double> w(2 * bins + 1);
+  const std::size_t off = lower ? 1 : 0;  // w_L starts at i = -M + 1
+  w[0] = 1.0 - ccdf[off];
+  for (std::size_t k = 1; k < 2 * bins; ++k) w[k] = ccdf[off + k - 1] - ccdf[off + k];
+  w[2 * bins] = ccdf[off + 2 * bins - 1];
+  for (double& p : w) p = std::max(p, 0.0);
+  return w;
+}
+
+TEST(SolverLevelBuild, IterateFixedMatchesPublicSingleSidedBuild) {
+  // iterate_fixed builds its level the solver's way: one ccdf_both per
+  // grid point and rate, both pmfs from one pair of tables. An engine
+  // built from the public single-sided pmfs, with the kernel taken from
+  // overflow_kernel(j d), must produce the same bits.
+  const FluidQueueSolver five(Marginal({2.0, 6.0, 10.0, 14.0, 18.0}, {0.1, 0.2, 0.4, 0.2, 0.1}),
+                              pareto(0.015, 1.3, 10.0), 12.5, 6.25);
+  const FluidQueueSolver atom = atom_on_edge_solver();
+  for (const FluidQueueSolver* s : {&five, &atom}) {
+    for (const std::size_t bins : {std::size_t{1}, std::size_t{8}, std::size_t{128}}) {
+      constexpr std::size_t kSteps = 40;
+      const auto snap = s->iterate_fixed(bins, kSteps);
+
+      queueing::DualFoldEngine engine(s->increment_pmf_lower(bins), s->increment_pmf_upper(bins),
+                                      bins);
+      std::vector<double> q_low(bins + 1, 0.0), q_high(bins + 1, 0.0);
+      q_low[0] = 1.0;
+      q_high[bins] = 1.0;
+      queueing::StepHealth low_health, high_health;
+      for (std::size_t n = 0; n < kSteps; ++n) engine.step(q_low, q_high, low_health, high_health);
+      const numerics::Grid grid(s->buffer(), bins);
+      numerics::CompensatedSum lower, upper;
+      for (std::size_t j = 0; j <= bins; ++j) {
+        const double kernel = s->overflow_kernel(grid.value(j));
+        lower.add(q_low[j] * kernel);
+        upper.add(q_high[j] * kernel);
+      }
+      const double work = queueing::expected_work_per_epoch(s->marginal(), s->epochs());
+
+      EXPECT_EQ(snap.q_lower, q_low) << "bins " << bins;
+      EXPECT_EQ(snap.q_upper, q_high) << "bins " << bins;
+      EXPECT_EQ(snap.loss.lower, lower.value() / work) << "bins " << bins;
+      EXPECT_EQ(snap.loss.upper, upper.value() / work) << "bins " << bins;
+    }
+  }
+}
+
+// Replays the levels a solve() reached, building each fine level from the
+// coarse one as solve() does, and requires every carried level to equal a
+// fresh build at its M: ccdf tables, kernel, pmfs and fold steps.
+void expect_carried_levels_match_fresh(const FluidQueueSolver& s, const SolverConfig& cfg,
+                                       std::size_t min_levels) {
+  const auto r = s.solve(cfg);
+  ASSERT_GE(r.levels, min_levels);
+  ASSERT_EQ(r.final_bins, cfg.initial_bins << (r.levels - 1));
+  using Probe = queueing::LevelBuildProbe;
+  Probe::Level level = Probe::build(s, cfg.initial_bins, nullptr);
+  for (std::size_t bins = 2 * cfg.initial_bins; bins <= r.final_bins; bins *= 2) {
+    Probe::Level carried = Probe::build(s, bins, &level);
+    Probe::Level fresh = Probe::build(s, bins, nullptr);
+    ASSERT_EQ(carried.ccdf_open.size(), 2 * bins + 1);
+    EXPECT_EQ(carried.ccdf_open, fresh.ccdf_open) << "bins " << bins;
+    EXPECT_EQ(carried.ccdf_closed, fresh.ccdf_closed) << "bins " << bins;
+    EXPECT_EQ(carried.kernel, fresh.kernel) << "bins " << bins;
+    EXPECT_EQ(pmf_from_table(carried.ccdf_closed, bins, true), s.increment_pmf_lower(bins))
+        << "bins " << bins;
+    EXPECT_EQ(pmf_from_table(carried.ccdf_open, bins, false), s.increment_pmf_upper(bins))
+        << "bins " << bins;
+    std::vector<double> cl(bins + 1, 0.0), ch(bins + 1, 0.0);
+    cl[0] = 1.0;
+    ch[bins] = 1.0;
+    std::vector<double> fl = cl, fh = ch;
+    queueing::StepHealth a, b, c, d;
+    for (int n = 0; n < 8; ++n) {
+      carried.engine.step(cl, ch, a, b);
+      fresh.engine.step(fl, fh, c, d);
+    }
+    EXPECT_EQ(cl, fl) << "bins " << bins;
+    EXPECT_EQ(ch, fh) << "bins " << bins;
+    level = std::move(carried);
+  }
+}
+
+TEST(SolverLevelBuild, CarriedLevelsEqualFreshBuildsOnMtv) {
+  // Fig. 4's MTV model at b 5, T_c 1 refines through every level to the
+  // 4096-bin budget.
+  SolverConfig cfg;
+  cfg.max_bins = 1 << 12;
+  expect_carried_levels_match_fresh(mtv_solver(5.0, 1.0), cfg, 4);
+}
+
+TEST(SolverLevelBuild, CarriedLevelsEqualFreshBuildsWithAtomOnGridEdge) {
+  const FluidQueueSolver s = atom_on_edge_solver();
+  // The atom branch of ccdf_both is reached: at i = M/2 (t = T_c for the
+  // rate above c) Pr{W >= i d} keeps the atom's mass and Pr{W > i d}
+  // does not.
+  const std::size_t bins = 16;
+  const auto level = queueing::LevelBuildProbe::build(s, bins, nullptr);
+  const auto* epochs = dynamic_cast<const dist::TruncatedPareto*>(&s.epochs());
+  ASSERT_NE(epochs, nullptr);
+  EXPECT_EQ(level.ccdf_closed[bins + bins / 2] - level.ccdf_open[bins + bins / 2],
+            0.2 * epochs->atom_mass());
+
+  SolverConfig cfg;
+  cfg.initial_bins = 8;
+  cfg.target_relative_gap = 1e-3;
+  cfg.max_bins = 1024;
+  expect_carried_levels_match_fresh(s, cfg, 3);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 
+#include "dist/simple_epochs.hpp"
 #include "dist/truncated_pareto.hpp"
 #include "numerics/random.hpp"
 #include "test_helpers.hpp"
@@ -42,6 +43,47 @@ TEST(TruncatedPareto, AtomAtCutoff) {
   EXPECT_NEAR(d.ccdf_closed(100.0), atom, 1e-15);
   EXPECT_DOUBLE_EQ(d.ccdf_open(100.0), 0.0);
   EXPECT_DOUBLE_EQ(d.ccdf_closed(100.0 + 1e-9), 0.0);
+}
+
+TEST(TruncatedPareto, CcdfBothMatchesOpenAndClosed) {
+  // The solver builds both increment pmfs from one ccdf_both call per
+  // grid point and rate, so each half must equal its single call bit for
+  // bit: below 0, inside (0, T_c), exactly at the atom, past T_c, and
+  // with no cutoff at all.
+  const TruncatedPareto d(2.0, 1.4, 100.0);
+  const TruncatedPareto untruncated(2.0, 1.4, kInf);
+  for (const TruncatedPareto* dist : {&d, &untruncated}) {
+    for (const double t : {-3.0, 0.0, 0.25, 18.0, 100.0, 100.5, 1e9, kInf}) {
+      double open = -1.0, closed = -1.0;
+      dist->ccdf_both(t, open, closed);
+      EXPECT_EQ(open, dist->ccdf_open(t)) << "t " << t << " cutoff " << dist->cutoff();
+      EXPECT_EQ(closed, dist->ccdf_closed(t)) << "t " << t << " cutoff " << dist->cutoff();
+    }
+  }
+  double open = -1.0, closed = -1.0;
+  d.ccdf_both(100.0, open, closed);
+  EXPECT_EQ(open, 0.0);
+  EXPECT_EQ(closed, d.atom_mass());
+
+  // The base-class default, at and beside a deterministic epoch's atom.
+  const lrd::dist::DeterministicEpoch det(1.5);
+  for (const double t : {1.0, 1.5, 2.0}) {
+    det.ccdf_both(t, open, closed);
+    EXPECT_EQ(open, det.ccdf_open(t)) << "t " << t;
+    EXPECT_EQ(closed, det.ccdf_closed(t)) << "t " << t;
+  }
+
+  // excess_mean's cutoff term is computed once, at construction; the
+  // result equals the closed form with that term evaluated inline.
+  // (The parameters come from the accessors so that the compiler cannot
+  // fold the reference pow() calls at build time.)
+  const double theta = d.theta(), alpha = d.alpha(), cutoff = d.cutoff();
+  for (const double u : {0.0, 0.5, 18.0, 99.0}) {
+    const double head = std::pow((u + theta) / theta, 1.0 - alpha);
+    const double tail = std::pow((cutoff + theta) / theta, 1.0 - alpha);
+    EXPECT_EQ(d.excess_mean(u), theta / (alpha - 1.0) * (head - tail)) << "u " << u;
+    EXPECT_EQ(untruncated.excess_mean(u), theta / (alpha - 1.0) * (head - 0.0)) << "u " << u;
+  }
 }
 
 TEST(TruncatedPareto, NoAtomWhenUntruncated) {
