@@ -47,10 +47,6 @@ std::vector<double> autocorrelation(const std::vector<double>& x, std::size_t ma
   return gamma;
 }
 
-std::vector<double> autocovariance(const traffic::RateTrace& trace, std::size_t max_lag) {
-  return autocovariance(trace.rates(), max_lag);
-}
-
 std::vector<double> autocorrelation(const traffic::RateTrace& trace, std::size_t max_lag) {
   return autocorrelation(trace.rates(), max_lag);
 }

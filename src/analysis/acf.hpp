@@ -17,8 +17,7 @@ std::vector<double> autocovariance(const std::vector<double>& x, std::size_t max
 /// Sample autocorrelation rho_hat(k) = gamma_hat(k) / gamma_hat(0).
 std::vector<double> autocorrelation(const std::vector<double>& x, std::size_t max_lag);
 
-/// Convenience overloads on rate traces.
-std::vector<double> autocovariance(const traffic::RateTrace& trace, std::size_t max_lag);
+/// Convenience overload on rate traces.
 std::vector<double> autocorrelation(const traffic::RateTrace& trace, std::size_t max_lag);
 
 }  // namespace lrd::analysis

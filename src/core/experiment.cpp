@@ -17,6 +17,7 @@
 #include "obs/bundle.hpp"
 #include "obs/clock.hpp"
 #include "obs/eventlog.hpp"
+#include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
@@ -72,6 +73,8 @@ CellOutcome solve_cell(const dist::Marginal& marginal, const ModelConfig& mc,
            out.retries < opts.max_cell_retries && cell_cfg.max_bins > cell_cfg.initial_bins) {
       ++out.retries;
       cell_cfg.max_bins = std::max(cell_cfg.initial_bins, cell_cfg.max_bins / 2);
+      obs::flight::record(obs::flight::EventKind::kRetry, "sweep", out.retries,
+                          cell_cfg.max_bins);
       result = FluidModel(marginal, mc).solve(cell_cfg);
     }
     out.deadline_exceeded = result.stop == queueing::SolverStop::kDeadlineExceeded;
@@ -244,7 +247,7 @@ void run_sweep_cells(
           if constexpr (obs::kObsEnabled) {
             auto& reg = obs::Registry::global();
             static obs::Counter& cells = reg.counter("lrd_sweep_cells_total",
-                                                     "Sweep cells computed (not cached/resumed)");
+                                                     "Sweep cells computed (excludes cache hits)");
             static obs::Histogram& cell_hist =
                 reg.histogram("lrd_sweep_cell_seconds", "Wall time per computed sweep cell");
             cells.inc();

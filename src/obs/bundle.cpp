@@ -103,6 +103,10 @@ bool write_manifest(const char* dir, const char* reason, int sig, bool with_cach
   if (sig >= 0) m.str(", \"signal\": ").u64(static_cast<std::uint64_t>(sig));
   m.str(", \"pid\": ").u64(static_cast<std::uint64_t>(::getpid()));
   m.str(", \"timestamp_unix\": ").u64(static_cast<std::uint64_t>(::time(nullptr)));
+  // Nonzero means the flight or profile tail is incomplete: a thread
+  // refused a flight registration records nothing, ever.
+  m.str(", \"flight_dropped\": ").u64(flight::dropped());
+  m.str(", \"profiler_dropped\": ").u64(profiler::dropped());
   m.str(", \"files\": [\"bundle.json\", \"flight.jsonl\", "
         "\"profile.jsonl\", \"build.json\", \"config.json\"");
   if (sig < 0) {

@@ -41,11 +41,6 @@ QueryId current_query_id() noexcept {
   return t_query_id;
 }
 
-void set_current_query_id(QueryId id) noexcept {
-  if constexpr (!kObsEnabled) { (void)id; return; }
-  t_query_id = id;
-}
-
 QueryScope::QueryScope(QueryId id) noexcept : id_(id) {
   if constexpr (!kObsEnabled) return;
   previous_ = t_query_id;

@@ -44,10 +44,6 @@ QueryId mint_query_id() noexcept;
 /// async-signal-safe, callable from the SIGPROF sampler.
 QueryId current_query_id() noexcept;
 
-/// Sets the calling thread's active id directly. Prefer QueryScope;
-/// this exists for hand-rolled scoping in tests and worker loops.
-void set_current_query_id(QueryId id) noexcept;
-
 /// RAII scope: installs `id` as the thread's active query id and
 /// restores the previous one on destruction, so nested scopes (a serve
 /// worker running a solver that would mint its own) compose.

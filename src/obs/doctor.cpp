@@ -98,6 +98,8 @@ std::string event_detail(const FE& e) {
     return fmt("%llu iterations, %llu bins, %.3fms", (unsigned long long)e.a,
                (unsigned long long)e.b, e.x);
   if (e.kind == "deadline_exceeded") return fmt("deadline %.0fms (%s)", e.x, e.tag.c_str());
+  if (e.kind == "retry")
+    return fmt("attempt %llu, max_bins %llu", (unsigned long long)e.a, (unsigned long long)e.b);
   if (e.kind == "cache_hit") return fmt("key %llu (%s)", (unsigned long long)e.a, e.b != 0 ? "disk" : "memory");
   if (e.kind == "cache_miss" || e.kind == "cache_store" || e.kind == "cache_evict")
     return fmt("key %llu", (unsigned long long)e.a);
@@ -111,6 +113,7 @@ struct BundleSummary {
   bool crash = false;
   long long signal = -1;
   unsigned long long pid = 0, timestamp = 0;
+  unsigned long long flight_dropped = 0, profiler_dropped = 0;
   std::vector<FE> events;  // ts-sorted
   std::size_t malformed = 0;
   std::size_t threads = 0;
@@ -206,6 +209,9 @@ std::string render_bundle_text(const BundleSummary& s, const Options& opt) {
              s.span_ms);
   if (s.malformed != 0) out += fmt(" (%zu malformed lines skipped)", s.malformed);
   out += "\n";
+  if (s.flight_dropped != 0 || s.profiler_dropped != 0)
+    out += fmt("dropped: %llu flight events, %llu profiler samples (the tails are incomplete)\n",
+               s.flight_dropped, s.profiler_dropped);
 
   out += fmt("\n== incidents (%zu) ==\n", s.incidents.size());
   if (s.incidents.empty()) out += "  none recorded\n";
@@ -279,6 +285,8 @@ std::string render_bundle_json(const BundleSummary& s, const Options& opt) {
   out += ", \"pid\": " + std::to_string(s.pid);
   out += ", \"events\": " + std::to_string(s.events.size());
   out += ", \"threads\": " + std::to_string(s.threads);
+  out += ", \"flight_dropped\": " + std::to_string(s.flight_dropped);
+  out += ", \"profiler_dropped\": " + std::to_string(s.profiler_dropped);
   out += ", \"git\": " + json::escape(s.git) + " }";
 
   out += ",\n  \"incidents\": [";
@@ -441,6 +449,8 @@ lrd::Expected<std::string> triage_bundle(const std::string& dir, const Options& 
     s.signal = static_cast<long long>(sig->as_number(-1.0));
   s.pid = static_cast<unsigned long long>(m.number_at("pid"));
   s.timestamp = static_cast<unsigned long long>(m.number_at("timestamp_unix"));
+  s.flight_dropped = static_cast<unsigned long long>(m.number_at("flight_dropped"));
+  s.profiler_dropped = static_cast<unsigned long long>(m.number_at("profiler_dropped"));
 
   if (auto build = json::parse_file(dir + "/build.json"); build && build.value().is_object()) {
     s.git = build.value().string_at("git", "unknown");

@@ -56,7 +56,7 @@ enum class EventKind : std::uint16_t {
   kSolveLevel,         ///< solver refinement level started (a = level, b = bins).
   kSolveFinish,        ///< solve returned (a = iterations, b = bins, x = wall ms).
   kDeadlineExceeded,   ///< a solve gave up on its deadline (x = deadline ms).
-  kRetry,              ///< sweep cell retried at coarser bins (a = attempt).
+  kRetry,              ///< sweep cell retried at coarser bins (a = attempt, b = max bins).
   kFailpoint,          ///< an armed failpoint fired (tag = site, a = mode).
   kDump,               ///< a diagnostics bundle dump started (tag = reason).
   kCrashSignal,        ///< fatal signal caught (a = signal number).

@@ -180,11 +180,6 @@ void Server::request_stop() {
   request_drain();
 }
 
-bool Server::draining() const noexcept {
-  std::lock_guard<std::mutex> lock(mu_);
-  return draining_;
-}
-
 std::uint64_t Server::queries_seen() const noexcept { return seen_.load(); }
 std::uint64_t Server::queries_shed() const noexcept { return shed_.load(); }
 

@@ -78,10 +78,6 @@ class Server {
   /// request_drain()/request_stop(), e.g. from a signal handler flag).
   void wait();
 
-  /// True once drain/stop has been requested (exposed for the daemon's
-  /// signal loop).
-  bool draining() const noexcept;
-
   std::uint64_t queries_seen() const noexcept;
   std::uint64_t queries_shed() const noexcept;
 
@@ -110,7 +106,7 @@ class Server {
   /// poll loop wakes immediately instead of at the next timeout.
   int wake_fds_[2] = {-1, -1};
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable queue_cv_;
   std::deque<Task> queue_;
   std::size_t in_flight_ = 0;

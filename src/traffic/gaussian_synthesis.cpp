@@ -39,25 +39,4 @@ std::vector<double> sample_gaussian_from_acf(const std::vector<double>& acov, st
   return x;
 }
 
-std::vector<double> farima_autocovariance(double d, std::size_t lags) {
-  if (!(d > -0.5 && d < 0.5))
-    throw std::invalid_argument("farima_autocovariance: need |d| < 1/2");
-  if (lags == 0) throw std::invalid_argument("farima_autocovariance: need >= 1 lag");
-  std::vector<double> g(lags);
-  g[0] = std::tgamma(1.0 - 2.0 * d) / std::pow(std::tgamma(1.0 - d), 2.0);
-  for (std::size_t k = 1; k < lags; ++k) {
-    const double kd = static_cast<double>(k);
-    g[k] = g[k - 1] * (kd - 1.0 + d) / (kd - d);
-  }
-  return g;
-}
-
-std::vector<double> generate_farima(std::size_t n, double d, numerics::Rng& rng) {
-  auto g = farima_autocovariance(d, n);
-  const double scale = 1.0 / std::sqrt(g[0]);
-  auto x = sample_gaussian_from_acf(g, n, rng);
-  for (double& v : x) v *= scale;
-  return x;
-}
-
 }  // namespace lrd::traffic

@@ -1,8 +1,7 @@
 // Exact synthesis of stationary Gaussian processes from their
-// autocovariance (Durbin-Levinson innovations), plus the FARIMA(0,d,0)
-// autocovariance — a second exact LRD generator that cross-validates the
-// circulant-embedding fGn path and extends the library to the fractional
-// ARIMA family used throughout the self-similar-traffic literature.
+// autocovariance (Durbin-Levinson innovations): an O(n^2) reference
+// that shares no code with the circulant-embedding fGn generator, so
+// the two can check each other.
 #pragma once
 
 #include <cstddef>
@@ -20,14 +19,5 @@ namespace lrd::traffic {
 /// negative).
 std::vector<double> sample_gaussian_from_acf(const std::vector<double>& acov, std::size_t n,
                                              numerics::Rng& rng);
-
-/// Autocovariance of FARIMA(0, d, 0) with unit innovation variance,
-/// |d| < 1/2:  gamma(0) = Gamma(1-2d) / Gamma(1-d)^2,
-/// gamma(k) = gamma(k-1) (k-1+d)/(k-d). The process is LRD for d > 0 with
-/// Hurst parameter H = d + 1/2.
-std::vector<double> farima_autocovariance(double d, std::size_t lags);
-
-/// Convenience: n samples of FARIMA(0, d, 0), normalized to unit variance.
-std::vector<double> generate_farima(std::size_t n, double d, numerics::Rng& rng);
 
 }  // namespace lrd::traffic

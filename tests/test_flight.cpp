@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <set>
 #include <sstream>
 #include <string>
@@ -327,6 +328,66 @@ TEST(BundleDump, IncidentDumpsAreRateLimited) {
   EXPECT_FALSE(obs::bundle::dump_incident("deadline_exceeded").empty());
   EXPECT_TRUE(obs::bundle::dump_incident("deadline_exceeded").empty());
   obs::bundle::reset_for_tests();
+}
+
+// A thread refused a flight registration records nothing, ever; the
+// bundle says so instead of looking complete.
+TEST(BundleDump, ManifestAndTriageCountFlightEventsOfRefusedThreads) {
+  SKIP_IF_OBS_DISABLED();
+  TempDir tmp("lrd-bundle-dropped");
+  obs::flight::reset();
+  obs::bundle::Config cfg;
+  cfg.dir = tmp.path.string();
+  cfg.tool = "lrd_tests";
+  cfg.install_crash_handler = false;
+  obs::bundle::configure(cfg);
+  obs::doctor::Options jopt;
+  jopt.json = true;
+  // flight_dropped of a manifest or report object; -1 when either count is missing.
+  auto flight_dropped = [](const obs::json::Value* v) {
+    if (v == nullptr || v->find("profiler_dropped") == nullptr) return -1.0;
+    return v->number_at("flight_dropped", -1.0);
+  };
+  auto bundle_dropped = [&](const std::string& dir) {
+    auto manifest = obs::json::parse_file(dir + "/bundle.json");
+    return manifest ? flight_dropped(&manifest.value()) : -1.0;
+  };
+  auto triage_dropped = [&](const std::string& dir) {
+    auto parsed = obs::json::parse(obs::doctor::triage_bundle(dir, jopt).value());
+    return parsed ? flight_dropped(parsed.value().find("bundle")) : -1.0;
+  };
+
+  const std::string normal = obs::bundle::dump("normal");
+  ASSERT_FALSE(normal.empty());
+  EXPECT_EQ(bundle_dropped(normal), 0.0);
+  EXPECT_EQ(triage_dropped(normal), 0.0);
+  EXPECT_EQ(obs::doctor::triage_bundle(normal).value().find("dropped:"), std::string::npos);
+
+  // Hold every registration, then record from one more thread.
+  std::latch registered(obs::flight::kMaxThreads);
+  std::latch release(1);
+  std::vector<std::thread> holders;
+  for (std::size_t i = 0; i < obs::flight::kMaxThreads; ++i)
+    holders.emplace_back([&] {
+      obs::flight::this_thread();
+      registered.count_down();
+      release.wait();
+    });
+  registered.wait();
+  std::thread([] { obs::flight::record(obs::flight::EventKind::kQueryStarted, "refused"); })
+      .join();
+  release.count_down();
+  for (std::thread& t : holders) t.join();
+  EXPECT_GE(obs::flight::dropped(), 1u);
+
+  const std::string lossy = obs::bundle::dump("lossy");
+  ASSERT_FALSE(lossy.empty());
+  EXPECT_GE(bundle_dropped(lossy), 1.0);
+  EXPECT_GE(triage_dropped(lossy), 1.0);
+  EXPECT_NE(obs::doctor::triage_bundle(lossy).value().find("dropped:"), std::string::npos);
+
+  obs::bundle::reset_for_tests();
+  obs::flight::reset();
 }
 
 TEST(BundleDump, UnconfiguredDumperReturnsEmpty) {

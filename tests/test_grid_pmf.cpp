@@ -1,9 +1,9 @@
+// Tests for the uniform grid and its floor/ceiling quantizers (Eq. 15).
+// Mass-health inspection (numerics/pmf.hpp) is checked through the
+// solver's guardrail tests in test_robustness.cpp.
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "numerics/grid.hpp"
-#include "numerics/pmf.hpp"
 
 namespace {
 
@@ -68,101 +68,6 @@ TEST(Grid, FinerFloorIsWeaklyLarger) {
     EXPECT_LE(coarse.floor_quantize(x), fine.floor_quantize(x) + 1e-15);
     EXPECT_GE(coarse.ceil_quantize(x), fine.ceil_quantize(x) - 1e-15);
   }
-}
-
-TEST(Pmf, ConstructionValidation) {
-  EXPECT_THROW(Pmf(0.0, 1.0, {}), std::invalid_argument);
-  EXPECT_THROW(Pmf(0.0, 0.0, {1.0}), std::invalid_argument);
-  EXPECT_THROW(Pmf(0.0, 1.0, {-0.5}), std::invalid_argument);
-}
-
-TEST(Pmf, MomentsOfFairCoin) {
-  Pmf p(0.0, 1.0, {0.5, 0.5});
-  EXPECT_DOUBLE_EQ(p.total_mass(), 1.0);
-  EXPECT_DOUBLE_EQ(p.mean(), 0.5);
-  EXPECT_DOUBLE_EQ(p.variance(), 0.25);
-}
-
-TEST(Pmf, OriginShiftsMean) {
-  Pmf p(10.0, 2.0, {0.25, 0.5, 0.25});
-  EXPECT_DOUBLE_EQ(p.mean(), 12.0);
-  EXPECT_DOUBLE_EQ(p.variance(), 2.0);
-}
-
-TEST(Pmf, NormalizeRescales) {
-  Pmf p(0.0, 1.0, {2.0, 2.0});
-  p.normalize();
-  EXPECT_DOUBLE_EQ(p.probs()[0], 0.5);
-  EXPECT_NEAR(p.total_mass(), 1.0, 1e-15);
-}
-
-TEST(Pmf, CdfAndQuantile) {
-  Pmf p(0.0, 1.0, {0.2, 0.3, 0.5});
-  EXPECT_NEAR(p.cdf(-0.5), 0.0, 1e-15);
-  EXPECT_NEAR(p.cdf(0.0), 0.2, 1e-15);
-  EXPECT_NEAR(p.cdf(1.0), 0.5, 1e-15);
-  EXPECT_NEAR(p.cdf(5.0), 1.0, 1e-15);
-  EXPECT_DOUBLE_EQ(p.quantile(0.2), 0.0);
-  EXPECT_DOUBLE_EQ(p.quantile(0.5), 1.0);
-  EXPECT_DOUBLE_EQ(p.quantile(1.0), 2.0);
-  EXPECT_THROW(p.quantile(0.0), std::domain_error);
-}
-
-TEST(Pmf, ConvolutionOfTwoDiceIsTriangular) {
-  Pmf die(1.0, 1.0, std::vector<double>(6, 1.0 / 6.0));
-  Pmf sum = convolve(die, die);
-  EXPECT_DOUBLE_EQ(sum.origin(), 2.0);
-  EXPECT_EQ(sum.size(), 11u);
-  EXPECT_NEAR(sum.probs()[5], 6.0 / 36.0, 1e-12);  // Pr{sum = 7}
-  EXPECT_NEAR(sum.total_mass(), 1.0, 1e-12);
-  EXPECT_NEAR(sum.mean(), 7.0, 1e-12);
-}
-
-TEST(Pmf, ConvolveMismatchedStepsThrows) {
-  Pmf a(0.0, 1.0, {1.0});
-  Pmf b(0.0, 2.0, {1.0});
-  EXPECT_THROW(convolve(a, b), std::invalid_argument);
-}
-
-TEST(Pmf, SelfConvolveMatchesRepeatedConvolve) {
-  Pmf p(0.0, 0.5, {0.3, 0.7});
-  Pmf three = p.self_convolve(3);
-  Pmf manual = convolve(convolve(p, p), p);
-  ASSERT_EQ(three.size(), manual.size());
-  for (std::size_t k = 0; k < three.size(); ++k)
-    EXPECT_NEAR(three.probs()[k], manual.probs()[k], 1e-12);
-  EXPECT_NEAR(three.mean(), 3.0 * p.mean(), 1e-12);
-  EXPECT_NEAR(three.variance(), 3.0 * p.variance(), 1e-12);
-}
-
-TEST(Pmf, AffinePositiveScale) {
-  Pmf p(1.0, 1.0, {0.5, 0.5});
-  Pmf q = p.affine(2.0, 3.0);  // values {5, 7}
-  EXPECT_DOUBLE_EQ(q.mean(), 2.0 * p.mean() + 3.0);
-  EXPECT_DOUBLE_EQ(q.variance(), 4.0 * p.variance());
-}
-
-TEST(Pmf, AffineNegativeScaleReversesSupport) {
-  Pmf p(0.0, 1.0, {0.2, 0.8});  // values {0, 1}
-  Pmf q = p.affine(-1.0, 0.0);  // values {-1, 0} with masses {0.8, 0.2}
-  EXPECT_DOUBLE_EQ(q.origin(), -1.0);
-  EXPECT_DOUBLE_EQ(q.probs()[0], 0.8);
-  EXPECT_DOUBLE_EQ(q.probs()[1], 0.2);
-  EXPECT_DOUBLE_EQ(q.mean(), -p.mean());
-}
-
-TEST(Pmf, AffineZeroScaleThrows) {
-  Pmf p(0.0, 1.0, {1.0});
-  EXPECT_THROW(p.affine(0.0, 1.0), std::invalid_argument);
-}
-
-TEST(Pmf, TotalVariationDistance) {
-  Pmf a(0.0, 1.0, {0.5, 0.5});
-  Pmf b(0.0, 1.0, {0.9, 0.1});
-  EXPECT_NEAR(total_variation(a, b), 0.4, 1e-12);
-  EXPECT_NEAR(total_variation(a, a), 0.0, 1e-15);
-  Pmf c(0.0, 1.0, {1.0});
-  EXPECT_THROW(total_variation(a, c), std::invalid_argument);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -19,6 +20,7 @@
 #include "core/status.hpp"
 #include "dist/simple_epochs.hpp"
 #include "dist/truncated_pareto.hpp"
+#include "obs/flight.hpp"
 #include "queueing/fluid_queue_sim.hpp"
 #include "queueing/solver.hpp"
 #include "queueing/trace_queue_sim.hpp"
@@ -493,6 +495,7 @@ TEST(SweepRobustness, CellDeadlineRetriesCoarserThenMarksDegraded) {
   opts.cell_deadline_ms = 1;
   opts.max_cell_retries = 2;
   opts.manifest = &manifest;
+  if constexpr (obs::kObsEnabled) obs::flight::reset();
   const auto table = core::loss_vs_buffer_and_cutoff(m, cfg, {0.5}, {1.0}, opts);
 
   // The cell timed out, was retried at coarser bins, and ended degraded —
@@ -510,6 +513,17 @@ TEST(SweepRobustness, CellDeadlineRetriesCoarserThenMarksDegraded) {
   // Aggregate robustness counts appear in the cells summary.
   EXPECT_NE(json.find("\"timed_out\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"retried\": 1"), std::string::npos);
+
+  // Each re-solve leaves one retry flight event: (attempt, halved max_bins).
+  if constexpr (obs::kObsEnabled) {
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> retries;
+    for (const auto& rec : obs::flight::snapshot())
+      if (rec.event.kind == static_cast<std::uint16_t>(obs::flight::EventKind::kRetry))
+        retries.emplace_back(rec.event.a, rec.event.b);
+    const std::vector<std::pair<std::uint64_t, std::uint64_t>> expected = {{1, 32768},
+                                                                           {2, 16384}};
+    EXPECT_EQ(retries, expected);
+  }
 }
 
 TEST(SweepRobustness, HealthySweepManifestCarriesNoRobustnessKeys) {

@@ -1,18 +1,14 @@
-// Tests for the modulated fluid source, the DAR(1) Markovian source and
-// the on/off aggregate generator.
+// Tests for the modulated fluid source.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
 
 #include "analysis/acf.hpp"
-#include "analysis/hurst.hpp"
 #include "dist/simple_epochs.hpp"
 #include "dist/truncated_pareto.hpp"
 #include "numerics/random.hpp"
 #include "traffic/fluid_source.hpp"
-#include "traffic/markov_source.hpp"
-#include "traffic/onoff.hpp"
 
 namespace {
 
@@ -98,97 +94,6 @@ TEST(FluidSource, TraceValidation) {
   numerics::Rng rng(1);
   EXPECT_THROW(src.sample_trace(0, 0.1, rng), std::invalid_argument);
   EXPECT_THROW(src.sample_trace(10, 0.0, rng), std::invalid_argument);
-}
-
-TEST(Dar1Source, ValidatesRetention) {
-  EXPECT_THROW(traffic::Dar1Source(Marginal::constant(1.0), 1.0), std::invalid_argument);
-  EXPECT_THROW(traffic::Dar1Source(Marginal::constant(1.0), -0.1), std::invalid_argument);
-}
-
-TEST(Dar1Source, GeometricAutocorrelation) {
-  traffic::Dar1Source src(Marginal({0.0, 1.0}, {0.5, 0.5}), 0.9);
-  EXPECT_DOUBLE_EQ(src.autocorrelation(0), 1.0);
-  EXPECT_NEAR(src.autocorrelation(2), 0.81, 1e-12);
-
-  numerics::Rng rng(31);
-  auto trace = src.sample_trace(1 << 18, 0.01, rng);
-  auto acf = analysis::autocorrelation(trace, 10);
-  for (std::size_t k = 1; k <= 10; ++k)
-    EXPECT_NEAR(acf[k], std::pow(0.9, static_cast<double>(k)), 0.03) << "lag " << k;
-}
-
-TEST(Dar1Source, MarginalIsPreserved) {
-  Marginal m({1.0, 2.0, 3.0}, {0.2, 0.3, 0.5});
-  traffic::Dar1Source src(m, 0.7);
-  numerics::Rng rng(33);
-  auto trace = src.sample_trace(300000, 0.01, rng);
-  int c1 = 0, c2 = 0, c3 = 0;
-  for (double r : trace.rates()) {
-    if (r == 1.0) ++c1;
-    else if (r == 2.0) ++c2;
-    else ++c3;
-  }
-  const double n = static_cast<double>(trace.size());
-  EXPECT_NEAR(c1 / n, 0.2, 0.02);
-  EXPECT_NEAR(c2 / n, 0.3, 0.02);
-  EXPECT_NEAR(c3 / n, 0.5, 0.02);
-}
-
-TEST(Dar1Source, RetentionForMeanSojourn) {
-  // Mean sojourn 1/(1-r) bins must equal mean_epoch / bin_seconds.
-  const double r = traffic::Dar1Source::retention_for_mean_sojourn(0.08, 0.01);
-  EXPECT_NEAR(1.0 / (1.0 - r), 8.0, 1e-12);
-  EXPECT_DOUBLE_EQ(traffic::Dar1Source::retention_for_mean_sojourn(0.005, 0.01), 0.0);
-  EXPECT_THROW(traffic::Dar1Source::retention_for_mean_sojourn(0.0, 0.01), std::invalid_argument);
-}
-
-TEST(OnOff, ValidatesConfig) {
-  traffic::OnOffConfig cfg;
-  cfg.on_periods = std::make_shared<const dist::ExponentialEpoch>(1.0);
-  cfg.off_periods = nullptr;
-  numerics::Rng rng(1);
-  EXPECT_THROW(traffic::generate_onoff_aggregate(cfg, 10, 0.1, rng), std::invalid_argument);
-  cfg.off_periods = cfg.on_periods;
-  cfg.sources = 0;
-  EXPECT_THROW(traffic::generate_onoff_aggregate(cfg, 10, 0.1, rng), std::invalid_argument);
-}
-
-TEST(OnOff, MeanRateMatchesDutyCycle) {
-  traffic::OnOffConfig cfg;
-  cfg.sources = 20;
-  cfg.peak_rate = 1.0;
-  cfg.on_periods = std::make_shared<const dist::ExponentialEpoch>(2.0);   // mean 0.5
-  cfg.off_periods = std::make_shared<const dist::ExponentialEpoch>(2.0 / 3.0);  // mean 1.5
-  numerics::Rng rng(37);
-  auto trace = traffic::generate_onoff_aggregate(cfg, 50000, 0.05, rng);
-  // Aggregate mean = sources * peak * E[on]/(E[on]+E[off]) = 20 * 0.25 = 5.
-  EXPECT_NEAR(trace.mean(), 5.0, 0.15);
-  EXPECT_GE(trace.min(), 0.0);
-  EXPECT_LE(trace.max(), 20.0 + 1e-9);
-}
-
-TEST(OnOff, HeavyTailedPeriodsProduceLrd) {
-  // Willinger et al.: Pareto(alpha = 1.4) on/off periods => H ~ (3-1.4)/2 = 0.8.
-  traffic::OnOffConfig heavy;
-  heavy.sources = 32;
-  heavy.peak_rate = 1.0;
-  heavy.on_periods = std::make_shared<const dist::TruncatedPareto>(
-      0.4, 1.4, std::numeric_limits<double>::infinity());
-  heavy.off_periods = heavy.on_periods;
-  numerics::Rng rng(41);
-  auto trace = traffic::generate_onoff_aggregate(heavy, 1 << 17, 0.1, rng);
-  const double h = analysis::hurst_variance_time(trace).hurst;
-  EXPECT_GT(h, 0.65) << "heavy-tailed on/off aggregate must be LRD";
-
-  // Exponential periods with the same mean must stay near H = 1/2.
-  traffic::OnOffConfig light = heavy;
-  light.on_periods = std::make_shared<const dist::ExponentialEpoch>(1.0 / heavy.on_periods->mean());
-  light.off_periods = light.on_periods;
-  numerics::Rng rng2(43);
-  auto trace2 = traffic::generate_onoff_aggregate(light, 1 << 17, 0.1, rng2);
-  const double h2 = analysis::hurst_variance_time(trace2).hurst;
-  EXPECT_LT(h2, 0.62) << "exponential on/off aggregate must be SRD";
-  EXPECT_GT(h, h2 + 0.1);
 }
 
 }  // namespace

@@ -1,92 +1,19 @@
-// Tests for the Whittle estimator, Durbin-Levinson / FARIMA synthesis,
-// the chaotic-map source and the source shaper.
+// Tests for Durbin-Levinson synthesis (the reference the fGn generator
+// is checked against) and the source shaper.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <numbers>
 
-#include "analysis/hurst.hpp"
-#include "analysis/whittle.hpp"
 #include "numerics/random.hpp"
-#include "test_helpers.hpp"
-#include "traffic/chaotic_map.hpp"
 #include "traffic/fgn.hpp"
 #include "traffic/gaussian_synthesis.hpp"
 #include "traffic/smoother.hpp"
-#include "traffic/synthetic_traces.hpp"
 
 namespace {
 
 using namespace lrd;
 
-// ---- Whittle ---------------------------------------------------------------
-
-TEST(FgnSpectralDensity, Validation) {
-  EXPECT_THROW(analysis::fgn_spectral_density(0.0, 0.8), std::invalid_argument);
-  EXPECT_THROW(analysis::fgn_spectral_density(4.0, 0.8), std::invalid_argument);
-  EXPECT_THROW(analysis::fgn_spectral_density(1.0, 1.0), std::invalid_argument);
-}
-
-TEST(FgnSpectralDensity, IntegratesToUnitVariance) {
-  // gamma(0) = int_{-pi}^{pi} f = 2 int_0^pi f must equal 1. The density
-  // has an integrable w^{1-2H} singularity at the origin, so integrate in
-  // u = log w, where the integrand c e^{(2-2H) u} is smooth.
-  for (double h : {0.6, 0.75, 0.9}) {
-    const double integral = 2.0 * lrd::testing::simpson(
-        [h](double u) {
-          const double w = std::exp(u);
-          return analysis::fgn_spectral_density(w, h) * w;
-        },
-        std::log(1e-14), std::log(std::numbers::pi), 40000);
-    EXPECT_NEAR(integral, 1.0, 0.01) << "H = " << h;
-  }
-}
-
-TEST(FgnSpectralDensity, DivergesAtOriginForLrd) {
-  // f(w) ~ w^{1-2H}: for H = 0.8 the ratio over three decades is
-  // (1e-3)^{1-2H} = 10^{1.8} ~ 63.
-  const double ratio = analysis::fgn_spectral_density(1e-4, 0.8) /
-                       analysis::fgn_spectral_density(0.1, 0.8);
-  EXPECT_NEAR(ratio, std::pow(1e-3, 1.0 - 1.6), 0.15 * ratio);
-  // And the local slope matches 1 - 2H.
-  const double h = 0.85;
-  const double slope = std::log(analysis::fgn_spectral_density(2e-4, h) /
-                                analysis::fgn_spectral_density(1e-4, h)) /
-                       std::log(2.0);
-  EXPECT_NEAR(slope, 1.0 - 2.0 * h, 0.02);
-}
-
-class WhittleRecovery : public ::testing::TestWithParam<double> {};
-
-TEST_P(WhittleRecovery, RecoversHurstOfFgn) {
-  const double h = GetParam();
-  numerics::Rng rng(static_cast<std::uint64_t>(h * 10000));
-  auto x = traffic::generate_fgn(1 << 15, h, rng);
-  const auto est = analysis::hurst_whittle(x);
-  EXPECT_NEAR(est.hurst, h, 0.03) << "Whittle is the paper's named estimator";
-}
-
-INSTANTIATE_TEST_SUITE_P(HurstValues, WhittleRecovery,
-                         ::testing::Values(0.55, 0.7, 0.83, 0.9));
-
-TEST(Whittle, WhiteNoiseIsHalf) {
-  numerics::Rng rng(42);
-  std::vector<double> x(1 << 14);
-  for (auto& v : x) v = rng.normal();
-  EXPECT_NEAR(analysis::hurst_whittle(x).hurst, 0.5, 0.03);
-}
-
-TEST(Whittle, ShortSeriesRejected) {
-  std::vector<double> tiny(100, 1.0);
-  EXPECT_THROW(analysis::hurst_whittle(tiny), std::invalid_argument);
-}
-
-TEST(Whittle, MtvTraceMatchesCalibration) {
-  const auto est = analysis::hurst_whittle(traffic::mtv_trace());
-  EXPECT_NEAR(est.hurst, 0.83, 0.05);
-}
-
-// ---- Durbin-Levinson / FARIMA ----------------------------------------------
+// ---- Durbin-Levinson -------------------------------------------------------
 
 TEST(DurbinLevinson, Validation) {
   numerics::Rng rng(1);
@@ -145,86 +72,6 @@ TEST(DurbinLevinson, MatchesDaviesHarteForFgn) {
   };
   EXPECT_NEAR(lag1(x_dl), traffic::fgn_autocovariance(h, 1), 0.05);
   EXPECT_NEAR(lag1(x_dl), lag1(x_dh), 0.08);
-}
-
-TEST(Farima, AutocovarianceStructure) {
-  EXPECT_THROW(traffic::farima_autocovariance(0.5, 10), std::invalid_argument);
-  auto g = traffic::farima_autocovariance(0.3, 4096);
-  // gamma(0) = Gamma(0.4)/Gamma(0.7)^2.
-  EXPECT_NEAR(g[0], std::tgamma(0.4) / std::pow(std::tgamma(0.7), 2.0), 1e-12);
-  // Hyperbolic tail: gamma(k) ~ k^{2d-1} => ratio at doubled lag 2^{2d-1}.
-  EXPECT_NEAR(g[4000] / g[2000], std::pow(2.0, 2.0 * 0.3 - 1.0), 0.01);
-  // d < 0 gives negative lag-1 covariance (antipersistent).
-  auto neg = traffic::farima_autocovariance(-0.2, 4);
-  EXPECT_LT(neg[1], 0.0);
-}
-
-TEST(Farima, GeneratedSeriesHasTargetHurst) {
-  const double d = 0.35;  // H = 0.85
-  numerics::Rng rng(6);
-  auto x = traffic::generate_farima(1 << 13, d, rng);
-  const auto est = analysis::hurst_wavelet(x);
-  EXPECT_NEAR(est.hurst, d + 0.5, 0.08);
-}
-
-// ---- Chaotic map -----------------------------------------------------------
-
-TEST(ChaoticMap, Validation) {
-  traffic::ChaoticMapConfig bad;
-  bad.m = 3.0;
-  EXPECT_THROW(traffic::generate_chaotic_map_trace(bad, 10, 0.1), std::invalid_argument);
-  bad = traffic::ChaoticMapConfig{};
-  bad.d = 1.5;
-  EXPECT_THROW(traffic::generate_chaotic_map_trace(bad, 10, 0.1), std::invalid_argument);
-  EXPECT_THROW(traffic::chaotic_map_hurst(1.2), std::invalid_argument);
-  EXPECT_NEAR(traffic::chaotic_map_hurst(1.8), (3.0 * 1.8 - 4.0) / (2.0 * 0.8), 1e-12);
-}
-
-TEST(ChaoticMap, TrajectoryStaysInUnitInterval) {
-  traffic::ChaoticMapConfig cfg;
-  double x = cfg.x0;
-  for (int i = 0; i < 100000; ++i) {
-    x = traffic::chaotic_map_step(x, cfg);
-    ASSERT_GE(x, 0.0);
-    ASSERT_LT(x, 1.0);
-  }
-}
-
-TEST(ChaoticMap, EmitsOnOffTrace) {
-  traffic::ChaoticMapConfig cfg;
-  cfg.peak_rate = 5.0;
-  auto trace = traffic::generate_chaotic_map_trace(cfg, 1 << 15, 0.01);
-  double on = 0.0;
-  for (double r : trace.rates()) {
-    ASSERT_TRUE(r == 0.0 || r == 5.0);
-    if (r > 0.0) on += 1.0;
-  }
-  const double frac = on / static_cast<double>(trace.size());
-  EXPECT_GT(frac, 0.02);
-  EXPECT_LT(frac, 0.98);
-}
-
-TEST(ChaoticMap, IntermittencyProducesLongMemory) {
-  traffic::ChaoticMapConfig cfg;
-  cfg.m = 1.9;
-  cfg.epsilon = 1e-6;  // weaker perturbation -> longer off sojourns
-  auto trace = traffic::generate_chaotic_map_trace(cfg, 1 << 18, 0.01);
-  const double h = analysis::hurst_variance_time(trace).hurst;
-  // The same map with m well below the LRD regime stays near H = 1/2.
-  traffic::ChaoticMapConfig srd = cfg;
-  srd.m = 1.1;
-  srd.epsilon = 1e-3;
-  auto srd_trace = traffic::generate_chaotic_map_trace(srd, 1 << 18, 0.01);
-  const double h_srd = analysis::hurst_variance_time(srd_trace).hurst;
-  EXPECT_GT(h, 0.6) << "intermittent map sojourns must induce LRD";
-  EXPECT_GT(h, h_srd + 0.05);
-}
-
-TEST(ChaoticMap, DeterministicGivenInitialCondition) {
-  traffic::ChaoticMapConfig cfg;
-  auto a = traffic::generate_chaotic_map_trace(cfg, 512, 0.01);
-  auto b = traffic::generate_chaotic_map_trace(cfg, 512, 0.01);
-  for (std::size_t i = 0; i < 512; ++i) EXPECT_DOUBLE_EQ(a[i], b[i]);
 }
 
 // ---- Shaper ----------------------------------------------------------------
