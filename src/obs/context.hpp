@@ -14,7 +14,7 @@
 //   serve responses    -> "query_id"  (protocol.cpp, echoed to clients)
 //   crash bundles      -> via the flight + profile tails
 //
-// `lrdq_doctor --query <id>` joins the artifacts back together.
+// `lrdq_doctor query <id>` joins the artifacts back together.
 //
 // The slot is a plain thread_local integer: reading it is
 // async-signal-safe (the SIGPROF sampler and the crash handler both

@@ -1,5 +1,6 @@
 #include "obs/json.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -302,7 +303,7 @@ class Parser {
 
 lrd::Expected<Value> parse(std::string_view text) { return Parser(text).run(); }
 
-lrd::Expected<Value> parse_file(const std::string& path) {
+lrd::Expected<std::string> read_file(const std::string& path) {
   std::FILE* in = std::fopen(path.c_str(), "rb");
   if (in == nullptr) {
     return lrd::make_diagnostics(lrd::ErrorCategory::kIo, "obs.json",
@@ -318,13 +319,40 @@ lrd::Expected<Value> parse_file(const std::string& path) {
     return lrd::make_diagnostics(lrd::ErrorCategory::kIo, "obs.json",
                                  "artifact file is readable", "read failure on " + path);
   }
-  auto parsed = parse(text);
+  return text;
+}
+
+lrd::Expected<Value> parse_file(const std::string& path) {
+  auto text = read_file(path);
+  if (!text) return text.diagnostics();
+  auto parsed = parse(text.value());
   if (!parsed) {
     lrd::Diagnostics d = parsed.diagnostics();
     d.message = path + ": " + d.message;
     return d;
   }
   return parsed;
+}
+
+std::vector<Value> parse_lines(std::string_view text, std::string_view schema,
+                               std::size_t* malformed) {
+  std::vector<Value> out;
+  std::size_t skipped = 0;
+  for (std::size_t pos = 0; pos < text.size();) {
+    const std::size_t nl = std::min(text.find('\n', pos), text.size());
+    const std::string_view line = text.substr(pos, nl - pos);
+    pos = nl + 1;
+    if (line.empty()) continue;
+    auto parsed = parse(line);
+    if (!parsed || !parsed.value().is_object() ||
+        (!schema.empty() && parsed.value().string_at("schema") != schema)) {
+      ++skipped;
+      continue;
+    }
+    out.push_back(std::move(parsed).take());
+  }
+  if (malformed != nullptr) *malformed += skipped;
+  return out;
 }
 
 std::string escape(std::string_view s) {

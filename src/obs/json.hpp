@@ -1,12 +1,13 @@
 // Minimal JSON reader for the artifact-analysis layer.
 //
 // The observability tools emit JSON (manifests, metrics snapshots, Chrome
-// traces, bench history lines) and — starting with the report/regression
-// layer — also *consume* it. This is the one parser they share: a strict
-// recursive-descent reader into a small Value tree. Malformed input comes
-// back as a kParse diagnostic carrying the 1-based line number, matching
-// the RateTrace::try_load contract, so `lrdq_report broken.json` points at
-// the offending line instead of aborting.
+// traces, bench history lines) and also *consume* it. This is the one
+// reader they share: a strict recursive-descent parser into a small Value
+// tree, the whole-file read every loader uses, and the lenient line
+// splitter every JSONL loader uses. Malformed input comes back as a kParse
+// diagnostic carrying the 1-based line number, matching the
+// RateTrace::try_load contract, so `lrdq_doctor profile broken.json`
+// points at the offending line instead of aborting.
 //
 // Scope is deliberately narrow: UTF-8 pass-through (no surrogate-pair
 // decoding beyond \uXXXX -> UTF-8), doubles only (the artifacts never need
@@ -15,8 +16,10 @@
 #pragma once
 
 #include <cstddef>
+#include <limits>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -70,6 +73,17 @@ class Value {
   double number_at(std::string_view key, double fallback = 0.0) const noexcept;
   /// Shorthand: string at `key`, or `fallback` when absent or non-string.
   std::string string_at(std::string_view key, std::string fallback = {}) const;
+  /// Whole number at `key` that fits `Int` (a count, an id, a tid, an
+  /// exit code), or `fallback` when absent, non-number, fractional,
+  /// negative or out of range: artifacts are outside bytes, and casting an
+  /// out-of-range double to an integer is undefined behaviour.
+  template <typename Int = std::size_t>
+  Int count_at(std::string_view key, std::type_identity_t<Int> fallback = 0) const noexcept {
+    const auto n = lrd::size_from_double(number_at(key, -1.0));
+    return n && *n <= static_cast<std::size_t>(std::numeric_limits<Int>::max())
+               ? static_cast<Int>(*n)
+               : fallback;
+  }
 
   // Mutation (used by tests building fixtures; parsing uses these too).
   void push_back(Value v);
@@ -88,9 +102,19 @@ class Value {
 /// anything else after the value is an error).
 lrd::Expected<Value> parse(std::string_view text);
 
+/// Reads a whole file; kIo when it cannot be opened or read.
+lrd::Expected<std::string> read_file(const std::string& path);
+
 /// Reads and parses a whole file; kIo when unreadable, kParse when
 /// malformed (diagnostic carries `path` and the line number).
 lrd::Expected<Value> parse_file(const std::string& path);
+
+/// The objects of a JSONL text, one per nonblank line. Lenient, for
+/// artifacts a crash may have torn: a line that is not a JSON object, or
+/// whose "schema" is not `schema` (unless `schema` is empty), is counted
+/// in `*malformed` (when non-null) and skipped.
+std::vector<Value> parse_lines(std::string_view text, std::string_view schema,
+                               std::size_t* malformed);
 
 /// Escapes `s` into a JSON string literal including the quotes — the
 /// serialization counterpart shared by the emitters in this layer.

@@ -83,9 +83,9 @@ lrd::Expected<BenchHistoryRecord> parse_bench_record(const json::Value& line) {
   rec.mad = line.number_at("mad");
   rec.min = line.number_at("min");
   rec.mean = line.number_at("mean");
-  rec.repeats = static_cast<std::size_t>(line.number_at("repeats"));
-  rec.warmup = static_cast<std::size_t>(line.number_at("warmup"));
-  rec.timestamp_unix = static_cast<long long>(line.number_at("timestamp_unix"));
+  rec.repeats = line.count_at("repeats");
+  rec.warmup = line.count_at("warmup");
+  rec.timestamp_unix = line.count_at<long long>("timestamp_unix");
   if (const json::Value* values = line.find_non_null("values"); values && values->is_array())
     for (const json::Value& v : values->items())
       if (v.is_number()) rec.values.push_back(v.as_number());
@@ -96,7 +96,7 @@ lrd::Expected<BenchHistoryRecord> parse_bench_record(const json::Value& line) {
     rec.git_describe = env->string_at("git_describe");
     rec.build_type = env->string_at("build_type");
     rec.compiler = env->string_at("compiler");
-    rec.cpu_count = static_cast<std::size_t>(env->number_at("cpu_count"));
+    rec.cpu_count = env->count_at("cpu_count");
     rec.simd = env->string_at("simd");  // empty on pre-field records
     if (const json::Value* obs = env->find("obs_enabled")) rec.obs_enabled = obs->as_bool(true);
   }
@@ -104,16 +104,9 @@ lrd::Expected<BenchHistoryRecord> parse_bench_record(const json::Value& line) {
 }
 
 lrd::Expected<std::vector<BenchHistoryRecord>> load_bench_history(const std::string& path) {
-  std::FILE* in = std::fopen(path.c_str(), "rb");
-  if (in == nullptr) {
-    return lrd::make_diagnostics(lrd::ErrorCategory::kIo, "obs.regress",
-                                 "bench history file is readable", "cannot open " + path);
-  }
-  std::string text;
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, in)) > 0) text.append(buf, n);
-  std::fclose(in);
+  auto read = json::read_file(path);
+  if (!read) return read.diagnostics();
+  const std::string& text = read.value();
 
   std::vector<BenchHistoryRecord> records;
   std::size_t start = 0;

@@ -351,7 +351,7 @@ SolverResult FluidQueueSolver::solve_impl(const SolverConfig& cfg,
   // Every solve runs under a correlation scope: a serve worker or CLI
   // run already installed one, and a standalone solve (tests, figure
   // scripts) mints its own so its level events still join up in
-  // `lrdq_doctor --query`.
+  // `lrdq_doctor query`.
   const obs::QueryId ambient_qid = obs::current_query_id();
   obs::QueryScope query_scope(ambient_qid != 0 ? ambient_qid : obs::mint_query_id());
 

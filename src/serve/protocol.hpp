@@ -100,7 +100,7 @@ struct Response {
   std::string diagnostic;  ///< Empty when status == kOk.
 
   /// Server-minted obs::QueryId, echoed to clients so a scripted
-  /// session can triage its own requests (`lrdq_doctor --query`).
+  /// session can triage its own requests (`lrdq_doctor query`).
   /// 0 (field omitted on the wire) when the obs layer is compiled out.
   std::uint64_t query_id = 0;
 

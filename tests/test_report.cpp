@@ -3,22 +3,25 @@
 // bench-history parser, the noise-aware regression detector (golden
 // fixtures: an injected 3x slowdown must flag, within-jitter wobble must
 // stay quiet, a telemetry iteration-count regression must flag), the
-// trace profiler's self-time/nesting accounting, and the manifest and
-// metrics diffs.
+// trace profiler's self-time/nesting accounting, the manifest and
+// metrics diffs, the CPU-profile self-time table, and rows that render
+// whole however long their fields.
 //
 // Suites are named Obs* so they also run under the ThreadSanitizer CI
 // job alongside the recording-path tests.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "obs/doctor.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/regress.hpp"
-#include "obs/report.hpp"
 
 namespace {
 
@@ -290,7 +293,7 @@ constexpr const char* kTrace = R"({
 })";
 
 TEST(ObsTraceProfile, SelfTimeExcludesDirectChildren) {
-  auto profile = obs::profile_trace(parse_ok(kTrace), 3, 20);
+  auto profile = obs::profile_trace(parse_ok(kTrace), 3);
   ASSERT_TRUE(profile.has_value()) << profile.status().describe();
   const obs::TraceProfile& p = profile.value();
   EXPECT_EQ(p.spans, 4u);
@@ -320,7 +323,7 @@ TEST(ObsTraceProfile, SelfTimeExcludesDirectChildren) {
 }
 
 TEST(ObsTraceProfile, WorkerUtilizationAndNames) {
-  auto profile = obs::profile_trace(parse_ok(kTrace), 3, 20);
+  auto profile = obs::profile_trace(parse_ok(kTrace), 3);
   ASSERT_TRUE(profile.has_value());
   const obs::TraceProfile& p = profile.value();
   ASSERT_EQ(p.workers.size(), 2u);
@@ -330,7 +333,7 @@ TEST(ObsTraceProfile, WorkerUtilizationAndNames) {
   // not double-count into busy time.
   EXPECT_DOUBLE_EQ(p.workers[0].busy_us, 100.0);
   EXPECT_DOUBLE_EQ(p.workers[0].utilization, 1.0);
-  EXPECT_EQ(p.workers[0].timeline.size(), 20u);
+  EXPECT_EQ(p.workers[0].timeline.size(), obs::kTimelineWidth);
   EXPECT_EQ(p.workers[1].tid, 2);
   EXPECT_NEAR(p.workers[1].utilization, 0.4, 1e-9);
 
@@ -461,6 +464,152 @@ TEST(ObsMetricsDiff, RegistrySnapshotDiffedAgainstItselfIsAllZero) {
     EXPECT_TRUE(m.in_a && m.in_b) << m.name;
     EXPECT_DOUBLE_EQ(m.delta(), 0.0) << m.name;
   }
+}
+
+// --- CPU-profile self-time table -------------------------------------------
+
+// Frames a, b, c, d over four records (8 samples): `a;b;a;c` recurses on
+// a; the second record's interval differs from the first's; query ids
+// 7, 7, 0, 9; then a wrong-schema line and a torn final line.
+constexpr const char* kProfile =
+    "{\"schema\":\"lrd-profile-v1\",\"query_id\":7,\"stack\":\"a;b;a;c\",\"count\":3,"
+    "\"interval_us\":1000}\n"
+    "{\"schema\":\"lrd-profile-v1\",\"query_id\":7,\"stack\":\"a;b\",\"count\":2,"
+    "\"interval_us\":500}\n"
+    "{\"schema\":\"lrd-profile-v1\",\"query_id\":0,\"stack\":\"a;d\",\"count\":2}\n"
+    "{\"schema\":\"lrd-profile-v1\",\"query_id\":9,\"stack\":\"a;c\",\"count\":1}\n"
+    "{\"schema\":\"lrd-bench-v1\",\"key\":\"x\"}\n"
+    "{\"schema\":\"lrd-profile-v1\",\"query_id\":9,\"stack\":\"a;";
+
+obs::SelfTimeTable selftime_ok(const std::string& jsonl) {
+  auto table = obs::profile_selftime(jsonl);
+  EXPECT_TRUE(table.has_value()) << table.status().describe();
+  return std::move(table).take();
+}
+
+const obs::SelfTimeEntry* frame_of(const obs::SelfTimeTable& t, const std::string& frame) {
+  for (const obs::SelfTimeEntry& e : t.entries)
+    if (e.frame == frame) return &e;
+  return nullptr;
+}
+
+TEST(ObsSelfTime, RecursingFrameCountsOnceTowardTotal) {
+  const obs::SelfTimeTable t = selftime_ok(kProfile);
+  EXPECT_EQ(t.samples, 8u);
+  EXPECT_EQ(t.stacks, 4u);
+  const obs::SelfTimeEntry* a = frame_of(t, "a");
+  ASSERT_NE(a, nullptr);
+  // On every stack once: 3 + 2 + 2 + 1, not 3 twice for `a;b;a;c`.
+  EXPECT_EQ(a->total, 8u);
+}
+
+TEST(ObsSelfTime, OnlyTheLeafFrameGetsSelfTime) {
+  const obs::SelfTimeTable t = selftime_ok(kProfile);
+  ASSERT_EQ(t.entries.size(), 4u);
+  // a roots every stack and ends none, so it has no self time.
+  for (const auto& [frame, self, total] :
+       {std::tuple{"a", 0ull, 8ull}, std::tuple{"b", 2ull, 5ull}, std::tuple{"c", 4ull, 4ull},
+        std::tuple{"d", 2ull, 2ull}}) {
+    const obs::SelfTimeEntry* e = frame_of(t, frame);
+    ASSERT_NE(e, nullptr) << frame;
+    EXPECT_EQ(e->self, self) << frame;
+    EXPECT_EQ(e->total, total) << frame;
+  }
+}
+
+TEST(ObsSelfTime, CountsWrongSchemaAndTornLinesAsMalformed) {
+  EXPECT_EQ(selftime_ok(kProfile).malformed, 2u);
+  const std::string text = selftime_ok(kProfile).to_text();
+  EXPECT_NE(text.find(", 2 malformed lines skipped"), std::string::npos) << text;
+}
+
+TEST(ObsSelfTime, NoParsableRecordIsAParseError) {
+  for (const char* jsonl : {"", "\n\n", "not json\n{\"schema\":\"lrd-access-v1\"}\n",
+                            "{\"schema\":\"lrd-profile-v1\",\"stack\":\"a"}) {
+    auto table = obs::profile_selftime(jsonl);
+    ASSERT_FALSE(table.has_value()) << jsonl;
+    EXPECT_EQ(table.diagnostics().category, ErrorCategory::kParse) << jsonl;
+  }
+}
+
+TEST(ObsSelfTime, CountsDistinctNonzeroQueryIds) {
+  EXPECT_EQ(selftime_ok(kProfile).queries, 2u);  // 7 and 9; 0 is "no query"
+}
+
+TEST(ObsSelfTime, IntervalComesFromTheFirstRecord) {
+  EXPECT_DOUBLE_EQ(selftime_ok(kProfile).interval_us, 1000.0);
+}
+
+TEST(ObsSelfTime, RowsOrderBySelfThenTotalInTextAndJson) {
+  const obs::SelfTimeTable t = selftime_ok(kProfile);
+  // c has the most self time; b and d tie on self and b has the larger
+  // total; a has the largest total but no self time.
+  const std::vector<std::string> order = {"c", "b", "d", "a"};
+  ASSERT_EQ(t.entries.size(), order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(t.entries[i].frame, order[i]);
+
+  std::vector<std::string> rows;
+  std::istringstream text(t.to_text(0));
+  for (std::string line; std::getline(text, line);)
+    if (line.size() > 3 && line.find('%') != std::string::npos) rows.push_back(line);
+  ASSERT_EQ(rows.size(), order.size()) << t.to_text(0);
+  for (std::size_t i = 0; i < order.size(); ++i)
+    EXPECT_EQ(rows[i].substr(rows[i].size() - 3), "  " + order[i]) << rows[i];
+
+  const obs::json::Value doc = parse_ok(t.to_json(0));
+  const obs::json::Value* frames = doc.find("frames");
+  ASSERT_NE(frames, nullptr);
+  ASSERT_EQ(frames->size(), order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(frames->items()[i].string_at("frame"), order[i]);
+    EXPECT_EQ(frames->items()[i].count_at("self"), t.entries[i].self);
+    EXPECT_EQ(frames->items()[i].count_at("total"), t.entries[i].total);
+  }
+}
+
+// --- rows never merge ------------------------------------------------------
+
+/// The line of `text` that contains `needle`, and the line after it.
+std::pair<std::string, std::string> line_and_next(const std::string& text,
+                                                  const std::string& needle) {
+  std::istringstream in(text);
+  std::string line, next;
+  while (std::getline(in, line))
+    if (line.find(needle) != std::string::npos) {
+      std::getline(in, next);
+      return {line, next};
+    }
+  return {};
+}
+
+TEST(ObsReportRows, LongSelftimeFrameRendersWholeOnItsOwnLine) {
+  // A demangled template frame has no length bound.
+  const std::string frame = "lrd::f<" + std::string(600, 'T') + ">()";
+  const obs::SelfTimeTable t = selftime_ok(
+      "{\"schema\":\"lrd-profile-v1\",\"stack\":\"main;" + frame + "\",\"count\":2}\n"
+      "{\"schema\":\"lrd-profile-v1\",\"stack\":\"main;short\",\"count\":1}\n");
+  const auto [row, next] = line_and_next(t.to_text(), "lrd::f<");
+  EXPECT_EQ(row, "         2  66.7%         2  66.7%  " + frame);
+  EXPECT_EQ(next, "         1  33.3%         1  33.3%  short");
+}
+
+TEST(ObsReportRows, LongAccessLogIdRendersWholeOnItsOwnLine) {
+  // Client ids are whatever the client sent.
+  const std::string id(600, 'i');
+  const std::string path = temp_path("long_id_access.jsonl");
+  write_file(path,
+             "{\"schema\":\"lrd-access-v1\",\"id\":\"" + id +
+                 "\",\"op\":\"solve\",\"status\":\"ok\",\"code\":0,\"wall_ms\":5,"
+                 "\"queue_ms\":1,\"cache_tier\":\"none\"}\n"
+                 "{\"schema\":\"lrd-access-v1\",\"id\":\"next\",\"op\":\"solve\","
+                 "\"status\":\"ok\",\"code\":0,\"wall_ms\":1,\"queue_ms\":0,"
+                 "\"cache_tier\":\"memory\"}\n");
+  auto report = obs::doctor::triage_access_log(path);
+  ASSERT_TRUE(report.has_value()) << report.status().describe();
+  const auto [row, next] = line_and_next(report.value(), id);
+  EXPECT_EQ(row, "       5.000      1.000     0  ok                  none    " + id);
+  EXPECT_EQ(next, "       1.000      0.000     0  ok                  memory  next");
+  std::remove(path.c_str());
 }
 
 }  // namespace

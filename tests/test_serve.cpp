@@ -490,7 +490,7 @@ TEST(ServeServer, AnswersConcurrentClientsAndSharesTheCache) {
             first[0].find("loss")->number_at("estimate"));
   if constexpr (obs::kObsEnabled) {
     // Every admitted query gets its own correlation id, echoed back so
-    // the client can hand it to `lrdq_doctor --query`.
+    // the client can hand it to `lrdq_doctor query`.
     EXPECT_GT(first[0].number_at("query_id", 0), 0.0);
     EXPECT_GT(second[0].number_at("query_id", 0), 0.0);
     EXPECT_NE(first[0].number_at("query_id", 0), second[0].number_at("query_id", 0));

@@ -15,12 +15,13 @@
 // regression is caught even when wall time still looks fine.
 //
 // Exit codes: 0 clean, 1 regression detected, 2 usage, 3 bad config,
-// 4 malformed history, 5 unreadable file.
+// 4 malformed history, 5 unreadable file or failed --out write.
 #include <cstdio>
 #include <string>
 
 #include "cli_common.hpp"
 #include "obs/regress.hpp"
+#include "obs/ring.hpp"
 
 namespace {
 
@@ -31,7 +32,8 @@ constexpr const char* kUsage =
     "                        [--json] [--out FILE]\n"
     "       lrdq_bench_check --help | --version\n"
     "exit codes: 0 no regression, 1 regression beyond noise, 2 usage,\n"
-    "            3 bad config, 4 malformed history, 5 unreadable file";
+    "            3 bad config, 4 malformed history, 5 unreadable file or\n"
+    "            failed --out write";
 
 }  // namespace
 
@@ -78,13 +80,9 @@ int main(int argc, char** argv) {
     if (out_path.empty()) {
       std::fputs(rendered.c_str(), stdout);
     } else {
-      std::FILE* out = std::fopen(out_path.c_str(), "w");
-      if (out == nullptr) {
+      if (!obs::write_file_atomic(out_path, rendered))
         throw_error(make_diagnostics(ErrorCategory::kIo, "lrdq_bench_check",
-                                     "output path is writable", "cannot open " + out_path));
-      }
-      std::fputs(rendered.c_str(), out);
-      std::fclose(out);
+                                     "output path is writable", "cannot write " + out_path));
       std::printf("wrote %s\n", out_path.c_str());
     }
     return report.any_regression() ? 1 : 0;

@@ -63,7 +63,7 @@ constexpr const char* kUsage =
     "      (LRDQ_PROFILE) samples CPU stacks and writes a folded\n"
     "      lrd-profile-v1 profile keyed by query_id at exit. Every\n"
     "      response echoes its query_id; triage one end-to-end with\n"
-    "      lrdq_doctor --query (docs/OBSERVABILITY.md).\n"
+    "      lrdq_doctor query (docs/OBSERVABILITY.md).\n"
     "exit codes: 0 ok, 1 not converged, 2 usage, 3 bad config, 4 parse,\n"
     "            5 I/O, 6 numerical guard / deadline, 7 load shed\n"
     "            (--once/--connect exit with the worst response code seen)";
@@ -184,7 +184,7 @@ int run_connect(const std::string& path, std::size_t timeout_ms) {
       std::fflush(stdout);
       ++answered;
       if (auto parsed = lrd::obs::json::parse(line))
-        worst = std::max(worst, static_cast<int>(parsed.value().number_at("code", 0.0)));
+        worst = std::max(worst, parsed.value().count_at<int>("code"));
     }
   }
   ::close(fd);

@@ -16,6 +16,7 @@
 #include "cli_common.hpp"
 #include "core/correlation_horizon.hpp"
 #include "core/model.hpp"
+#include "obs/ring.hpp"
 #include "queueing/occupancy.hpp"
 
 namespace {
@@ -42,17 +43,11 @@ constexpr const char* kUsage =
     "exit codes: 0 ok, 1 not converged, 2 usage, 3 bad config,\n"
     "            4 parse, 5 I/O, 6 numerical guard / budget";
 
-/// Atomic-enough write of the telemetry JSON; warns but never fails the
-/// solve (same contract as finish_observability).
+/// Atomic write of the telemetry JSON; warns but never fails the solve
+/// (same contract as finish_observability).
 void write_telemetry(const std::string& path, const lrd::obs::SolverTelemetry& telemetry) {
-  if (std::FILE* out = std::fopen(path.c_str(), "w")) {
-    const std::string json = telemetry.to_json();
-    std::fwrite(json.data(), 1, json.size(), out);
-    std::fputc('\n', out);
-    std::fclose(out);
-  } else {
+  if (!lrd::obs::write_file_atomic(path, telemetry.to_json() + "\n"))
     std::fprintf(stderr, "warning: could not write telemetry to %s\n", path.c_str());
-  }
 }
 
 }  // namespace

@@ -18,9 +18,10 @@ schema cannot express:
   * bench:    the artifact is JSONL (BENCH_history.jsonl) -- every
     non-blank line must be a benchRecord whose median lies within the
     span of its samples, and every --require NAME must appear as a key;
-  * report:   lrdq_report --json / lrdq_bench_check --json /
-    lrdq_doctor --json output, dispatched on the document's "kind"
-    (profile / diff-manifest / diff-metrics / bench-check / doctor);
+  * report:   lrdq_doctor --json / lrdq_bench_check --json output,
+    dispatched on the document's "kind"
+    (profile / selftime / diff-manifest / diff-metrics / bench-check /
+    doctor);
   * bundle:   the artifact is a diagnostics-bundle DIRECTORY (--dump-dir
     output) -- bundle.json must be a valid manifest, every file it lists
     must exist, every flight.jsonl line must be a flightEvent, build.json
