@@ -46,6 +46,11 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 struct CellOutcome {
   double value = kNaN;
   bool clean = false;
+  /// Access-record status and code: the solver's stop name and
+  /// SolverResult::exit_code(), "error" and its category's code for a
+  /// cell that threw, "ok" / 0 for a cell with no solve.
+  const char* status = "ok";
+  int code = 0;
   std::string telemetry_json;  // serialized SolverTelemetry, empty = none
   bool deadline_exceeded = false;  // final attempt still hit the deadline
   std::size_t retries = 0;         // coarser-bins re-solves taken
@@ -78,6 +83,8 @@ CellOutcome solve_cell(const dist::Marginal& marginal, const ModelConfig& mc,
       result = FluidModel(marginal, mc).solve(cell_cfg);
     }
     out.deadline_exceeded = result.stop == queueing::SolverStop::kDeadlineExceeded;
+    out.status = queueing::solver_stop_name(result.stop);
+    out.code = result.exit_code();
     if (opts.solver_telemetry) out.telemetry_json = result.telemetry.to_json();
     if (result.status.is_ok()) {
       out.value = result.loss_estimate();
@@ -104,11 +111,13 @@ CellOutcome solve_cell(const dist::Marginal& marginal, const ModelConfig& mc,
       d = lrd::make_diagnostics(lrd::ErrorCategory::kInternal, "core.experiment",
                                 "sweep cell solves without throwing", e.what());
     }
-    std::lock_guard<std::mutex> lock(mu);
-    t.issues.push_back({r, c, std::move(d)});
     out.value = kNaN;
     out.clean = false;
     out.degraded = true;
+    out.status = "error";
+    out.code = lrd::exit_code_for(d.category);
+    std::lock_guard<std::mutex> lock(mu);
+    t.issues.push_back({r, c, std::move(d)});
     return out;
   }
 }
@@ -258,10 +267,8 @@ void run_sweep_cells(
             rec.tool = "lrdq_sweep";
             rec.id = std::to_string(r) + "," + std::to_string(c);
             rec.op = "sweep.cell";
-            rec.status = out.deadline_exceeded ? "deadline_exceeded"
-                         : out.clean           ? "ok"
-                                               : "issue";
-            rec.code = out.deadline_exceeded ? 6 : out.clean ? 0 : 1;
+            rec.status = out.status;
+            rec.code = out.code;
             rec.wall_ms = cell_seconds * 1e3;
             obs::EventLog::global().append(rec);
           }

@@ -42,10 +42,6 @@ FluidModel::FluidModel(dist::Marginal marginal, const ModelConfig& cfg)
   buffer_ = cfg.normalized_buffer * service_rate_;
 }
 
-traffic::FluidSource FluidModel::source() const {
-  return traffic::FluidSource(marginal_, epochs_);
-}
-
 queueing::FluidQueueSolver FluidModel::solver() const {
   return queueing::FluidQueueSolver(marginal_, epochs_, service_rate_, buffer_);
 }

@@ -14,7 +14,6 @@
 #include "dist/marginal.hpp"
 #include "dist/truncated_pareto.hpp"
 #include "queueing/solver.hpp"
-#include "traffic/fluid_source.hpp"
 
 namespace lrd::core {
 
@@ -48,9 +47,6 @@ class FluidModel {
   double theta() const noexcept { return epochs_->theta(); }
   double service_rate() const noexcept { return service_rate_; }
   double buffer() const noexcept { return buffer_; }
-
-  /// The modulated fluid source (for sampling and covariance queries).
-  traffic::FluidSource source() const;
 
   /// The queue solver for this model.
   queueing::FluidQueueSolver solver() const;

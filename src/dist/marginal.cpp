@@ -41,11 +41,6 @@ Marginal::Marginal(std::vector<double> rates, std::vector<double> probs) {
 
 Marginal Marginal::constant(double rate) { return Marginal({rate}, {1.0}); }
 
-Marginal Marginal::on_off(double peak, double p_on) {
-  if (!(p_on > 0.0 && p_on < 1.0)) throw std::invalid_argument("Marginal::on_off: p_on must be in (0,1)");
-  return Marginal({0.0, peak}, {1.0 - p_on, p_on});
-}
-
 void Marginal::recompute_moments() {
   numerics::CompensatedSum m;
   for (std::size_t i = 0; i < rates_.size(); ++i) m.add(rates_[i] * probs_[i]);
@@ -72,14 +67,6 @@ Marginal Marginal::scaled(double factor) const {
   std::vector<double> r(rates_.size());
   for (std::size_t i = 0; i < rates_.size(); ++i)
     r[i] = std::max(0.0, mean_ + factor * (rates_[i] - mean_));
-  return Marginal(std::move(r), probs_);
-}
-
-Marginal Marginal::policed(double cap) const {
-  if (!(cap > rates_.front()))
-    throw std::invalid_argument("Marginal::policed: cap must exceed the minimum rate");
-  std::vector<double> r(rates_.size());
-  for (std::size_t i = 0; i < rates_.size(); ++i) r[i] = std::min(rates_[i], cap);
   return Marginal(std::move(r), probs_);
 }
 

@@ -27,9 +27,6 @@ class Marginal {
   /// Degenerate (single-rate) marginal.
   static Marginal constant(double rate);
 
-  /// Two-point on/off marginal: rate `peak` with probability p_on, 0 otherwise.
-  static Marginal on_off(double peak, double p_on);
-
   std::size_t size() const noexcept { return rates_.size(); }
   const std::vector<double>& rates() const noexcept { return rates_; }
   const std::vector<double>& probs() const noexcept { return probs_; }
@@ -47,12 +44,6 @@ class Marginal {
   /// widens). Rates that would become negative are clamped to 0; the
   /// paper's factors (0.5 .. 1.5) keep all rates positive for its traces.
   Marginal scaled(double factor) const;
-
-  /// Policing transformation: rates above `cap` are clipped to `cap`
-  /// (their probability mass moves onto the cap). This is the marginal a
-  /// peak-rate policer or source shaper produces; unlike scaled(), it
-  /// lowers the mean. cap must exceed the minimum rate.
-  Marginal policed(double cap) const;
 
   /// Marginal of the average of n i.i.d. streams. The support is first
   /// snapped onto a fine lattice with mean-preserving two-point mass

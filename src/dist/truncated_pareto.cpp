@@ -106,22 +106,11 @@ double TruncatedPareto::alpha_from_hurst(double hurst) {
   return 3.0 - 2.0 * hurst;
 }
 
-double TruncatedPareto::hurst_from_alpha(double alpha) {
-  if (!(alpha > 1.0 && alpha < 2.0))
-    bad_param("alpha is in (1, 2) for the Hurst mapping", "alpha", alpha);
-  return (3.0 - alpha) / 2.0;
-}
-
 double TruncatedPareto::theta_from_mean_epoch(double mean_epoch, double alpha) {
   if (!(mean_epoch > 0.0) || !std::isfinite(mean_epoch))
     bad_param("mean epoch is finite and > 0", "mean_epoch", mean_epoch);
   if (!(alpha > 1.0)) bad_param("alpha > 1", "alpha", alpha);
   return mean_epoch * (alpha - 1.0);
-}
-
-TruncatedPareto TruncatedPareto::from_hurst(double hurst, double mean_epoch, double cutoff) {
-  const double alpha = alpha_from_hurst(hurst);
-  return TruncatedPareto(theta_from_mean_epoch(mean_epoch, alpha), alpha, cutoff);
 }
 
 }  // namespace lrd::dist

@@ -43,16 +43,10 @@ class TruncatedPareto final : public EpochDistribution {
   /// alpha = 3 - 2H, valid for H in (1/2, 1).
   static double alpha_from_hurst(double hurst);
 
-  /// H = (3 - alpha)/2.
-  static double hurst_from_alpha(double alpha);
-
   /// Paper's calibration (Section III): choose theta so that the mean
   /// epoch length at T_c = infinity equals `mean_epoch`:
   /// theta = mean_epoch * (alpha - 1).
   static double theta_from_mean_epoch(double mean_epoch, double alpha);
-
-  /// Convenience factory from (H, mean epoch at T_c = inf, cutoff).
-  static TruncatedPareto from_hurst(double hurst, double mean_epoch, double cutoff);
 
  private:
   double theta_;

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/status.hpp"
 #include "numerics/fft_plan.hpp"
 
 namespace lrd::numerics {
@@ -33,31 +32,6 @@ void fft_inplace(std::vector<std::complex<double>>& data, bool inverse) {
   } else {
     plan.forward(data.data());
   }
-}
-
-std::vector<std::complex<double>> fft(std::vector<std::complex<double>> data) {
-  fft_inplace(data, /*inverse=*/false);
-  return data;
-}
-
-std::vector<std::complex<double>> ifft(std::vector<std::complex<double>> data) {
-  fft_inplace(data, /*inverse=*/true);
-  const double inv_n = 1.0 / static_cast<double>(data.size());
-  for (auto& z : data) z *= inv_n;
-  return data;
-}
-
-std::vector<std::complex<double>> fft_real(const std::vector<double>& x, std::size_t n) {
-  if (!is_pow2(n) || n < x.size())
-    throw std::invalid_argument("fft_real: n must be a power of two >= x.size()");
-  if (!all_finite(x))
-    throw_error(make_diagnostics(ErrorCategory::kNumericalGuard, "numerics.fft",
-                                 "input signal is finite",
-                                 "fft_real: non-finite (NaN/Inf) entry in input"));
-  std::vector<std::complex<double>> data(n);
-  for (std::size_t i = 0; i < x.size(); ++i) data[i] = {x[i], 0.0};
-  fft_inplace(data, /*inverse=*/false);
-  return data;
 }
 
 bool all_finite(const std::vector<double>& x) noexcept {

@@ -1,10 +1,10 @@
 // Radix-2 complex FFT and helpers.
 //
-// Self-contained replacement for an external FFT dependency. These are
-// the *cold*, validating entry points; they now execute through the
-// shared plan cache in fft_plan.hpp, which is also where hot consumers
-// (the solver's convolution engine, the fGn generator, the periodogram
-// estimators) go directly for allocation-free, real-input transforms.
+// Self-contained replacement for an external FFT dependency. fft_inplace
+// is the one complex entry point; it runs through the shared plan cache
+// in fft_plan.hpp, which is also where hot consumers (the solver's
+// convolution engine, the fGn generator, the periodogram estimators) go
+// directly for allocation-free, real-input transforms.
 #pragma once
 
 #include <complex>
@@ -25,22 +25,8 @@ bool is_pow2(std::size_t n) noexcept;
 /// size check and the cache lookup.
 ///
 /// `data.size()` must be a power of two. `inverse == true` computes the
-/// unnormalized inverse transform; callers divide by N themselves (or use
-/// ifft() which does it for them).
+/// unnormalized inverse transform; callers divide by N themselves.
 void fft_inplace(std::vector<std::complex<double>>& data, bool inverse);
-
-/// Forward FFT of a complex vector (size must be a power of two).
-std::vector<std::complex<double>> fft(std::vector<std::complex<double>> data);
-
-/// Normalized inverse FFT (divides by N).
-std::vector<std::complex<double>> ifft(std::vector<std::complex<double>> data);
-
-/// Forward FFT of a real vector zero-padded to `n` (a power of two >= x.size()).
-/// Rejects non-finite input (a NaN anywhere in the signal would otherwise
-/// silently poison the whole spectrum and every value convolved with it).
-/// Cold path: allocates and scans every call. Hot loops use RealFft from
-/// fft_plan.hpp and validate their inputs once up front instead.
-std::vector<std::complex<double>> fft_real(const std::vector<double>& x, std::size_t n);
 
 /// True iff every entry is finite (no NaN/Inf).
 bool all_finite(const std::vector<double>& x) noexcept;

@@ -10,31 +10,6 @@ Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
   if (rows == 0 || cols == 0) throw std::invalid_argument("Matrix: zero dimension");
 }
 
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
-Matrix Matrix::transposed() const {
-  Matrix t(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = 0; c < cols_; ++c) t(c, r) = (*this)(r, c);
-  return t;
-}
-
-Matrix operator*(const Matrix& a, const Matrix& b) {
-  if (a.cols_ != b.rows_) throw std::invalid_argument("Matrix multiply: shape mismatch");
-  Matrix out(a.rows_, b.cols_);
-  for (std::size_t i = 0; i < a.rows_; ++i)
-    for (std::size_t k = 0; k < a.cols_; ++k) {
-      const double aik = a(i, k);
-      if (aik == 0.0) continue;
-      for (std::size_t j = 0; j < b.cols_; ++j) out(i, j) += aik * b(k, j);
-    }
-  return out;
-}
-
 std::vector<double> Matrix::multiply(const std::vector<double>& x) const {
   if (x.size() != cols_) throw std::invalid_argument("Matrix::multiply: shape mismatch");
   std::vector<double> out(rows_, 0.0);
@@ -45,12 +20,11 @@ std::vector<double> Matrix::multiply(const std::vector<double>& x) const {
 
 namespace {
 
-/// In-place LU with partial pivoting. Returns the permutation sign, or 0
-/// on singularity. `perm[i]` records the pivot row chosen at step i.
-int lu_decompose(Matrix& a, std::vector<std::size_t>& perm) {
+/// In-place LU with partial pivoting. Returns false on singularity.
+/// `perm[i]` records the pivot row chosen at step i.
+bool lu_decompose(Matrix& a, std::vector<std::size_t>& perm) {
   const std::size_t n = a.rows();
   perm.resize(n);
-  int sign = 1;
   for (std::size_t col = 0; col < n; ++col) {
     std::size_t pivot = col;
     double best = std::abs(a(col, col));
@@ -60,19 +34,17 @@ int lu_decompose(Matrix& a, std::vector<std::size_t>& perm) {
         pivot = r;
       }
     }
-    if (best < 1e-300) return 0;
+    if (best < 1e-300) return false;
     perm[col] = pivot;
-    if (pivot != col) {
+    if (pivot != col)
       for (std::size_t c = 0; c < n; ++c) std::swap(a(col, c), a(pivot, c));
-      sign = -sign;
-    }
     for (std::size_t r = col + 1; r < n; ++r) {
       const double factor = a(r, col) / a(col, col);
       a(r, col) = factor;
       for (std::size_t c = col + 1; c < n; ++c) a(r, c) -= factor * a(col, c);
     }
   }
-  return sign;
+  return true;
 }
 
 }  // namespace
@@ -82,7 +54,7 @@ std::vector<double> solve_linear_system(Matrix a, std::vector<double> b) {
     throw std::invalid_argument("solve_linear_system: shape mismatch");
   const std::size_t n = a.rows();
   std::vector<std::size_t> perm;
-  if (lu_decompose(a, perm) == 0) throw std::domain_error("solve_linear_system: singular matrix");
+  if (!lu_decompose(a, perm)) throw std::domain_error("solve_linear_system: singular matrix");
 
   for (std::size_t i = 0; i < n; ++i) std::swap(b[i], b[perm[i]]);
   // Forward substitution (unit lower-triangular L).
@@ -94,32 +66,6 @@ std::vector<double> solve_linear_system(Matrix a, std::vector<double> b) {
     b[r] /= a(r, r);
   }
   return b;
-}
-
-double determinant(Matrix a) {
-  if (a.rows() != a.cols()) throw std::invalid_argument("determinant: not square");
-  std::vector<std::size_t> perm;
-  const int sign = lu_decompose(a, perm);
-  if (sign == 0) return 0.0;
-  double det = sign;
-  for (std::size_t i = 0; i < a.rows(); ++i) det *= a(i, i);
-  return det;
-}
-
-std::vector<double> stationary_distribution(const Matrix& generator) {
-  if (generator.rows() != generator.cols())
-    throw std::invalid_argument("stationary_distribution: not square");
-  const std::size_t n = generator.rows();
-  // Solve pi Q = 0, sum pi = 1: replace the last column of Q^T with ones.
-  Matrix a = generator.transposed();
-  for (std::size_t c = 0; c < n; ++c) a(n - 1, c) = 1.0;
-  std::vector<double> b(n, 0.0);
-  b[n - 1] = 1.0;
-  auto pi = solve_linear_system(std::move(a), std::move(b));
-  for (double p : pi)
-    if (p < -1e-9) throw std::domain_error("stationary_distribution: negative probability (reducible chain?)");
-  for (double& p : pi) p = std::max(p, 0.0);
-  return pi;
 }
 
 }  // namespace lrd::numerics

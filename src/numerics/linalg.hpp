@@ -14,17 +14,12 @@ class Matrix {
  public:
   Matrix(std::size_t rows, std::size_t cols, double fill = 0.0);
 
-  static Matrix identity(std::size_t n);
-
   std::size_t rows() const noexcept { return rows_; }
   std::size_t cols() const noexcept { return cols_; }
 
   double& operator()(std::size_t r, std::size_t c) noexcept { return data_[r * cols_ + c]; }
   double operator()(std::size_t r, std::size_t c) const noexcept { return data_[r * cols_ + c]; }
 
-  Matrix transposed() const;
-
-  friend Matrix operator*(const Matrix& a, const Matrix& b);
   std::vector<double> multiply(const std::vector<double>& x) const;
 
  private:
@@ -36,12 +31,5 @@ class Matrix {
 /// Solves A x = b by LU decomposition with partial pivoting.
 /// Throws std::domain_error when A is (numerically) singular.
 std::vector<double> solve_linear_system(Matrix a, std::vector<double> b);
-
-/// Determinant via the same LU factorization.
-double determinant(Matrix a);
-
-/// Solves pi A = 0 with sum(pi) = 1 for an irreducible generator matrix A
-/// (rows sum to zero): the stationary distribution of a CTMC.
-std::vector<double> stationary_distribution(const Matrix& generator);
 
 }  // namespace lrd::numerics

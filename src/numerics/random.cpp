@@ -80,10 +80,6 @@ double Rng::normal(double mean, double stddev) noexcept { return mean + stddev *
 
 double Rng::exponential(double rate) noexcept { return -std::log(uniform_open()) / rate; }
 
-double Rng::pareto(double xm, double alpha) noexcept {
-  return xm * std::pow(uniform_open(), -1.0 / alpha);
-}
-
 double Rng::lognormal(double mu_log, double sigma_log) noexcept {
   return std::exp(normal(mu_log, sigma_log));
 }

@@ -44,9 +44,6 @@ class Rng {
   /// Exponential with given rate (mean 1/rate).
   double exponential(double rate) noexcept;
 
-  /// Pareto with scale xm > 0 and shape alpha > 0: ccdf (x/xm)^-alpha.
-  double pareto(double xm, double alpha) noexcept;
-
   /// Lognormal with parameters of the underlying normal.
   double lognormal(double mu_log, double sigma_log) noexcept;
 

@@ -1,8 +1,6 @@
 #include "numerics/simd.hpp"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 
 namespace lrd::numerics::simd {
 
@@ -54,22 +52,13 @@ void radix4_scalar_impl(std::complex<double>* d, std::size_t n, std::size_t len,
 
 const FftKernels kScalarKernels{Isa::kScalar, "scalar", &detail::radix4_pass_scalar};
 
-/// Best table this CPU supports, honoring the LRDQ_SIMD override.
+/// Best table this CPU supports.
 const FftKernels* detect() noexcept {
-  const FftKernels* avx2 = nullptr;
-  const FftKernels* neon = detail::neon_fft_kernels();
 #if LRD_SIMD && (defined(__x86_64__) || defined(_M_X64))
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
-    avx2 = detail::avx2_fft_kernels();
+    return detail::avx2_fft_kernels();
 #endif
-  if (const char* env = std::getenv("LRDQ_SIMD")) {
-    if (std::strcmp(env, "scalar") == 0) return &kScalarKernels;
-    if (std::strcmp(env, "avx2") == 0 && avx2 != nullptr) return avx2;
-    if (std::strcmp(env, "neon") == 0 && neon != nullptr) return neon;
-    // Unknown or unavailable request: fall through to auto-detection.
-  }
-  if (avx2 != nullptr) return avx2;
-  if (neon != nullptr) return neon;
+  if (const FftKernels* neon = detail::neon_fft_kernels()) return neon;
   return &kScalarKernels;
 }
 

@@ -7,12 +7,11 @@
 // entry so one binary carries a scalar implementation plus whatever the
 // target ISA offers (AVX2+FMA on x86-64, NEON on aarch64) and picks at
 // runtime. Selection happens once, on first use, via an atomic pointer:
-//   1. `LRDQ_SIMD=scalar|avx2|neon` forces a path (ignored when the
-//      requested ISA is not compiled in or not supported by the CPU);
-//   2. otherwise the best supported ISA wins (AVX2 requires both the
-//      avx2 and fma CPUID bits; NEON is baseline on aarch64);
-//   3. `-DLRD_DISABLE_SIMD=ON` compiles the vector TUs out entirely,
+//   1. the best supported ISA wins (AVX2 requires both the avx2 and fma
+//      CPUID bits; NEON is baseline on aarch64);
+//   2. `-DLRD_DISABLE_SIMD=ON` compiles the vector TUs out entirely,
 //      leaving only the scalar table (LRD_SIMD == 0).
+// Tests switch tables with set_active_kernels_for_testing().
 // The vector kernels live in separate translation units compiled with
 // the matching -m flags; nothing outside those TUs executes vector
 // instructions, so the binary stays safe on older CPUs.

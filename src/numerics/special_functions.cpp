@@ -1,7 +1,6 @@
 #include "numerics/special_functions.hpp"
 
 #include <cmath>
-#include <limits>
 #include <numbers>
 #include <stdexcept>
 
@@ -34,11 +33,6 @@ double erf_inv(double y) {
     x -= err / d;
   }
   return x;
-}
-
-double normal_quantile(double p) {
-  if (!(p > 0.0 && p < 1.0)) throw std::domain_error("normal_quantile: p must be in (0, 1)");
-  return std::numbers::sqrt2 * erf_inv(2.0 * p - 1.0);
 }
 
 double normal_cdf(double x) noexcept { return 0.5 * std::erfc(-x / std::numbers::sqrt2); }
@@ -99,13 +93,6 @@ double neumaier_sum(const std::vector<double>& xs) noexcept {
   CompensatedSum acc;
   for (double x : xs) acc.add(x);
   return acc.value();
-}
-
-double log_add_exp(double a, double b) noexcept {
-  if (a == -std::numeric_limits<double>::infinity()) return b;
-  if (b == -std::numeric_limits<double>::infinity()) return a;
-  const double m = std::max(a, b);
-  return m + std::log1p(std::exp(std::min(a, b) - m));
 }
 
 double relative_gap(double a, double b) noexcept {

@@ -1,6 +1,6 @@
 // Special functions and numerically careful primitives used across the
 // library: inverse error function (Eq. 26 of the paper needs erf^-1),
-// compensated summation, and log-space helpers.
+// the normal CDF, the incomplete gamma function and compensated summation.
 #pragma once
 
 #include <cmath>
@@ -15,9 +15,6 @@ namespace lrd::numerics {
 /// erf(x) - y = 0; relative error < 1e-12 across (-1 + 1e-12, 1 - 1e-12).
 /// Throws std::domain_error outside (-1, 1).
 double erf_inv(double y);
-
-/// Inverse of the standard normal CDF (probit), Phi^-1(p), p in (0, 1).
-double normal_quantile(double p);
 
 /// Standard normal CDF.
 double normal_cdf(double x) noexcept;
@@ -53,9 +50,6 @@ class CompensatedSum {
   double sum_ = 0.0;
   double comp_ = 0.0;
 };
-
-/// log(exp(a) + exp(b)) without overflow.
-double log_add_exp(double a, double b) noexcept;
 
 /// Relative gap |a - b| / midpoint, with midpoint = (|a| + |b|)/2.
 /// Returns 0 when both are 0.

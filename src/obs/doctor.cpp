@@ -7,29 +7,15 @@
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
-#include <cstdarg>
 #include <cstdio>
 #include <cstring>
 #include <map>
 
+#include "obs/fmt.hpp"
+
 namespace lrd::obs {
 
 namespace {
-
-/// printf into a string sized by a first vsnprintf pass: no field (a
-/// demangled template frame, a client id, a sweep title) is ever cut
-/// short, so every row keeps its newline.
-__attribute__((format(printf, 1, 2))) std::string fmt(const char* f, ...) {
-  va_list ap, again;
-  va_start(ap, f);
-  va_copy(again, ap);
-  const int n = std::vsnprintf(nullptr, 0, f, ap);
-  va_end(ap);
-  std::string out(n > 0 ? static_cast<std::size_t>(n) : 0, '\0');
-  if (n > 0) std::vsnprintf(out.data(), out.size() + 1, f, again);
-  va_end(again);
-  return out;
-}
 
 std::string format_us(double us) {
   if (std::abs(us) >= 1e6) return fmt("%.3f s", us / 1e6);

@@ -125,17 +125,6 @@ double Histogram::quantile(double q) const {
   return bucket_lower(kBuckets - 1);
 }
 
-void Histogram::merge(const Histogram& other) noexcept {
-  const auto counts = other.snapshot();
-  Shard& s = shards_[0];
-  for (std::size_t i = 0; i < kBuckets; ++i)
-    if (counts[i]) s.buckets[i].fetch_add(counts[i], std::memory_order_relaxed);
-  double cur = s.sum.load(std::memory_order_relaxed);
-  const double add = other.sum();
-  while (!s.sum.compare_exchange_weak(cur, cur + add, std::memory_order_relaxed)) {
-  }
-}
-
 // ----------------------------------------------------------------- Registry
 
 Registry& Registry::global() {

@@ -129,12 +129,6 @@ class Histogram {
   /// is bounded by the bucket's relative width (~9%).
   double quantile(double q) const;
 
-  /// Adds every bucket count (and the value sum) of `other` into this
-  /// histogram. Exact integer addition, hence associative and
-  /// commutative — merging per-thread shards in any order yields the
-  /// same histogram.
-  void merge(const Histogram& other) noexcept;
-
  private:
   void observe_impl(double v) noexcept;
 

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <map>
+
+#include "obs/fmt.hpp"
 
 namespace lrd::obs {
 
@@ -179,9 +180,7 @@ RegressionFinding gate(const std::string& key, const std::string& metric,
 }
 
 std::string format_value(double v, const std::string& unit) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.4g", v);
-  std::string out = buf;
+  std::string out = fmt("%.4g", v);
   if (!unit.empty()) out += " " + unit;
   return out;
 }
@@ -267,22 +266,18 @@ RegressionReport check_regressions(std::vector<BenchHistoryRecord> history,
 
 std::string RegressionReport::to_text() const {
   std::string out;
-  char buf[256];
   for (const RegressionFinding& f : findings) {
     std::string what = f.key;
     if (!f.metric.empty()) what += "#" + f.metric;
-    std::snprintf(buf, sizeof buf, "[%s] %-44s %s vs %s (%+.1f%%, allowed +%s, window %zu)\n",
-                  f.regression ? "REGR" : " ok ", what.c_str(),
-                  format_value(f.current, f.unit).c_str(),
-                  format_value(f.baseline, f.unit).c_str(), 100.0 * f.relative(),
-                  format_value(f.allowed, f.unit).c_str(), f.baseline_records);
-    out += buf;
+    out += fmt("[%s] %-44s %s vs %s (%+.1f%%, allowed +%s, window %zu)\n",
+               f.regression ? "REGR" : " ok ", what.c_str(), format_value(f.current, f.unit).c_str(),
+               format_value(f.baseline, f.unit).c_str(), 100.0 * f.relative(),
+               format_value(f.allowed, f.unit).c_str(), f.baseline_records);
   }
   for (const std::string& key : keys_without_baseline)
     out += "[ new] " + key + " (no baseline yet; recorded, not gated)\n";
-  std::snprintf(buf, sizeof buf, "checked %zu keys, %zu new: %zu regression%s\n", keys_checked,
-                keys_without_baseline.size(), regressions, regressions == 1 ? "" : "s");
-  out += buf;
+  out += fmt("checked %zu keys, %zu new: %zu regression%s\n", keys_checked,
+             keys_without_baseline.size(), regressions, regressions == 1 ? "" : "s");
   return out;
 }
 

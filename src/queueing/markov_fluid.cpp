@@ -200,70 +200,6 @@ void MarkovFluidQueue::compute_spectrum() {
   }
 }
 
-double MarkovFluidQueue::overflow_probability(double x) const {
-  if (!(x >= 0.0)) throw std::invalid_argument("overflow_probability: x must be >= 0");
-  if (!(spec_.utilization() < 1.0))
-    throw std::domain_error("overflow_probability: infinite buffer requires utilization < 1");
-
-  const std::size_t dim = spec_.states();
-  // Unknowns: coefficients of the strictly negative eigenvalues.
-  std::vector<std::size_t> neg;
-  for (std::size_t k = 0; k < dim; ++k)
-    if (eigenvalues_[k] < 0.0) neg.push_back(k);
-  std::vector<std::size_t> up_states;
-  for (std::size_t i = 0; i < dim; ++i)
-    if (drifts_[i] > 0.0) up_states.push_back(i);
-  if (neg.size() != up_states.size())
-    throw std::domain_error("overflow_probability: spectral count mismatch");
-
-  numerics::Matrix a(neg.size(), neg.size());
-  std::vector<double> b(neg.size());
-  for (std::size_t r = 0; r < up_states.size(); ++r) {
-    for (std::size_t c = 0; c < neg.size(); ++c)
-      a(r, c) = eigenvectors_[neg[c]][up_states[r]];
-    b[r] = -state_probs_[up_states[r]];
-  }
-  const auto coef = numerics::solve_linear_system(std::move(a), std::move(b));
-
-  double g = 0.0;
-  for (std::size_t c = 0; c < neg.size(); ++c) {
-    double s = 0.0;
-    for (double v : eigenvectors_[neg[c]]) s += v;
-    g -= coef[c] * s * std::exp(eigenvalues_[neg[c]] * x);
-  }
-  return std::clamp(g, 0.0, 1.0);
-}
-
-double MarkovFluidQueue::mean_queue() const {
-  if (!(spec_.utilization() < 1.0))
-    throw std::domain_error("mean_queue: infinite buffer requires utilization < 1");
-  const std::size_t dim = spec_.states();
-  std::vector<std::size_t> neg;
-  for (std::size_t k = 0; k < dim; ++k)
-    if (eigenvalues_[k] < 0.0) neg.push_back(k);
-  std::vector<std::size_t> up_states;
-  for (std::size_t i = 0; i < dim; ++i)
-    if (drifts_[i] > 0.0) up_states.push_back(i);
-
-  numerics::Matrix a(neg.size(), neg.size());
-  std::vector<double> b(neg.size());
-  for (std::size_t r = 0; r < up_states.size(); ++r) {
-    for (std::size_t c = 0; c < neg.size(); ++c)
-      a(r, c) = eigenvectors_[neg[c]][up_states[r]];
-    b[r] = -state_probs_[up_states[r]];
-  }
-  const auto coef = numerics::solve_linear_system(std::move(a), std::move(b));
-
-  // E[Q] = int_0^inf Pr{Q > x} dx = sum_k a_k S_k / z_k.
-  double total = 0.0;
-  for (std::size_t c = 0; c < neg.size(); ++c) {
-    double s = 0.0;
-    for (double v : eigenvectors_[neg[c]]) s += v;
-    total += coef[c] * s / eigenvalues_[neg[c]];
-  }
-  return std::max(0.0, total);
-}
-
 MarkovFluidQueue::FiniteBufferResult MarkovFluidQueue::finite_buffer(double buffer) const {
   if (!(buffer > 0.0)) throw std::invalid_argument("finite_buffer: buffer must be > 0");
   const std::size_t dim = spec_.states();
@@ -406,25 +342,6 @@ MarkovFluidSimResult simulate_markov_fluid(const OnOffFluidSpec& spec, double bu
                                            std::size_t transitions, std::uint64_t seed) {
   return simulate_markov_fluid(BirthDeathFluidSpec::from_onoff(spec), buffer, transitions,
                                seed);
-}
-
-OnOffFluidSpec fit_maglaris_minisources(double mean_rate, double rate_variance,
-                                        double acf_decay_rate, std::size_t minisources,
-                                        double service) {
-  if (!(mean_rate > 0.0) || !(rate_variance > 0.0) || !(acf_decay_rate > 0.0))
-    throw std::invalid_argument("fit_maglaris_minisources: moments must be > 0");
-  if (minisources == 0) throw std::invalid_argument("fit_maglaris_minisources: need >= 1 source");
-  const double n = static_cast<double>(minisources);
-  const double p = mean_rate * mean_rate / (rate_variance * n + mean_rate * mean_rate);
-  if (!(p > 0.0 && p < 1.0))
-    throw std::domain_error("fit_maglaris_minisources: infeasible moment triple");
-  OnOffFluidSpec spec;
-  spec.sources = minisources;
-  spec.rate_on = mean_rate / (n * p);
-  spec.lambda_on = acf_decay_rate * p;
-  spec.lambda_off = acf_decay_rate * (1.0 - p);
-  spec.service = service;
-  return spec;
 }
 
 }  // namespace lrd::queueing

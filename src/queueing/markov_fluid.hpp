@@ -74,12 +74,6 @@ class MarkovFluidQueue {
   /// Stationary state probabilities (binomial).
   const std::vector<double>& state_probabilities() const noexcept { return state_probs_; }
 
-  /// Infinite buffer: Pr{Q > x}, x >= 0. Requires utilization < 1.
-  double overflow_probability(double x) const;
-
-  /// Infinite buffer: time-stationary mean occupancy E[Q].
-  double mean_queue() const;
-
   struct FiniteBufferResult {
     double loss_rate = 0.0;   // lost work / arrived work
     double mean_queue = 0.0;  // time-stationary E[Q]
@@ -114,17 +108,5 @@ MarkovFluidSimResult simulate_markov_fluid(const OnOffFluidSpec& spec, double bu
                                            std::size_t transitions, std::uint64_t seed);
 MarkovFluidSimResult simulate_markov_fluid(const BirthDeathFluidSpec& spec, double buffer,
                                            std::size_t transitions, std::uint64_t seed);
-
-/// Maglaris-style minisource video model: fits N homogeneous on/off
-/// minisources to a measured (mean rate, rate variance, ACF decay rate)
-/// triple — the classic Markovian VBR-video parameterization the paper's
-/// Markov-modeling references build on. The fit is exact:
-///   p = m^2 / (v N + m^2),  A = m / (N p),
-///   lambda_on = a p,        lambda_off = a (1 - p),
-/// giving mean m, variance v and autocovariance v e^{-a t}. Throws when
-/// the triple is infeasible for the given N.
-OnOffFluidSpec fit_maglaris_minisources(double mean_rate, double rate_variance,
-                                        double acf_decay_rate, std::size_t minisources,
-                                        double service);
 
 }  // namespace lrd::queueing

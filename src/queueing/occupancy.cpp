@@ -1,7 +1,6 @@
 #include "queueing/occupancy.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "numerics/special_functions.hpp"
@@ -9,16 +8,6 @@
 namespace lrd::queueing {
 
 namespace {
-
-/// Pr{Q >= x} for a pmf over {0, d, ..., Md}: sums bins with value >= x
-/// (tolerance half a grid tick to absorb floating-point jitter).
-double tail_mass(const std::vector<double>& q, double step, double x) {
-  numerics::CompensatedSum acc;
-  for (std::size_t j = 0; j < q.size(); ++j) {
-    if (static_cast<double>(j) * step >= x - step * 1e-9) acc.add(q[j]);
-  }
-  return std::min(1.0, std::max(0.0, acc.value()));
-}
 
 double quantile_of(const std::vector<double>& q, double step, double p) {
   numerics::CompensatedSum acc;
@@ -38,15 +27,6 @@ void validate(const SolverResult& result, double buffer) {
 }
 
 }  // namespace
-
-BoundedValue overflow_probability(const SolverResult& result, double buffer, double x) {
-  validate(result, buffer);
-  const double step = buffer / static_cast<double>(result.occupancy_lower.size() - 1);
-  const double xc = std::clamp(x, 0.0, buffer);
-  // Q_L <=st Q <=st Q_H: the lower process's tail bounds from below.
-  return BoundedValue{tail_mass(result.occupancy_lower, step, xc),
-                      tail_mass(result.occupancy_upper, step, xc)};
-}
 
 BoundedValue occupancy_quantile(const SolverResult& result, double buffer, double p) {
   validate(result, buffer);

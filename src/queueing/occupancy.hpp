@@ -4,9 +4,8 @@
 // The solver produces two pmfs over {0, d, ..., B} that stochastically
 // bracket the occupancy at arrival epochs (Q_L <=st Q <=st Q_H). Any
 // monotone functional of the occupancy therefore comes with rigorous
-// lower/upper bounds: overflow probability Pr{Q >= x} (the metric used by
-// the infinite-buffer literature the paper engages with, cf. footnote 2),
-// occupancy quantiles, and the queueing-delay distribution Q / c.
+// lower/upper bounds: occupancy quantiles, the queueing-delay
+// distribution Q / c, and the tail curve Pr{Q >= j d}.
 #pragma once
 
 #include <cstddef>
@@ -21,9 +20,6 @@ struct BoundedValue {
   double upper = 0.0;
   double mid() const noexcept { return (lower + upper) / 2.0; }
 };
-
-/// Pr{Q >= x} bracket from a solver result. x is clamped to [0, B].
-BoundedValue overflow_probability(const SolverResult& result, double buffer, double x);
 
 /// Smallest occupancy q with Pr{Q <= q} >= p, bracketed. p in (0, 1].
 BoundedValue occupancy_quantile(const SolverResult& result, double buffer, double p);

@@ -286,8 +286,8 @@ FluidQueueSolver::Level FluidQueueSolver::build_level(std::size_t bins, const Le
   // Refinement carry-over: with d = 2 d' exactly, fine point 2j d' is
   // coarse point j d bit for bit, so every even fine entry is a coarse
   // entry and only the odd ones are evaluated.
-  const bool carry = coarse != nullptr && !coarse->ccdf_open.empty() &&
-                     2 * coarse->grid.bins() == bins && 2.0 * d == coarse->grid.step();
+  const bool carry = coarse != nullptr && 2 * coarse->grid.bins() == bins &&
+                     2.0 * d == coarse->grid.step();
   std::vector<double> open(2 * bins + 1), closed(2 * bins + 1);
   for (std::size_t k = 0; k <= 2 * bins; ++k) {
     if (carry && k % 2 == 0) {
@@ -305,16 +305,6 @@ FluidQueueSolver::Level FluidQueueSolver::build_level(std::size_t bins, const Le
   DualFoldEngine engine(pmf_from_ccdf(closed.data() + 1, bins), pmf_from_ccdf(open.data(), bins),
                         bins);
   return Level{grid, std::move(engine), std::move(kernel), std::move(open), std::move(closed)};
-}
-
-FluidQueueSolver::Level FluidQueueSolver::build_level_with(std::size_t bins,
-                                                           std::vector<double> lower_pmf,
-                                                           std::vector<double> upper_pmf) const {
-  const numerics::Grid grid(buffer_, bins);
-  std::vector<double> kernel(bins + 1);
-  for (std::size_t j = 0; j <= bins; ++j) kernel[j] = overflow_kernel(grid.value(j));
-  return Level{grid, DualFoldEngine(std::move(lower_pmf), std::move(upper_pmf), bins),
-               std::move(kernel), {}, {}};
 }
 
 double FluidQueueSolver::loss_from_pmf(const std::vector<double>& q,
@@ -343,9 +333,7 @@ FluidQueueSolver::LevelSnapshot FluidQueueSolver::iterate_fixed(std::size_t bins
   return snap;
 }
 
-template <typename MakeLevel>
-SolverResult FluidQueueSolver::solve_impl(const SolverConfig& cfg,
-                                          const MakeLevel& make_level) const {
+SolverResult FluidQueueSolver::solve(const SolverConfig& cfg) const {
   if (auto st = cfg.validate(); !st.is_ok()) throw lrd::ConfigError(st.diagnostics());
 
   // Every solve runs under a correlation scope: a serve worker or CLI
@@ -375,7 +363,7 @@ SolverResult FluidQueueSolver::solve_impl(const SolverConfig& cfg,
   // least one sample carrying this query's id (no-op when the
   // profiler is off — one relaxed load).
   obs::profiler::sample_now();
-  Level level = make_level(bins, nullptr);
+  Level level = build_level(bins);
   result.levels = 1;
 
   std::vector<double> q_low = dirac(bins + 1, 0);
@@ -577,7 +565,7 @@ SolverResult FluidQueueSolver::solve_impl(const SolverConfig& cfg,
       }
       bins = fine;
       // The fine level is built from the coarse one before it replaces it.
-      level = make_level(bins, &level);
+      level = build_level(bins, &level);
       q_low = std::move(ql);
       q_high = std::move(qh);
       ++result.levels;
@@ -634,30 +622,6 @@ SolverResult FluidQueueSolver::solve_impl(const SolverConfig& cfg,
                         result.levels, "stop", static_cast<std::int64_t>(result.stop));
   }
   return result;
-}
-
-SolverResult FluidQueueSolver::solve(const SolverConfig& cfg) const {
-  return solve_impl(cfg, [this](std::size_t bins, const Level* coarse) {
-    return build_level(bins, coarse);
-  });
-}
-
-SolverResult FluidQueueSolver::solve_with_increments(const SolverConfig& cfg,
-                                                     std::vector<double> lower_pmf,
-                                                     std::vector<double> upper_pmf) const {
-  if (auto st = cfg.validate(); !st.is_ok()) throw lrd::ConfigError(st.diagnostics());
-  const std::size_t want = 2 * cfg.initial_bins + 1;
-  if (lower_pmf.size() != want || upper_pmf.size() != want)
-    throw lrd::ConfigError(lrd::make_diagnostics(
-        lrd::ErrorCategory::kInvalidArgument, "queueing.solver",
-        "override increment pmfs have 2 * initial_bins + 1 entries",
-        "got " + std::to_string(lower_pmf.size()) + " / " + std::to_string(upper_pmf.size()) +
-            " entries, want " + std::to_string(want)));
-  return solve_impl(cfg, [&](std::size_t bins, const Level* coarse) {
-    if (bins == cfg.initial_bins)
-      return build_level_with(bins, lower_pmf, upper_pmf);
-    return build_level(bins, coarse);
-  });
 }
 
 }  // namespace lrd::queueing

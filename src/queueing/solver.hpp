@@ -234,6 +234,14 @@ struct SolverResult {
 
   /// True when the result carries usable loss bounds (possibly wide).
   bool has_valid_bounds() const noexcept { return stop != SolverStop::kInvalidInput; }
+
+  /// Exit code of this outcome: 0 converged (or zero loss), 1 stopped
+  /// short with an ok status, otherwise the code of the diagnostic's
+  /// category (lrd::exit_code_for).
+  int exit_code() const noexcept {
+    if (converged) return 0;
+    return status.is_ok() ? 1 : lrd::exit_code_for(status.category());
+  }
 };
 
 class FluidQueueSolver {
@@ -256,14 +264,6 @@ class FluidQueueSolver {
   /// diagnostic rather than throwing. Overloaded queues (utilization >=
   /// 1) are solved normally: the finite buffer keeps the chain stable.
   SolverResult solve(const SolverConfig& cfg = {}) const;
-
-  /// Test/diagnostic seam: the adaptive solve, but with externally
-  /// supplied increment pmfs for the *initial* level (each must have
-  /// 2 * cfg.initial_bins + 1 entries; refined levels fall back to the
-  /// exact pmfs). This is how the failure-path tests inject a
-  /// mass-leaking kernel and assert the guardrails trip gracefully.
-  SolverResult solve_with_increments(const SolverConfig& cfg, std::vector<double> lower_pmf,
-                                     std::vector<double> upper_pmf) const;
 
   /// Runs exactly `iterations` iterations at a fixed M and returns the
   /// state — used to reproduce Fig. 2 (bounds after n = 5, 10, 30 at
@@ -292,23 +292,19 @@ class FluidQueueSolver {
 
   /// One discretization level: its grid, fold engine and overflow kernel,
   /// and the increment ccdf tables its pmfs were built from, kept for the
-  /// next refinement to read. A level built from injected pmfs has none.
+  /// next refinement to read.
   struct Level {
     numerics::Grid grid;
     DualFoldEngine engine;       // batched Q_L / Q_H epoch step
     std::vector<double> kernel;  // E[W_l | Q = j d] for j = 0..M
-    // Pr{W > i d} / Pr{W >= i d} for i = -M..M (index i + M), or empty.
+    // Pr{W > i d} / Pr{W >= i d} for i = -M..M (index i + M).
     std::vector<double> ccdf_open, ccdf_closed;
   };
-  /// The level at `bins`. When `coarse` is the level at bins / 2 and has
-  /// tables, its tables and kernel fill the even entries (fine point 2j
-  /// is coarse point j bit for bit) and only the odd ones are evaluated;
-  /// the result equals a fresh build bit for bit.
+  /// The level at `bins`. When `coarse` is the level at bins / 2, its
+  /// tables and kernel fill the even entries (fine point 2j is coarse
+  /// point j bit for bit) and only the odd ones are evaluated; the
+  /// result equals a fresh build bit for bit.
   Level build_level(std::size_t bins, const Level* coarse = nullptr) const;
-  Level build_level_with(std::size_t bins, std::vector<double> lower_pmf,
-                         std::vector<double> upper_pmf) const;
-  template <typename MakeLevel>
-  SolverResult solve_impl(const SolverConfig& cfg, const MakeLevel& make_level) const;
 
   /// Pr{W > w} (open) and Pr{W >= w} (closed) of the per-epoch increment.
   struct IncrementCcdf {

@@ -30,10 +30,14 @@
 // the default 1.0 so capacity counts entries); when a shard exceeds its
 // share of the budget it evicts least-recently-used entries first
 // (`CacheStats::evictions`, `lrd_cache_evictions_total`). Evicted entries
-// are *not* lost on a persistent cache: the disk tier is a true second
-// level, consulted on a memory miss and promoted back on a hit
-// (`CacheStats::disk_hits`). capacity_cost = 0 keeps the historical
-// never-evicted behaviour.
+// are *not* lost on a persistent cache, but the "disk tier" that keeps
+// them is an in-memory map (`disk_map_`) holding every record the file
+// has, loaded at construction and written through on each store: it is
+// consulted on a memory miss and promoted back on a hit
+// (`CacheStats::disk_hits`) without reading the disk. So capacity_cost
+// bounds the sharded tier only; with a persistent file the process holds
+// every record, whatever the capacity. capacity_cost = 0 keeps the
+// historical never-evicted behaviour.
 //
 // Tiers: the sharded in-memory map always; optionally a persistent
 // append-only text file (`<dir>/solver_cache.txt`) loaded at

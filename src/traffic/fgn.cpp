@@ -65,12 +65,4 @@ std::vector<double> generate_fgn(std::size_t n, double hurst, numerics::Rng& rng
   return out;
 }
 
-std::vector<double> generate_fbm(std::size_t n, double hurst, numerics::Rng& rng) {
-  auto incr = generate_fgn(n, hurst, rng);
-  std::vector<double> path(n + 1);
-  path[0] = 0.0;
-  for (std::size_t i = 0; i < n; ++i) path[i + 1] = path[i] + incr[i];
-  return path;
-}
-
 }  // namespace lrd::traffic

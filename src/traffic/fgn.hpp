@@ -27,8 +27,4 @@ double fgn_autocovariance(double hurst, std::size_t lag);
 /// approximation is involved (tiny negative round-off is clamped).
 std::vector<double> generate_fgn(std::size_t n, double hurst, numerics::Rng& rng);
 
-/// Fractional Brownian motion sample path: cumulative sum of fGn,
-/// B(0) = 0, n+1 points.
-std::vector<double> generate_fbm(std::size_t n, double hurst, numerics::Rng& rng);
-
 }  // namespace lrd::traffic

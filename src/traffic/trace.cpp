@@ -49,20 +49,6 @@ double RateTrace::min() const noexcept { return *std::min_element(rates_.begin()
 
 double RateTrace::max() const noexcept { return *std::max_element(rates_.begin(), rates_.end()); }
 
-RateTrace RateTrace::aggregated(std::size_t m) const {
-  if (m == 0) throw std::invalid_argument("RateTrace::aggregated: m must be >= 1");
-  if (m == 1) return *this;
-  const std::size_t blocks = rates_.size() / m;
-  if (blocks == 0) throw std::invalid_argument("RateTrace::aggregated: m exceeds trace length");
-  std::vector<double> out(blocks);
-  for (std::size_t b = 0; b < blocks; ++b) {
-    double s = 0.0;
-    for (std::size_t k = 0; k < m; ++k) s += rates_[b * m + k];
-    out[b] = s / static_cast<double>(m);
-  }
-  return RateTrace(std::move(out), bin_seconds_ * static_cast<double>(m));
-}
-
 RateTrace RateTrace::head(std::size_t n) const {
   if (n == 0 || n > rates_.size()) throw std::invalid_argument("RateTrace::head: bad length");
   return RateTrace(std::vector<double>(rates_.begin(), rates_.begin() + static_cast<long>(n)),
@@ -179,12 +165,6 @@ lrd::Expected<RateTrace> RateTrace::try_load_file(const std::string& path) {
     return d;
   }
   return result;
-}
-
-RateTrace RateTrace::load(std::istream& is) {
-  auto result = try_load(is);
-  if (!result) lrd::throw_error(result.diagnostics());
-  return std::move(result).take();
 }
 
 void RateTrace::save_file(const std::string& path) const {

@@ -29,10 +29,6 @@ class RateTrace {
   double min() const noexcept;
   double max() const noexcept;
 
-  /// m-aggregated trace: averages of non-overlapping blocks of m samples
-  /// (the basic operation behind variance-time Hurst estimation).
-  RateTrace aggregated(std::size_t m) const;
-
   /// First `n` samples.
   RateTrace head(std::size_t n) const;
 
@@ -52,9 +48,8 @@ class RateTrace {
   static lrd::Expected<RateTrace> try_load(std::istream& is);
   static lrd::Expected<RateTrace> try_load_file(const std::string& path);
 
-  /// Throwing wrappers over try_load / try_load_file (lrd::DataError,
-  /// which is-a std::runtime_error).
-  static RateTrace load(std::istream& is);
+  /// Throwing wrapper over try_load_file (lrd::DataError, which is-a
+  /// std::runtime_error).
   static RateTrace load_file(const std::string& path);
 
  private:

@@ -1,5 +1,5 @@
-// Tests for the general birth-death fluid queue and the Maglaris
-// minisource video calibration.
+// Tests for the general birth-death fluid queue, including a Maglaris
+// minisource video model.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -96,38 +96,18 @@ TEST_P(BirthDeathFinite, LossAndMeanQueueMatchSimulation) {
 
 INSTANTIATE_TEST_SUITE_P(Buffers, BirthDeathFinite, ::testing::Values(0.2, 1.0, 5.0));
 
-TEST(BirthDeath, InfiniteBufferTailMatchesSimulation) {
-  const auto spec = video_like_spec();
-  MarkovFluidQueue q(spec);
-  ASSERT_LT(spec.utilization(), 1.0);
-  const auto sim = simulate_markov_fluid(spec, 1000.0, 2000000, 78);
-  EXPECT_NEAR(q.mean_queue(), sim.mean_queue, 0.15 * q.mean_queue());
-}
-
-TEST(Maglaris, FitReproducesTargetMoments) {
-  const double m = 9.5, v = 5.7, a = 3.9;
-  const auto spec = fit_maglaris_minisources(m, v, a, 20, 12.0);
-  EXPECT_EQ(spec.sources, 20u);
-  EXPECT_NEAR(spec.mean_rate(), m, 1e-12);
-  // Variance of the aggregate: N A^2 p (1 - p).
-  const double p = spec.p_on();
-  const double var = 20.0 * spec.rate_on * spec.rate_on * p * (1.0 - p);
-  EXPECT_NEAR(var, v, 1e-9);
-  // ACF decay rate: lambda_on + lambda_off = a.
-  EXPECT_NEAR(spec.lambda_on + spec.lambda_off, a, 1e-12);
-}
-
-TEST(Maglaris, Validation) {
-  EXPECT_THROW(fit_maglaris_minisources(0.0, 1.0, 1.0, 5, 2.0), std::invalid_argument);
-  EXPECT_THROW(fit_maglaris_minisources(1.0, 1.0, 1.0, 0, 2.0), std::invalid_argument);
-}
-
 TEST(Maglaris, CalibratedVideoModelSolves) {
-  // Video-like numbers: mean 9.5 Mb/s, std 2.4 Mb/s, ACF decay 3.9 /s
-  // (Maglaris et al. report a ~ 3.9 for their video conference data).
-  // Service chosen so no activity level sits within ~1% of c: the
-  // spectral method (like AMS) is ill-conditioned near zero drifts.
-  const auto spec = fit_maglaris_minisources(9.5, 2.4 * 2.4, 3.9, 20, 12.2);
+  // 20 on/off minisources fitted to video-like numbers: mean 9.5 Mb/s,
+  // std 2.4 Mb/s, ACF decay lambda_on + lambda_off = 3.9 /s (Maglaris
+  // et al. report a ~ 3.9 for their video conference data). Service
+  // chosen so no activity level sits within ~1% of c: the spectral
+  // method (like AMS) is ill-conditioned near zero drifts.
+  OnOffFluidSpec spec;
+  spec.sources = 20;
+  spec.rate_on = 1.0813;
+  spec.lambda_on = 1.7132;
+  spec.lambda_off = 2.1868;
+  spec.service = 12.2;
   MarkovFluidQueue q(spec);
   const auto r = q.finite_buffer(0.1 * spec.service);
   EXPECT_GT(r.loss_rate, 0.0);

@@ -61,8 +61,6 @@ TEST(FluidModel, SourceAndSolverShareParameters) {
   cfg.utilization = 0.5;
   cfg.normalized_buffer = 0.5;
   core::FluidModel model(test_marginal(), cfg);
-  auto src = model.source();
-  EXPECT_DOUBLE_EQ(src.mean_rate(), 10.0);
   auto solver = model.solver();
   EXPECT_DOUBLE_EQ(solver.service_rate(), 20.0);
   EXPECT_DOUBLE_EQ(solver.buffer(), 10.0);

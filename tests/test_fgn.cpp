@@ -10,7 +10,6 @@ namespace {
 
 using namespace lrd;
 using traffic::fgn_autocovariance;
-using traffic::generate_fbm;
 using traffic::generate_fgn;
 
 TEST(FgnAutocovariance, LagZeroIsUnitVariance) {
@@ -124,34 +123,6 @@ TEST(GenerateFgn, DeterministicGivenSeed) {
   auto x = generate_fgn(64, 0.8, a);
   auto y = generate_fgn(64, 0.8, b);
   for (std::size_t i = 0; i < 64; ++i) EXPECT_DOUBLE_EQ(x[i], y[i]);
-}
-
-TEST(GenerateFbm, StartsAtZeroAndCumulates) {
-  numerics::Rng rng(9);
-  auto path = generate_fbm(128, 0.7, rng);
-  ASSERT_EQ(path.size(), 129u);
-  EXPECT_DOUBLE_EQ(path[0], 0.0);
-  // Differences reconstruct fGn: path must not be constant.
-  double total_move = 0.0;
-  for (std::size_t i = 1; i < path.size(); ++i) total_move += std::abs(path[i] - path[i - 1]);
-  EXPECT_GT(total_move, 1.0);
-}
-
-TEST(GenerateFbm, SelfSimilarVarianceGrowth) {
-  // Var[B(t)] = t^{2H}: compare sample variance of B(n) across many
-  // independent paths at two horizons.
-  const double h = 0.75;
-  const std::size_t n_paths = 600;
-  const std::size_t len = 256;
-  double var_full = 0.0, var_half = 0.0;
-  for (std::size_t p = 0; p < n_paths; ++p) {
-    numerics::Rng rng(p + 1);
-    auto path = generate_fbm(len, h, rng);
-    var_full += path[len] * path[len];
-    var_half += path[len / 2] * path[len / 2];
-  }
-  const double ratio = var_full / var_half;
-  EXPECT_NEAR(ratio, std::pow(2.0, 2.0 * h), 0.35);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "numerics/random.hpp"
 #include "queueing/solver.hpp"
 #include "queueing/trace_queue_sim.hpp"
+#include "traffic/fluid_source.hpp"
 #include "traffic/shuffle.hpp"
 
 namespace {

@@ -2,12 +2,8 @@
 
 #include <cmath>
 
-#include <memory>
-
 #include "dist/marginal.hpp"
-#include "dist/simple_epochs.hpp"
 #include "numerics/random.hpp"
-#include "queueing/solver.hpp"
 
 namespace {
 
@@ -58,14 +54,6 @@ TEST(Marginal, ConstantFactory) {
   EXPECT_EQ(m.size(), 1u);
   EXPECT_DOUBLE_EQ(m.mean(), 7.0);
   EXPECT_DOUBLE_EQ(m.variance(), 0.0);
-}
-
-TEST(Marginal, OnOffFactory) {
-  auto m = Marginal::on_off(10.0, 0.3);
-  EXPECT_EQ(m.size(), 2u);
-  EXPECT_DOUBLE_EQ(m.mean(), 3.0);
-  EXPECT_THROW(Marginal::on_off(10.0, 0.0), std::invalid_argument);
-  EXPECT_THROW(Marginal::on_off(10.0, 1.0), std::invalid_argument);
 }
 
 TEST(Marginal, ServiceRateForUtilization) {
@@ -152,47 +140,6 @@ TEST(Marginal, SampleMatchesProbabilities) {
   EXPECT_NEAR(counts[0] / static_cast<double>(n), 0.2, 0.01);
   EXPECT_NEAR(counts[1] / static_cast<double>(n), 0.3, 0.01);
   EXPECT_NEAR(counts[2] / static_cast<double>(n), 0.5, 0.01);
-}
-
-}  // namespace
-
-namespace {
-
-using lrd::dist::Marginal;
-
-TEST(MarginalPolicing, ClipsRatesAboveCap) {
-  Marginal m({1.0, 5.0, 9.0, 13.0}, {0.25, 0.25, 0.25, 0.25});
-  Marginal p = m.policed(9.0);
-  EXPECT_DOUBLE_EQ(p.peak_rate(), 9.0);
-  // Mass of 9 and 13 merges onto the cap.
-  ASSERT_EQ(p.size(), 3u);
-  EXPECT_DOUBLE_EQ(p.probs()[2], 0.5);
-  // Policing lowers the mean (unlike scaled()).
-  EXPECT_LT(p.mean(), m.mean());
-  EXPECT_NEAR(p.mean(), 0.25 * (1.0 + 5.0 + 9.0 + 9.0), 1e-12);
-}
-
-TEST(MarginalPolicing, GenerousCapIsIdentity) {
-  Marginal m({1.0, 5.0}, {0.5, 0.5});
-  Marginal p = m.policed(100.0);
-  EXPECT_EQ(p.size(), 2u);
-  EXPECT_DOUBLE_EQ(p.mean(), m.mean());
-}
-
-TEST(MarginalPolicing, Validation) {
-  Marginal m({2.0, 5.0}, {0.5, 0.5});
-  EXPECT_THROW(m.policed(2.0), std::invalid_argument);
-  EXPECT_THROW(m.policed(1.0), std::invalid_argument);
-}
-
-TEST(MarginalPolicing, ReducesSolverLoss) {
-  // Policing narrows the upper tail: the queue fed by the policed
-  // marginal must lose less (same c, B).
-  Marginal m({0.0, 4.0, 16.0}, {0.4, 0.4, 0.2});
-  auto epochs = std::make_shared<const lrd::dist::ExponentialEpoch>(10.0);
-  lrd::queueing::FluidQueueSolver base(m, epochs, 6.0, 1.0);
-  lrd::queueing::FluidQueueSolver pol(m.policed(10.0), epochs, 6.0, 1.0);
-  EXPECT_LT(pol.solve().loss_estimate(), base.solve().loss_estimate());
 }
 
 }  // namespace

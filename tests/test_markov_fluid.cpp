@@ -82,26 +82,6 @@ TEST(MarkovFluid, StateProbabilitiesAreBinomial) {
   EXPECT_NEAR(p[4], std::pow(0.4, 4), 1e-12);
 }
 
-TEST(MarkovFluid, OverflowProbabilityShape) {
-  MarkovFluidQueue q(basic_spec());
-  double prev = q.overflow_probability(0.0);
-  EXPECT_LE(prev, 1.0);
-  EXPECT_GT(prev, 0.0);
-  for (double x : {0.5, 1.0, 2.0, 4.0, 8.0}) {
-    const double g = q.overflow_probability(x);
-    EXPECT_LE(g, prev + 1e-12) << x;
-    EXPECT_GE(g, 0.0);
-    prev = g;
-  }
-  // Asymptotically exponential with the dominant (least negative) rate.
-  const double g8 = q.overflow_probability(8.0);
-  const double g10 = q.overflow_probability(10.0);
-  double dominant = -1e300;
-  for (double z : q.eigenvalues())
-    if (z < 0.0) dominant = std::max(dominant, z);
-  EXPECT_NEAR(std::log(g10 / g8) / 2.0, dominant, 0.02);
-}
-
 TEST(MarkovFluid, SingleSourceClosedFormDecayRate) {
   // N = 1: the nonzero eigenvalue is lambda_on / c - lambda_off / (r - c).
   OnOffFluidSpec s;
@@ -115,14 +95,6 @@ TEST(MarkovFluid, SingleSourceClosedFormDecayRate) {
   ASSERT_EQ(q.eigenvalues().size(), 2u);
   EXPECT_NEAR(q.eigenvalues()[0], expected, 1e-9);
   EXPECT_DOUBLE_EQ(q.eigenvalues()[1], 0.0);
-}
-
-TEST(MarkovFluid, InfiniteBufferMatchesSimulationTail) {
-  const auto spec = basic_spec();
-  MarkovFluidQueue q(spec);
-  // Big-buffer simulation approximates the infinite queue.
-  const auto sim = queueing::simulate_markov_fluid(spec, 500.0, 2000000, 99);
-  EXPECT_NEAR(q.mean_queue(), sim.mean_queue, 0.15 * q.mean_queue());
 }
 
 class MarkovFluidFinite : public ::testing::TestWithParam<double> {};
@@ -178,7 +150,6 @@ TEST(MarkovFluid, OverloadedFiniteBufferLosesExcess) {
   MarkovFluidQueue q(s);
   const auto r = q.finite_buffer(1.0);
   EXPECT_GT(r.loss_rate, 1.0 - 1.0 / 1.2 - 1e-9);
-  EXPECT_THROW(q.overflow_probability(1.0), std::domain_error);
 }
 
 // ---- The exact cross-validation with the paper's solver -------------------

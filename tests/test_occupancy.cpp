@@ -23,37 +23,6 @@ queueing::SolverResult solved_result() {
   return s.solve(cfg);
 }
 
-TEST(Occupancy, OverflowProbabilityBracketsAreOrdered) {
-  const auto r = solved_result();
-  for (double x : {0.0, 1.0, 3.0, 6.0, 6.25}) {
-    const auto p = queueing::overflow_probability(r, 6.25, x);
-    EXPECT_LE(p.lower, p.upper + 1e-12) << "x = " << x;
-    EXPECT_GE(p.lower, 0.0);
-    EXPECT_LE(p.upper, 1.0);
-  }
-}
-
-TEST(Occupancy, OverflowProbabilityEdges) {
-  const auto r = solved_result();
-  const auto at_zero = queueing::overflow_probability(r, 6.25, 0.0);
-  EXPECT_NEAR(at_zero.lower, 1.0, 1e-9);  // Pr{Q >= 0} = 1
-  EXPECT_NEAR(at_zero.upper, 1.0, 1e-9);
-  const auto beyond = queueing::overflow_probability(r, 6.25, 100.0);  // clamped to B
-  EXPECT_LE(beyond.upper, 1.0);
-}
-
-TEST(Occupancy, OverflowProbabilityDecreasesInX) {
-  const auto r = solved_result();
-  double prev_l = 2.0, prev_u = 2.0;
-  for (double x : {0.0, 0.5, 1.5, 3.0, 5.0, 6.25}) {
-    const auto p = queueing::overflow_probability(r, 6.25, x);
-    EXPECT_LE(p.lower, prev_l + 1e-12);
-    EXPECT_LE(p.upper, prev_u + 1e-12);
-    prev_l = p.lower;
-    prev_u = p.upper;
-  }
-}
-
 TEST(Occupancy, QuantilesAreOrderedAndWithinBuffer) {
   const auto r = solved_result();
   for (double p : {0.1, 0.5, 0.9, 0.99, 1.0}) {
@@ -99,7 +68,7 @@ TEST(Occupancy, TailCurveIsMonotoneAndBracketing) {
 
 TEST(Occupancy, RejectsEmptyResult) {
   queueing::SolverResult empty;
-  EXPECT_THROW(queueing::overflow_probability(empty, 1.0, 0.5), std::invalid_argument);
+  EXPECT_THROW(queueing::occupancy_quantile(empty, 1.0, 0.5), std::invalid_argument);
   EXPECT_THROW(queueing::occupancy_tail(empty, 1.0), std::invalid_argument);
 }
 

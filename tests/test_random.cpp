@@ -99,21 +99,6 @@ TEST(Rng, ExponentialMoments) {
   EXPECT_NEAR(s2 / n, 0.5, 0.02);  // E[X^2] = 2 / rate^2
 }
 
-TEST(Rng, ParetoTailExponent) {
-  Rng rng(23);
-  const int n = 300000;
-  int exceed2 = 0, exceed4 = 0;
-  for (int i = 0; i < n; ++i) {
-    const double x = rng.pareto(1.0, 1.5);
-    ASSERT_GE(x, 1.0);
-    if (x > 2.0) ++exceed2;
-    if (x > 4.0) ++exceed4;
-  }
-  // ccdf(x) = x^-1.5: Pr{X>2} = 2^-1.5, Pr{X>4} = 4^-1.5.
-  EXPECT_NEAR(exceed2 / static_cast<double>(n), std::pow(2.0, -1.5), 0.01);
-  EXPECT_NEAR(exceed4 / static_cast<double>(n), std::pow(4.0, -1.5), 0.01);
-}
-
 TEST(Rng, LognormalMean) {
   Rng rng(29);
   const int n = 400000;

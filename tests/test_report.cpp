@@ -612,4 +612,29 @@ TEST(ObsReportRows, LongAccessLogIdRendersWholeOnItsOwnLine) {
   std::remove(path.c_str());
 }
 
+TEST(ObsReportRows, LongBenchKeyRendersWholeOnItsOwnLine) {
+  // Bench keys come from the bench sources and have no length bound.
+  const std::string key = "bench/" + std::string(294, 'k');
+  obs::RegressionReport report;
+  obs::RegressionFinding slow;
+  slow.key = key;
+  slow.unit = "s";
+  slow.baseline = 1.0;
+  slow.current = 3.0;
+  slow.allowed = 0.1;
+  slow.baseline_records = 4;
+  slow.regression = true;
+  obs::RegressionFinding quick = slow;
+  quick.key = "bench/short";
+  quick.current = 1.0;
+  quick.regression = false;
+  report.findings = {slow, quick};
+  report.keys_checked = 2;
+  report.regressions = 1;
+  const auto [row, next] = line_and_next(report.to_text(), key);
+  EXPECT_EQ(row, "[REGR] " + key + " 3 s vs 1 s (+200.0%, allowed +0.1 s, window 4)");
+  EXPECT_EQ(next, "[ ok ] bench/short                                  1 s vs 1 s (+0.0%, "
+                  "allowed +0.1 s, window 4)");
+}
+
 }  // namespace

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -20,7 +21,9 @@
 #include "core/status.hpp"
 #include "dist/simple_epochs.hpp"
 #include "dist/truncated_pareto.hpp"
+#include "obs/eventlog.hpp"
 #include "obs/flight.hpp"
+#include "obs/json.hpp"
 #include "queueing/fluid_queue_sim.hpp"
 #include "queueing/solver.hpp"
 #include "queueing/trace_queue_sim.hpp"
@@ -236,10 +239,11 @@ TEST(TraceParse, GoodTraceRoundTrips) {
 }
 
 TEST(TraceParse, ThrowingWrapperIsDataError) {
-  std::istringstream is("0.01 5\n1.0\n");
-  EXPECT_THROW(RateTrace::load(is), DataError);
-  std::istringstream is2("0.01 5\n1.0\n");
-  EXPECT_THROW(RateTrace::load(is2), std::runtime_error);  // legacy base preserved
+  const std::string path = ::testing::TempDir() + "/lrd_truncated_trace.txt";
+  std::ofstream(path) << "0.01 5\n1.0\n";
+  EXPECT_THROW(RateTrace::load_file(path), DataError);
+  EXPECT_THROW(RateTrace::load_file(path), std::runtime_error);  // legacy base preserved
+  std::remove(path.c_str());
 }
 
 TEST(TraceParse, MissingFileIsIoCategory) {
@@ -263,6 +267,32 @@ FluidQueueSolver make_solver(double service_rate = 2.0, double buffer = 1.0) {
   return FluidQueueSolver(m, d, service_rate, buffer);
 }
 
+/// Deterministic 1 s epochs whose ccdf at t > 0 is `ccdf` instead. The
+/// solver builds every level's increment pmfs from the epoch ccdfs, so a
+/// broken ccdf reaches the fold through the seam any epoch law uses.
+class BrokenCcdfEpoch final : public dist::EpochDistribution {
+ public:
+  explicit BrokenCcdfEpoch(double (*ccdf)(double)) : ccdf_(ccdf) {}
+  double mean() const override { return base_.mean(); }
+  double variance() const override { return base_.variance(); }
+  double ccdf_open(double t) const override { return t <= 0.0 ? 1.0 : ccdf_(t); }
+  double ccdf_closed(double t) const override { return ccdf_open(t); }
+  double excess_mean(double u) const override { return base_.excess_mean(u); }
+  double max_support() const override { return base_.max_support(); }
+  double sample(numerics::Rng& rng) const override { return base_.sample(rng); }
+
+ private:
+  dist::DeterministicEpoch base_{1.0};
+  double (*ccdf_)(double);
+};
+
+/// The make_solver() queue with B = 4: increments reach +-4, so the
+/// peak rate's epoch ccdf is sampled on (0, 4].
+FluidQueueSolver make_broken_solver(double (*ccdf)(double)) {
+  Marginal m({0.0, 3.0}, {2.0 / 3.0, 1.0 / 3.0});
+  return FluidQueueSolver(m, std::make_shared<const BrokenCcdfEpoch>(ccdf), 2.0, 4.0);
+}
+
 TEST(SolverGuards, OverloadedQueueSolvesWithFiniteBracket) {
   // utilization > 1 is NOT pathological for a finite buffer: the chain is
   // stable and the loss is simply heavy. The solver must converge with an
@@ -283,18 +313,16 @@ TEST(SolverGuards, OverloadedQueueSolvesWithFiniteBracket) {
 }
 
 TEST(SolverGuards, LeakingIncrementPmfTripsMassGuard) {
-  const auto solver = make_solver();
+  // A ccdf that is not monotone on (0, 4]: the level build clamps its
+  // negative differences to zero, so both increment pmfs carry mass above
+  // 1 and every fold step creates mass, which sanitize() would silently
+  // renormalize away if the guard measured after clamping.
+  const auto solver =
+      make_broken_solver([](double t) { return 0.5 * (1.0 + std::cos(3.0 * t)); });
   SolverConfig cfg;
   cfg.initial_bins = 64;
   cfg.max_bins = 64;
-  // Exact kernels, then bleed 5% of the mass out of both: every fold step
-  // now destroys mass, which sanitize() would silently renormalize away if
-  // the guard measured after clamping.
-  auto lo = solver.increment_pmf_lower(cfg.initial_bins);
-  auto hi = solver.increment_pmf_upper(cfg.initial_bins);
-  for (double& p : lo) p *= 0.95;
-  for (double& p : hi) p *= 0.95;
-  const auto r = solver.solve_with_increments(cfg, lo, hi);
+  const auto r = solver.solve(cfg);
 
   EXPECT_EQ(r.stop, SolverStop::kGuardTripped);
   EXPECT_FALSE(r.converged);
@@ -316,15 +344,14 @@ TEST(SolverGuards, LeakingIncrementPmfTripsMassGuard) {
 }
 
 TEST(SolverGuards, NonFiniteKernelIsCaughtUpFront) {
-  const auto solver = make_solver();
+  // A ccdf that returns NaN puts NaN in both increment pmfs; the
+  // convolver's finiteness check fires as a DataError (kNumericalGuard).
+  const auto solver = make_broken_solver([](double) { return kNan; });
   SolverConfig cfg;
   cfg.initial_bins = 64;
-  auto lo = solver.increment_pmf_lower(cfg.initial_bins);
-  auto hi = solver.increment_pmf_upper(cfg.initial_bins);
-  lo[lo.size() / 2] = kNan;
-  // The convolver's finiteness check fires as a DataError (kNumericalGuard).
+  cfg.max_bins = 64;
   try {
-    (void)solver.solve_with_increments(cfg, lo, hi);
+    (void)solver.solve(cfg);
     FAIL() << "NaN kernel was accepted";
   } catch (const DataError& e) {
     ASSERT_NE(diagnostics_of(e), nullptr);
@@ -366,13 +393,6 @@ TEST(SolverGuards, HealthyPathStaysClean) {
   EXPECT_TRUE(r.status.is_ok());
   EXPECT_TRUE(r.stop == SolverStop::kConverged || r.stop == SolverStop::kZeroLoss);
   EXPECT_GE(r.last_healthy_level, 1u);
-}
-
-TEST(SolverGuards, SolveWithIncrementsValidatesShape) {
-  const auto solver = make_solver();
-  SolverConfig cfg;
-  cfg.initial_bins = 64;
-  EXPECT_THROW(solver.solve_with_increments(cfg, {0.5, 0.5}, {0.5, 0.5}), ConfigError);
 }
 
 // ---------------------------------------------------------------------------
@@ -479,6 +499,47 @@ TEST(SweepRobustness, BudgetStarvedCellsAreRecordedNotFatal) {
   std::ostringstream os;
   table.print(os);
   EXPECT_NE(os.str().find("issue"), std::string::npos);
+}
+
+TEST(SweepRobustness, AccessRecordsCarryEachCellsSolverOutcome) {
+  // Each computed cell's access record names how its solve stopped, with
+  // the exit code lrdq_solve would return for it: the large-buffer cells
+  // run out of bins, the small-buffer ones converge.
+  Marginal m({2.0, 6.0, 10.0}, {0.3, 0.4, 0.3});
+  core::ModelSweepConfig cfg;
+  cfg.hurst = 0.85;
+  cfg.mean_epoch = 0.05;
+  cfg.solver.max_bins = 1024;
+  const std::string path = ::testing::TempDir() + "/lrd_sweep_access.jsonl";
+  std::remove(path.c_str());
+  ASSERT_TRUE(obs::EventLog::global().open(path, 0.0));
+  const auto table = core::loss_vs_buffer_and_cutoff(m, cfg, {0.01, 5.0}, {0.1, 1.0});
+  obs::EventLog::global().close();
+
+  std::set<std::string> starved;
+  for (const auto& issue : table.issues)
+    starved.insert(std::to_string(issue.row) + "," + std::to_string(issue.col));
+  std::ifstream in(path);
+  std::string line;
+  std::size_t records = 0, clean = 0;
+  while (std::getline(in, line)) {
+    auto rec = obs::json::parse(line);
+    ASSERT_TRUE(static_cast<bool>(rec)) << line;
+    const std::string status = rec.value().string_at("status");
+    ++records;
+    if (starved.count(rec.value().string_at("id"))) {
+      EXPECT_EQ(status, "bin-budget-exhausted") << line;
+      EXPECT_EQ(rec.value().count_at("code"), 6u) << line;
+    } else {
+      ++clean;
+      EXPECT_TRUE(status == "converged" || status == "zero-loss") << line;
+      EXPECT_EQ(rec.value().count_at("code"), 0u) << line;
+    }
+  }
+  EXPECT_EQ(records, 4u);
+  EXPECT_FALSE(starved.empty());
+  EXPECT_GT(clean, 0u);
+  std::remove(path.c_str());
 }
 
 TEST(SweepRobustness, CellDeadlineRetriesCoarserThenMarksDegraded) {

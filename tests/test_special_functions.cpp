@@ -38,23 +38,6 @@ TEST(ErfInv, DomainErrors) {
   EXPECT_THROW(erf_inv(std::numeric_limits<double>::quiet_NaN()), std::domain_error);
 }
 
-TEST(NormalQuantile, MatchesKnownValues) {
-  EXPECT_NEAR(normal_quantile(0.5), 0.0, 1e-14);
-  EXPECT_NEAR(normal_quantile(0.975), 1.959963984540054, 1e-9);
-  EXPECT_NEAR(normal_quantile(0.8413447460685429), 1.0, 1e-9);
-  EXPECT_NEAR(normal_quantile(0.0228), -1.9990, 5e-4);
-}
-
-TEST(NormalQuantile, InvertsCdf) {
-  for (double p : {0.01, 0.1, 0.25, 0.5, 0.9, 0.999})
-    EXPECT_NEAR(normal_cdf(normal_quantile(p)), p, 1e-12);
-}
-
-TEST(NormalQuantile, DomainErrors) {
-  EXPECT_THROW(normal_quantile(0.0), std::domain_error);
-  EXPECT_THROW(normal_quantile(1.0), std::domain_error);
-}
-
 TEST(NormalCdf, Symmetry) {
   EXPECT_NEAR(normal_cdf(0.0), 0.5, 1e-15);
   for (double x : {0.3, 1.0, 2.5}) EXPECT_NEAR(normal_cdf(x) + normal_cdf(-x), 1.0, 1e-14);
@@ -79,16 +62,6 @@ TEST(CompensatedSum, MatchesVectorVersion) {
     acc.add(v);
   }
   EXPECT_DOUBLE_EQ(acc.value(), neumaier_sum(xs));
-}
-
-TEST(LogAddExp, Basics) {
-  EXPECT_NEAR(log_add_exp(std::log(2.0), std::log(3.0)), std::log(5.0), 1e-14);
-  EXPECT_NEAR(log_add_exp(0.0, 0.0), std::log(2.0), 1e-14);
-  // No overflow for huge arguments.
-  EXPECT_NEAR(log_add_exp(1000.0, 1000.0), 1000.0 + std::log(2.0), 1e-10);
-  const double ninf = -std::numeric_limits<double>::infinity();
-  EXPECT_DOUBLE_EQ(log_add_exp(ninf, 3.0), 3.0);
-  EXPECT_DOUBLE_EQ(log_add_exp(3.0, ninf), 3.0);
 }
 
 TEST(RelativeGap, Basics) {

@@ -33,27 +33,6 @@ TEST(RateTrace, WorkAccounting) {
   EXPECT_DOUBLE_EQ(t.total_work(), 1.5);
 }
 
-TEST(RateTrace, AggregationAveragesBlocks) {
-  RateTrace t({1.0, 3.0, 5.0, 7.0, 9.0}, 0.1);
-  RateTrace a = t.aggregated(2);
-  ASSERT_EQ(a.size(), 2u);  // trailing partial block dropped
-  EXPECT_DOUBLE_EQ(a[0], 2.0);
-  EXPECT_DOUBLE_EQ(a[1], 6.0);
-  EXPECT_DOUBLE_EQ(a.bin_seconds(), 0.2);
-}
-
-TEST(RateTrace, AggregationPreservesMeanOnExactMultiple) {
-  RateTrace t({1.0, 3.0, 5.0, 7.0}, 0.1);
-  EXPECT_DOUBLE_EQ(t.aggregated(2).mean(), t.mean());
-  EXPECT_DOUBLE_EQ(t.aggregated(1).mean(), t.mean());
-}
-
-TEST(RateTrace, AggregationErrors) {
-  RateTrace t({1.0, 2.0}, 0.1);
-  EXPECT_THROW(t.aggregated(0), std::invalid_argument);
-  EXPECT_THROW(t.aggregated(3), std::invalid_argument);
-}
-
 TEST(RateTrace, Head) {
   RateTrace t({1.0, 2.0, 3.0}, 0.1);
   RateTrace h = t.head(2);
@@ -67,7 +46,9 @@ TEST(RateTrace, SaveLoadRoundTrip) {
   RateTrace t({1.25, 0.0, 3.75e-3, 9.5222}, 1.0 / 29.97);
   std::stringstream ss;
   t.save(ss);
-  RateTrace back = RateTrace::load(ss);
+  auto loaded = RateTrace::try_load(ss);
+  ASSERT_TRUE(loaded.has_value());
+  const RateTrace& back = loaded.value();
   ASSERT_EQ(back.size(), t.size());
   EXPECT_DOUBLE_EQ(back.bin_seconds(), t.bin_seconds());
   for (std::size_t i = 0; i < t.size(); ++i) EXPECT_DOUBLE_EQ(back[i], t[i]);
@@ -75,9 +56,13 @@ TEST(RateTrace, SaveLoadRoundTrip) {
 
 TEST(RateTrace, LoadRejectsGarbage) {
   std::stringstream empty("");
-  EXPECT_THROW(RateTrace::load(empty), std::runtime_error);
+  const auto from_empty = RateTrace::try_load(empty);
+  EXPECT_FALSE(from_empty.has_value());
+  EXPECT_EQ(from_empty.status().category(), lrd::ErrorCategory::kParse);
   std::stringstream truncated("0.01 5\n1.0 2.0\n");
-  EXPECT_THROW(RateTrace::load(truncated), std::runtime_error);
+  const auto from_truncated = RateTrace::try_load(truncated);
+  EXPECT_FALSE(from_truncated.has_value());
+  EXPECT_EQ(from_truncated.status().category(), lrd::ErrorCategory::kParse);
 }
 
 TEST(RateTrace, FileRoundTrip) {

@@ -202,13 +202,13 @@ TEST(TruncatedPareto, VarianceFiniteForLightUntruncated) {
 TEST(TruncatedPareto, HurstMappings) {
   EXPECT_NEAR(TruncatedPareto::alpha_from_hurst(0.9), 1.2, 1e-15);
   EXPECT_NEAR(TruncatedPareto::alpha_from_hurst(0.55), 1.9, 1e-15);
-  EXPECT_NEAR(TruncatedPareto::hurst_from_alpha(1.2), 0.9, 1e-15);
   EXPECT_THROW(TruncatedPareto::alpha_from_hurst(0.5), std::invalid_argument);
   EXPECT_THROW(TruncatedPareto::alpha_from_hurst(1.0), std::invalid_argument);
-  EXPECT_THROW(TruncatedPareto::hurst_from_alpha(2.5), std::invalid_argument);
-  // Round trip.
-  for (double h : {0.55, 0.7, 0.83, 0.9, 0.95})
-    EXPECT_NEAR(TruncatedPareto::hurst_from_alpha(TruncatedPareto::alpha_from_hurst(h)), h, 1e-14);
+  // alpha = 3 - 2H, and the law built from it reports H back.
+  for (double h : {0.55, 0.7, 0.83, 0.9, 0.95}) {
+    EXPECT_NEAR(TruncatedPareto::alpha_from_hurst(h), 3.0 - 2.0 * h, 1e-15);
+    EXPECT_NEAR(TruncatedPareto(1.0, TruncatedPareto::alpha_from_hurst(h), kInf).hurst(), h, 1e-14);
+  }
 }
 
 TEST(TruncatedPareto, ThetaCalibrationRecoversMeanEpoch) {
@@ -218,14 +218,6 @@ TEST(TruncatedPareto, ThetaCalibrationRecoversMeanEpoch) {
   const double theta = TruncatedPareto::theta_from_mean_epoch(mean_epoch, alpha);
   TruncatedPareto d(theta, alpha, kInf);
   EXPECT_NEAR(d.mean(), mean_epoch, 1e-12);
-}
-
-TEST(TruncatedPareto, FromHurstFactory) {
-  auto d = TruncatedPareto::from_hurst(0.83, 0.080, 50.0);
-  EXPECT_NEAR(d.alpha(), 1.34, 1e-12);
-  EXPECT_NEAR(d.hurst(), 0.83, 1e-12);
-  EXPECT_DOUBLE_EQ(d.cutoff(), 50.0);
-  EXPECT_NEAR(d.theta(), 0.080 * 0.34, 1e-12);
 }
 
 TEST(TruncatedPareto, ResidualCcdfMatchesEq7) {

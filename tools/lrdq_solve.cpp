@@ -101,9 +101,7 @@ int main(int argc, char** argv) {
       rec.tool = "lrdq_solve";
       rec.op = "solve";
       rec.status = queueing::solver_stop_name(result.stop);
-      rec.code = result.converged ? 0
-                 : result.status.is_ok() ? 1
-                                         : lrd::exit_code_for(result.status.category());
+      rec.code = result.exit_code();
       rec.wall_ms =
           std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
               .count();
@@ -139,7 +137,6 @@ int main(int argc, char** argv) {
     if (!telemetry_path.empty()) write_telemetry(telemetry_path, result.telemetry);
     cli::finish_forensics(forensics);
     cli::finish_observability(obs_setup);
-    if (result.converged) return 0;
-    return result.status.is_ok() ? 1 : lrd::exit_code_for(result.status.category());
+    return result.exit_code();
   });
 }
