@@ -224,9 +224,11 @@ int main(int argc, char** argv) {
     for (const std::size_t m : {std::size_t{128}, std::size_t{1024}, std::size_t{4096},
                                 std::size_t{16384}}) {
       h.add("fold_step/" + std::to_string(m), {1, 5}, [m](bench::Case& c) {
-        // The solver's per-epoch step (packed next_pow2(2M)-point
-        // circular transform, fold with exact atoms, health scan,
-        // sanitize).
+        // The solver's per-epoch step: the packed next_pow2(2M)-point
+        // circular transform (input and product spectrum written in
+        // bit-reversed order, so no swap pass), then one pass for both
+        // chains' exact atoms, one for their health scan and clamp, and
+        // one renormalizing both.
         auto solver = figure_solver();
         queueing::DualFoldEngine engine(solver.increment_pmf_lower(m),
                                         solver.increment_pmf_upper(m), m);

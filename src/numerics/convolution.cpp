@@ -1,6 +1,7 @@
 #include "numerics/convolution.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 
 #include "core/status.hpp"
@@ -128,26 +129,32 @@ void DualKernelConvolver::convolve_into(const double* a, const double* b, std::s
     throw std::invalid_argument("DualKernelConvolver::convolve_into: bad signal length");
   if (first > n_ || count > n_ - first)
     throw std::invalid_argument("DualKernelConvolver::convolve_into: window outside the n outputs");
+  // Point j of the packed signal x = a + i b goes to its bit-reversed
+  // position in a zeroed buffer, where the transform's stages read it; the
+  // spectrum X comes out in natural order.
+  const std::uint32_t* rev = plan_->bitrev();
   std::complex<double>* x = ws.freq.data();
-  for (std::size_t j = 0; j < len; ++j) x[j] = {a[j], b[j]};
-  for (std::size_t j = len; j < n_; ++j) x[j] = {0.0, 0.0};
-  plan_->forward(x);
+  std::complex<double>* y = ws.prod.data();
+  std::fill(x, x + n_, std::complex<double>{});
+  for (std::size_t j = 0; j < len; ++j) x[rev[j]] = {a[j], b[j]};
+  plan_->forward_from_bitrev(x);
   // Split X into the spectra A, B of the two real signals (conjugate
   // symmetry), multiply by the kernel spectra, and repack Y = A Ka + i B Kb
   // whose inverse carries a * ka in its real part and b * kb in its
-  // imaginary part.
+  // imaginary part. Bin k of Y goes to y[rev[k]], where the inverse
+  // transform's stages read it.
   const std::size_t half = n_ / 2;
   {
     const double a0 = x[0].real();
     const double b0 = x[0].imag();
     const std::complex<double> ya = a0 * spec_a_[0];
     const std::complex<double> yb = b0 * spec_b_[0];
-    x[0] = {ya.real() - yb.imag(), ya.imag() + yb.real()};
+    y[rev[0]] = {ya.real() - yb.imag(), ya.imag() + yb.real()};
     const double ah = x[half].real();
     const double bh = x[half].imag();
     const std::complex<double> yah = ah * spec_a_[half];
     const std::complex<double> ybh = bh * spec_b_[half];
-    x[half] = {yah.real() - ybh.imag(), yah.imag() + ybh.real()};
+    y[rev[half]] = {yah.real() - ybh.imag(), yah.imag() + ybh.real()};
   }
   // Written out in real arithmetic: std::complex products carry a NaN
   // recovery branch per multiply, and dropping it makes the whole fold
@@ -164,19 +171,19 @@ void DualKernelConvolver::convolve_into(const double* a, const double* b, std::s
     const double bi = -0.5 * (x[k].real() - x[m].real());
     const double kar = spec_a_[k].real(), kai = spec_a_[k].imag();
     const double kbr = spec_b_[k].real(), kbi = spec_b_[k].imag();
-    x[k] = {(ar * kar - ai * kai) - (br * kbi + bi * kbr),
-            (ar * kai + ai * kar) + (br * kbr - bi * kbi)};
+    y[rev[k]] = {(ar * kar - ai * kai) - (br * kbi + bi * kbr),
+                 (ar * kai + ai * kar) + (br * kbr - bi * kbi)};
     const double mar = spec_a_[m].real(), mai = spec_a_[m].imag();
     const double mbr = spec_b_[m].real(), mbi = spec_b_[m].imag();
-    x[m] = {(ar * mar + ai * mai) - (br * mbi - bi * mbr),
-            (ar * mai - ai * mar) + (br * mbr + bi * mbi)};
+    y[rev[m]] = {(ar * mar + ai * mai) - (br * mbi - bi * mbr),
+                 (ar * mai - ai * mar) + (br * mbr + bi * mbi)};
   }
-  plan_->inverse(x);
+  plan_->inverse_from_bitrev(y);
   const double inv_n = 1.0 / static_cast<double>(n_);
-  const std::complex<double>* y = x + first;
+  const std::complex<double>* out = y + first;
   for (std::size_t i = 0; i < count; ++i) {
-    out_a[i] = y[i].real() * inv_n;
-    out_b[i] = y[i].imag() * inv_n;
+    out_a[i] = out[i].real() * inv_n;
+    out_b[i] = out[i].imag() * inv_n;
   }
 }
 

@@ -3,10 +3,10 @@
 // (the inner loop of the queue-occupancy recursion, Eq. 19 of the paper).
 //
 // Workspace ownership: DualKernelConvolver::convolve_into never
-// allocates — the caller constructs a Workspace once (per level, per
-// thread) and threads it through every call. Workspaces are cheap,
-// movable, and tied to the convolver's FFT size; sharing one across
-// threads is not allowed. The outputs are a window of the caller's
+// allocates — the caller constructs a Workspace (two n-point buffers)
+// once per level and thread and threads it through every call.
+// Workspaces are cheap, movable, and tied to the convolver's FFT size;
+// sharing one across threads is not allowed. The outputs are a window of the caller's
 // choosing, written straight into the caller's buffers, so a caller that
 // reads only part of the result needs no n-entry output buffer. The
 // allocating functions (`convolve_direct`, `convolve_fft`,
@@ -57,18 +57,27 @@ class DualKernelConvolver {
   /// a power of two >= 2. A kernel longer than n is wrapped mod n.
   DualKernelConvolver(std::vector<double> kernel_a, std::vector<double> kernel_b, std::size_t n);
 
+  /// Two n-point buffers: `freq` takes the packed signals in
+  /// bit-reversed order and transforms them to their natural-order
+  /// spectrum; `prod` takes the product spectrum in bit-reversed order and
+  /// transforms it back to the two natural-order convolutions.
   struct Workspace {
-    std::vector<std::complex<double>> freq;  ///< one bin per FFT point
+    std::vector<std::complex<double>> freq;
+    std::vector<std::complex<double>> prod;
   };
   Workspace make_workspace() const {
-    return Workspace{std::vector<std::complex<double>>(n_)};
+    return Workspace{std::vector<std::complex<double>>(n_), std::vector<std::complex<double>>(n_)};
   }
 
   /// The window [first, first + count) of a (*) kernel_a and b (*)
   /// kernel_b, the n-point circular convolutions, for signals of
   /// 1 <= len <= n entries: out_a[i] and out_b[i] receive entry first + i,
   /// and nothing else is written (first + count <= n; count may be 0). One
-  /// FFT round-trip, zero allocations.
+  /// FFT round-trip, zero allocations, no bit-reversal swap pass: the
+  /// signals are scattered to their bit-reversed positions and the
+  /// product spectrum is written to its bit-reversed positions, so both
+  /// transforms run only their butterfly stages. The result has the bits
+  /// of packing in natural order and running FftPlan::forward / inverse.
   void convolve_into(const double* a, const double* b, std::size_t len, Workspace& ws,
                      std::size_t first, std::size_t count, double* out_a, double* out_b) const;
 

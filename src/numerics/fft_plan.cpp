@@ -58,13 +58,16 @@ FftPlan::FftPlan(std::size_t n) : n_(n) {
   }
 }
 
-void FftPlan::transform(std::complex<double>* data, bool inverse) const noexcept {
-  const std::size_t n = n_;
-  if (n < 2) return;
-  for (std::size_t i = 1; i < n; ++i) {
+void FftPlan::bit_reverse(std::complex<double>* data) const noexcept {
+  for (std::size_t i = 1; i < n_; ++i) {
     const std::size_t j = bitrev_[i];
     if (i < j) std::swap(data[i], data[j]);
   }
+}
+
+void FftPlan::stages(std::complex<double>* data, bool inverse) const noexcept {
+  const std::size_t n = n_;
+  if (n < 2) return;
   if (leading_len2_) {
     // Unpaired first stage: w_0 = 1, so forward and inverse coincide.
     for (std::size_t i = 0; i < n; i += 2) {
@@ -81,11 +84,21 @@ void FftPlan::transform(std::complex<double>* data, bool inverse) const noexcept
 }
 
 void FftPlan::forward(std::complex<double>* data) const noexcept {
-  transform(data, /*inverse=*/false);
+  bit_reverse(data);
+  forward_from_bitrev(data);
 }
 
 void FftPlan::inverse(std::complex<double>* data) const noexcept {
-  transform(data, /*inverse=*/true);
+  bit_reverse(data);
+  inverse_from_bitrev(data);
+}
+
+void FftPlan::forward_from_bitrev(std::complex<double>* data) const noexcept {
+  stages(data, /*inverse=*/false);
+}
+
+void FftPlan::inverse_from_bitrev(std::complex<double>* data) const noexcept {
+  stages(data, /*inverse=*/true);
 }
 
 namespace {

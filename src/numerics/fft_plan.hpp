@@ -9,6 +9,13 @@
 // (one complex plan per level), and through RealFft the FFT convolutions,
 // the Davies-Harte fGn generator and the periodogram estimators.
 //
+// A transform is a bit-reversal swap pass followed by the butterfly
+// stages. The stages are also exposed on their own (forward_from_bitrev,
+// inverse_from_bitrev) with the permutation table, so the solver's
+// convolver scatters its input straight into bit-reversed order and runs
+// no swap pass; forward() and inverse() call the same stage entries, so
+// both routes give the same bits on every kernel table.
+//
 // Thread safety: fft_plan() lookup is mutex-guarded and the returned
 // plan is immutable, so plans may be shared freely across the
 // executor's worker threads; apply-side state lives entirely in
@@ -49,6 +56,19 @@ class FftPlan {
   /// In-place unnormalized inverse DFT (callers divide by n).
   void inverse(std::complex<double>* data) const noexcept;
 
+  /// The butterfly stages of forward() / inverse() alone: `data` holds
+  /// the input in bit-reversed order (input point i at bitrev()[i]) and
+  /// receives the transform in natural order. forward() and inverse() are
+  /// the bit-reversal swap pass followed by these very calls, so a caller
+  /// that writes its input straight into bit-reversed positions gets the
+  /// same bits without the swap pass.
+  void forward_from_bitrev(std::complex<double>* data) const noexcept;
+  void inverse_from_bitrev(std::complex<double>* data) const noexcept;
+
+  /// The bit-reversal permutation: bitrev()[i] is i with its log2(n) bits
+  /// reversed (n entries; an involution).
+  const std::uint32_t* bitrev() const noexcept { return bitrev_.data(); }
+
   /// w[k] = e^{-2*pi*i*k/n}, k < n/2 — also the post-processing twiddles
   /// of the real transform of size n built on the half-size plan.
   const std::complex<double>* twiddles() const noexcept { return twiddle_.data(); }
@@ -61,7 +81,8 @@ class FftPlan {
     std::size_t wa, wb, wc;
   };
 
-  void transform(std::complex<double>* data, bool inverse) const noexcept;
+  void bit_reverse(std::complex<double>* data) const noexcept;
+  void stages(std::complex<double>* data, bool inverse) const noexcept;
 
   std::size_t n_;
   bool leading_len2_ = false;  ///< run the unpaired len == 2 pass first

@@ -10,7 +10,6 @@
 #include "core/failpoint.hpp"
 #include "numerics/convolution.hpp"
 #include "numerics/fft.hpp"
-#include "numerics/pmf.hpp"
 #include "numerics/special_functions.hpp"
 #include "obs/clock.hpp"
 #include "obs/context.hpp"
@@ -58,18 +57,39 @@ std::vector<double> pmf_from_ccdf(const double* s, std::size_t bins) {
   return w;
 }
 
-/// Clamp FFT round-off and renormalize to total mass one.
-void sanitize(std::vector<double>& q) {
+/// One chain's share of the fold step's post-pass over its next-state
+/// pmf, entry by entry: the health scan of the pre-clamp value
+/// (compensated mass of the finite entries, most negative entry,
+/// finiteness), then the clamp of FFT round-off below zero and the
+/// running total the renormalization divides by.
+struct ChainScan {
+  numerics::CompensatedSum mass;
+  double min_entry = 0.0;
+  bool finite = true;
   double total = 0.0;
-  for (double& p : q) {
+
+  void visit(double& p) noexcept {
+    if (std::isfinite(p)) {
+      mass.add(p);
+      if (p < min_entry) min_entry = p;
+    } else {
+      finite = false;
+    }
     if (p < 0.0) p = 0.0;
     total += p;
   }
-  if (total > 0.0) {
-    const double inv = 1.0 / total;
-    for (double& p : q) p *= inv;
+
+  /// Merges this step into the chain's health and returns the factor
+  /// that renormalizes the clamped pmf to mass one. Without positive mass
+  /// the factor is 1, and x * 1 is x for every double, so the pmf stays as
+  /// clamped.
+  double finish(StepHealth& h) const noexcept {
+    if (!finite) h.finite = false;
+    h.mass_dev = std::max(h.mass_dev, std::abs(mass.value() - 1.0));
+    h.min_entry = std::min(h.min_entry, min_entry);
+    return total > 0.0 ? 1.0 / total : 1.0;
   }
-}
+};
 
 lrd::Status guard_failure(const char* invariant, std::string message) {
   return lrd::Status::failure(lrd::make_diagnostics(lrd::ErrorCategory::kNumericalGuard,
@@ -126,17 +146,6 @@ DualFoldEngine::DualFoldEngine(std::vector<double> lower_pmf, std::vector<double
       next_low_(bins + 1),
       next_high_(bins + 1) {}
 
-void DualFoldEngine::fold_atoms(const std::vector<double>& q, const Tails& t,
-                                std::vector<double>& next) const {
-  numerics::CompensatedSum at_zero, at_buffer;
-  for (std::size_t j = 0; j <= bins_; ++j) {
-    at_zero.add(q[j] * t.zero[j]);
-    at_buffer.add(q[j] * t.full[j]);
-  }
-  next[0] = at_zero.value();
-  next[bins_] = at_buffer.value();
-}
-
 void DualFoldEngine::step(std::vector<double>& q_low, std::vector<double>& q_high,
                           StepHealth& low_health, StepHealth& high_health) {
   if (q_low.size() != bins_ + 1 || q_high.size() != bins_ + 1)
@@ -145,15 +154,34 @@ void DualFoldEngine::step(std::vector<double>& q_low, std::vector<double>& q_hig
   // un-aliased interior M + 1 <= k <= 2M - 1 is next[1..M-1], written in
   // place; everything at or below 0 folds into the empty-buffer atom and
   // everything at or above B into the full-buffer atom, both taken
-  // exactly from q.
+  // exactly from q: four compensated dot products with the tails, in one
+  // pass over both chains.
   conv_.convolve_into(q_low.data(), q_high.data(), bins_ + 1, ws_, bins_ + 1, bins_ - 1,
                       next_low_.data() + 1, next_high_.data() + 1);
-  fold_atoms(q_low, low_tails_, next_low_);
-  fold_atoms(q_high, high_tails_, next_high_);
-  low_health.merge(numerics::inspect_mass(next_low_));
-  high_health.merge(numerics::inspect_mass(next_high_));
-  sanitize(next_low_);
-  sanitize(next_high_);
+  numerics::CompensatedSum low_zero, low_full, high_zero, high_full;
+  for (std::size_t j = 0; j <= bins_; ++j) {
+    low_zero.add(q_low[j] * low_tails_.zero[j]);
+    low_full.add(q_low[j] * low_tails_.full[j]);
+    high_zero.add(q_high[j] * high_tails_.zero[j]);
+    high_full.add(q_high[j] * high_tails_.full[j]);
+  }
+  next_low_[0] = low_zero.value();
+  next_low_[bins_] = low_full.value();
+  next_high_[0] = high_zero.value();
+  next_high_[bins_] = high_full.value();
+  // One pass scans both chains' health and clamps them, a second one
+  // renormalizes both: the guardrails see the pmfs before the clamp.
+  ChainScan low, high;
+  for (std::size_t j = 0; j <= bins_; ++j) {
+    low.visit(next_low_[j]);
+    high.visit(next_high_[j]);
+  }
+  const double inv_low = low.finish(low_health);
+  const double inv_high = high.finish(high_health);
+  for (std::size_t j = 0; j <= bins_; ++j) {
+    next_low_[j] *= inv_low;
+    next_high_[j] *= inv_high;
+  }
   q_low.swap(next_low_);
   q_high.swap(next_high_);
 }

@@ -21,8 +21,6 @@
 // its even grid points, which are the coarse points bit for bit.
 #pragma once
 
-#include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -31,7 +29,6 @@
 #include "dist/marginal.hpp"
 #include "numerics/convolution.hpp"
 #include "numerics/grid.hpp"
-#include "numerics/pmf.hpp"
 #include "obs/telemetry.hpp"
 #include "queueing/loss.hpp"
 #include "runtime/executor.hpp"
@@ -62,17 +59,11 @@ inline constexpr double kBracketTolerance = 1e-9;
 
 /// Worst pre-sanitize health seen by one occupancy chain over a check
 /// interval; the solver's guardrails read it before renormalization can
-/// hide drift.
+/// hide drift. DualFoldEngine::step merges each step's scan into it.
 struct StepHealth {
-  double mass_dev = 0.0;   ///< worst |mass - 1|
+  double mass_dev = 0.0;   ///< worst |mass - 1|, mass the compensated sum of the finite entries
   double min_entry = 0.0;  ///< most negative pre-clamp entry
-  bool finite = true;
-
-  void merge(const numerics::MassHealth& h) noexcept {
-    if (!h.finite) finite = false;
-    mass_dev = std::max(mass_dev, std::abs(h.mass - 1.0));
-    min_entry = std::min(min_entry, h.min_entry);
-  }
+  bool finite = true;      ///< false once any entry was NaN or +/-Inf
 };
 
 /// The solver's per-epoch hot loop: advances the paired Q_L / Q_H
@@ -91,7 +82,12 @@ struct StepHealth {
 /// next[M] = sum_j q[j] sum_{i >= 2M-j} w[i].
 ///
 /// The convolver writes that interior straight into the next-state pmf,
-/// so the engine holds no n-entry output buffer. The step runs on the
+/// so the engine holds no n-entry output buffer; its two n-point
+/// workspace buffers let both transforms skip the bit-reversal pass.
+/// After the transform a step makes three passes, each over both chains:
+/// the four atom dot products; the health scan of the pre-sanitize pmfs
+/// (into StepHealth) with the clamp of round-off below zero; and the
+/// renormalization. The step runs on the
 /// calling thread, so brackets do not depend on any thread setting. All
 /// scratch buffers are owned by the engine and sized at construction:
 /// steady-state step() calls perform zero heap allocations. Not
@@ -120,9 +116,6 @@ class DualFoldEngine {
     std::vector<double> zero, full;  // M + 1 entries each
   };
   static Tails tails(const std::vector<double>& w, std::size_t bins);
-
-  /// Eq. 20's boundary atoms next[0] and next[M], taken exactly from q.
-  void fold_atoms(const std::vector<double>& q, const Tails& t, std::vector<double>& next) const;
 
   std::size_t bins_;
   Tails low_tails_, high_tails_;  // built before conv_ takes the pmfs

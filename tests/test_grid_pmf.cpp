@@ -1,6 +1,7 @@
 // Tests for the uniform grid and its floor/ceiling quantizers (Eq. 15).
-// Mass-health inspection (numerics/pmf.hpp) is checked through the
-// solver's guardrail tests in test_robustness.cpp.
+// The solver's mass-health scan is part of its fold step: it is checked
+// through the guardrail tests in test_robustness.cpp and, bit for bit,
+// by SolverFoldEngine.StepMatchesPerChainPassesBitForBit.
 #include <gtest/gtest.h>
 
 #include "numerics/grid.hpp"

@@ -315,8 +315,8 @@ TEST(SolverGuards, OverloadedQueueSolvesWithFiniteBracket) {
 TEST(SolverGuards, LeakingIncrementPmfTripsMassGuard) {
   // A ccdf that is not monotone on (0, 4]: the level build clamps its
   // negative differences to zero, so both increment pmfs carry mass above
-  // 1 and every fold step creates mass, which sanitize() would silently
-  // renormalize away if the guard measured after clamping.
+  // 1 and every fold step creates mass, which the step's renormalization
+  // would silently take away if the guard measured after clamping.
   const auto solver =
       make_broken_solver([](double t) { return 0.5 * (1.0 + std::cos(3.0 * t)); });
   SolverConfig cfg;

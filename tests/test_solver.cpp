@@ -4,9 +4,12 @@
 // guarantee of the batched epoch engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <new>
 #include <numeric>
@@ -16,6 +19,7 @@
 #include "dist/simple_epochs.hpp"
 #include "dist/truncated_pareto.hpp"
 #include "numerics/convolution.hpp"
+#include "numerics/fft.hpp"
 #include "numerics/grid.hpp"
 #include "numerics/parallel.hpp"
 #include "numerics/special_functions.hpp"
@@ -483,6 +487,160 @@ TEST(SolverFoldEngine, PackedLayoutMatchesSequentialBaselineAt1024) {
   // interior is written straight into the next-state pmf. The packed
   // dual-chain step must match the per-chain direct step there too.
   expect_matches_direct_baseline(1024);
+}
+
+// The fold step as separate per-chain passes: atoms, then a health scan
+// of each chain, then a clamp-and-total and a scale per chain. The engine
+// fuses these into three passes over both chains; each operation and
+// its order per value are the same, so the bits must be too.
+struct PassHealth {
+  double mass = 0.0;
+  double min_entry = 0.0;
+  bool finite = true;
+};
+
+PassHealth scan_mass(const std::vector<double>& q) {
+  PassHealth h;
+  numerics::CompensatedSum acc;
+  for (double p : q) {
+    if (!std::isfinite(p)) {
+      h.finite = false;
+      continue;
+    }
+    acc.add(p);
+    if (p < h.min_entry) h.min_entry = p;
+  }
+  h.mass = acc.value();
+  return h;
+}
+
+void merge_health(queueing::StepHealth& into, const PassHealth& h) {
+  if (!h.finite) into.finite = false;
+  into.mass_dev = std::max(into.mass_dev, std::abs(h.mass - 1.0));
+  into.min_entry = std::min(into.min_entry, h.min_entry);
+}
+
+void clamp_and_renormalize(std::vector<double>& q) {
+  double total = 0.0;
+  for (double& p : q) {
+    if (p < 0.0) p = 0.0;
+    total += p;
+  }
+  if (total > 0.0) {
+    const double inv = 1.0 / total;
+    for (double& p : q) p *= inv;
+  }
+}
+
+class PerChainFoldReference {
+ public:
+  PerChainFoldReference(const std::vector<double>& wl, const std::vector<double>& wh,
+                        std::size_t bins)
+      : bins_(bins),
+        low_(tails(wl)),
+        high_(tails(wh)),
+        conv_(wl, wh, numerics::next_pow2(2 * bins)),
+        ws_(conv_.make_workspace()) {}
+
+  void step(std::vector<double>& q_low, std::vector<double>& q_high, queueing::StepHealth& hl,
+            queueing::StepHealth& hh) {
+    std::vector<double> next_low(bins_ + 1), next_high(bins_ + 1);
+    conv_.convolve_into(q_low.data(), q_high.data(), bins_ + 1, ws_, bins_ + 1, bins_ - 1,
+                        next_low.data() + 1, next_high.data() + 1);
+    atoms(q_low, low_, next_low);
+    atoms(q_high, high_, next_high);
+    merge_health(hl, scan_mass(next_low));
+    merge_health(hh, scan_mass(next_high));
+    clamp_and_renormalize(next_low);
+    clamp_and_renormalize(next_high);
+    q_low = std::move(next_low);
+    q_high = std::move(next_high);
+  }
+
+ private:
+  struct Tails {
+    std::vector<double> zero, full;
+  };
+  Tails tails(const std::vector<double>& w) const {
+    Tails t{std::vector<double>(bins_ + 1), std::vector<double>(bins_ + 1)};
+    numerics::CompensatedSum low, high;
+    for (std::size_t j = bins_ + 1; j-- > 0;) {
+      low.add(w[bins_ - j]);
+      t.zero[j] = low.value();
+    }
+    for (std::size_t j = 0; j <= bins_; ++j) {
+      high.add(w[2 * bins_ - j]);
+      t.full[j] = high.value();
+    }
+    return t;
+  }
+  void atoms(const std::vector<double>& q, const Tails& t, std::vector<double>& next) const {
+    numerics::CompensatedSum at_zero, at_buffer;
+    for (std::size_t j = 0; j <= bins_; ++j) {
+      at_zero.add(q[j] * t.zero[j]);
+      at_buffer.add(q[j] * t.full[j]);
+    }
+    next[0] = at_zero.value();
+    next[bins_] = at_buffer.value();
+  }
+
+  std::size_t bins_;
+  Tails low_, high_;
+  numerics::DualKernelConvolver conv_;
+  numerics::DualKernelConvolver::Workspace ws_;
+};
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+bool same_bits(const queueing::StepHealth& a, const queueing::StepHealth& b) {
+  return std::memcmp(&a.mass_dev, &b.mass_dev, sizeof(double)) == 0 &&
+         std::memcmp(&a.min_entry, &b.min_entry, sizeof(double)) == 0 && a.finite == b.finite;
+}
+
+TEST(SolverFoldEngine, StepMatchesPerChainPassesBitForBit) {
+  // 20 clean epochs, then the lower chain loses its mass (no positive
+  // total, so no renormalization), then entries the guardrails exist for:
+  // a negative entry in each chain (min_entry and the clamp), then a NaN
+  // in one chain and an Inf in the other (finiteness, non-finite totals).
+  // Health accumulates across the steps, as within a check.
+  Marginal m({2.0, 6.0, 10.0, 14.0, 18.0}, {0.1, 0.2, 0.4, 0.2, 0.1});
+  FluidQueueSolver s(m, pareto(0.015, 1.3, 10.0), 12.5, 6.25);
+  for (const std::size_t bins : {1, 2, 3, 96, 128, 1024}) {
+    const auto wl = s.increment_pmf_lower(bins);
+    const auto wh = s.increment_pmf_upper(bins);
+    queueing::DualFoldEngine engine(wl, wh, bins);
+    PerChainFoldReference ref(wl, wh, bins);
+    std::vector<double> q_low(bins + 1, 0.0), q_high(bins + 1, 0.0);
+    q_low[0] = 1.0;
+    q_high[bins] = 1.0;
+    std::vector<double> r_low = q_low, r_high = q_high;
+    queueing::StepHealth hl, hh, rl, rh;
+    for (std::size_t step = 0; step < 30; ++step) {
+      if (step == 20) {
+        std::fill(q_low.begin(), q_low.end(), 0.0);
+        std::fill(r_low.begin(), r_low.end(), 0.0);
+      }
+      if (step == 24) {
+        q_low[bins / 2] = r_low[bins / 2] = -1e-7;
+        q_high[bins / 2] = r_high[bins / 2] = -0.75;
+      }
+      if (step == 27) {
+        q_low[0] = r_low[0] = std::numeric_limits<double>::quiet_NaN();
+        q_high[bins] = r_high[bins] = std::numeric_limits<double>::infinity();
+      }
+      engine.step(q_low, q_high, hl, hh);
+      ref.step(r_low, r_high, rl, rh);
+      ASSERT_TRUE(same_bits(q_low, r_low)) << "bins " << bins << " step " << step;
+      ASSERT_TRUE(same_bits(q_high, r_high)) << "bins " << bins << " step " << step;
+      ASSERT_TRUE(same_bits(hl, rl)) << "bins " << bins << " step " << step;
+      ASSERT_TRUE(same_bits(hh, rh)) << "bins " << bins << " step " << step;
+    }
+    EXPECT_FALSE(hl.finite);
+    EXPECT_FALSE(hh.finite);
+    EXPECT_LT(hh.min_entry, 0.0);
+  }
 }
 
 TEST(SolverFoldEngine, RejectsMalformedInputs) {
