@@ -6,6 +6,7 @@
 
 #include "core/status.hpp"
 #include "numerics/fft.hpp"
+#include "numerics/simd.hpp"
 
 namespace lrd::numerics {
 
@@ -108,7 +109,7 @@ DualKernelConvolver::DualKernelConvolver(std::vector<double> kernel_a,
   require_finite(kernel_a, "DualKernelConvolver");
   require_finite(kernel_b, "DualKernelConvolver");
   plan_ = &fft_plan(n_);
-  // Full spectra so convolve_into can index bin n - k without wrapping
+  // Full spectra so round_trip can index bin n - k without wrapping
   // logic; built once per convolver, so the cold complex transform is
   // fine. A kernel longer than n wraps mod n (accumulated, since several
   // taps can land on one point): the wrapped kernel's n-point DFT equals
@@ -122,27 +123,21 @@ DualKernelConvolver::DualKernelConvolver(std::vector<double> kernel_a,
   plan_->forward(spec_b_.data());
 }
 
-void DualKernelConvolver::convolve_into(const double* a, const double* b, std::size_t len,
-                                        Workspace& ws, std::size_t first, std::size_t count,
-                                        double* out_a, double* out_b) const {
-  if (a == nullptr || b == nullptr || len == 0 || len > n_)
-    throw std::invalid_argument("DualKernelConvolver::convolve_into: bad signal length");
-  if (first > n_ || count > n_ - first)
-    throw std::invalid_argument("DualKernelConvolver::convolve_into: window outside the n outputs");
-  // Point j of the packed signal x = a + i b goes to its bit-reversed
-  // position in a zeroed buffer, where the transform's stages read it; the
-  // spectrum X comes out in natural order.
+const std::complex<double>* DualKernelConvolver::round_trip(Workspace& ws) const {
+  if (ws.freq.size() != n_ || ws.prod.size() != n_)
+    throw std::invalid_argument("DualKernelConvolver::round_trip: workspace is not n points");
+  // The caller packed x = a + i b in bit-reversed order; the spectrum X
+  // comes out in natural order.
   const std::uint32_t* rev = plan_->bitrev();
   std::complex<double>* x = ws.freq.data();
   std::complex<double>* y = ws.prod.data();
-  std::fill(x, x + n_, std::complex<double>{});
-  for (std::size_t j = 0; j < len; ++j) x[rev[j]] = {a[j], b[j]};
   plan_->forward_from_bitrev(x);
   // Split X into the spectra A, B of the two real signals (conjugate
   // symmetry), multiply by the kernel spectra, and repack Y = A Ka + i B Kb
   // whose inverse carries a * ka in its real part and b * kb in its
   // imaginary part. Bin k of Y goes to y[rev[k]], where the inverse
-  // transform's stages read it.
+  // transform's stages read it. Bins 0 and n/2 are their own mirrors;
+  // the kernel table multiplies the pairs (k, n - k) in between.
   const std::size_t half = n_ / 2;
   {
     const double a0 = x[0].real();
@@ -156,35 +151,10 @@ void DualKernelConvolver::convolve_into(const double* a, const double* b, std::s
     const std::complex<double> ybh = bh * spec_b_[half];
     y[rev[half]] = {yah.real() - ybh.imag(), yah.imag() + ybh.real()};
   }
-  // Written out in real arithmetic: std::complex products carry a NaN
-  // recovery branch per multiply, and dropping it makes the whole fold
-  // step ~20% faster at 1024-16384 bins (micro_solver/fold_step). The
-  // values are the same products in the same order. With
-  // A = (X_k + conj X_m) / 2 and
-  // B = -i (X_k - conj X_m) / 2, bin k takes A Ka_k + i B Kb_k and bin m
-  // takes conj(A) Ka_m + i conj(B) Kb_m.
-  for (std::size_t k = 1; k < half; ++k) {
-    const std::size_t m = n_ - k;
-    const double ar = 0.5 * (x[k].real() + x[m].real());
-    const double ai = 0.5 * (x[k].imag() - x[m].imag());
-    const double br = 0.5 * (x[k].imag() + x[m].imag());
-    const double bi = -0.5 * (x[k].real() - x[m].real());
-    const double kar = spec_a_[k].real(), kai = spec_a_[k].imag();
-    const double kbr = spec_b_[k].real(), kbi = spec_b_[k].imag();
-    y[rev[k]] = {(ar * kar - ai * kai) - (br * kbi + bi * kbr),
-                 (ar * kai + ai * kar) + (br * kbr - bi * kbi)};
-    const double mar = spec_a_[m].real(), mai = spec_a_[m].imag();
-    const double mbr = spec_b_[m].real(), mbi = spec_b_[m].imag();
-    y[rev[m]] = {(ar * mar + ai * mai) - (br * mbi - bi * mbr),
-                 (ar * mai - ai * mar) + (br * mbr + bi * mbi)};
-  }
+  simd::active_fft_kernels().spectrum_multiply(x, spec_a_.data(), spec_b_.data(), rev, n_, 1,
+                                               half, y);
   plan_->inverse_from_bitrev(y);
-  const double inv_n = 1.0 / static_cast<double>(n_);
-  const std::complex<double>* out = y + first;
-  for (std::size_t i = 0; i < count; ++i) {
-    out_a[i] = out[i].real() * inv_n;
-    out_b[i] = out[i].imag() * inv_n;
-  }
+  return y;
 }
 
 }  // namespace lrd::numerics

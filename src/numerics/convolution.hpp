@@ -2,19 +2,19 @@
 // packed two-kernel circular convolver the solver runs once per epoch
 // (the inner loop of the queue-occupancy recursion, Eq. 19 of the paper).
 //
-// Workspace ownership: DualKernelConvolver::convolve_into never
-// allocates — the caller constructs a Workspace (two n-point buffers)
-// once per level and thread and threads it through every call.
-// Workspaces are cheap, movable, and tied to the convolver's FFT size;
-// sharing one across threads is not allowed. The outputs are a window of the caller's
-// choosing, written straight into the caller's buffers, so a caller that
-// reads only part of the result needs no n-entry output buffer. The
+// Workspace ownership: DualKernelConvolver::round_trip never allocates —
+// the caller constructs a Workspace (two n-point buffers) once per level
+// and thread, packs each step's signals into it and reads the result
+// from it. Workspaces are cheap, movable, and tied to the convolver's
+// FFT size; sharing one across threads is not allowed. The caller packs
+// and reads only what it needs, so it needs no other n-entry buffer. The
 // allocating functions (`convolve_direct`, `convolve_fft`,
 // `self_convolve`) serve cold callers and tests.
 #pragma once
 
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "numerics/fft_plan.hpp"
@@ -46,16 +46,22 @@ std::vector<double> self_convolve(const std::vector<double>& a, std::size_t n);
 /// The result is the n-point *circular* convolution: output k is the sum
 /// of the linear convolution's entries k, k + n, k + 2n, ... A linear
 /// convolution is the same object with n >= len + kernel length - 1; the
-/// solver instead runs n = next_pow2(2M) and asks for only the window
-/// of entries that no wrap reaches (queueing::DualFoldEngine). The
-/// kernels are validated finite and transformed once, at construction;
-/// signals are NOT re-scanned per call — the solver owns guardrails that
-/// catch runtime NaN/Inf.
+/// solver instead runs n = next_pow2(2M) and reads only the window of
+/// entries that no wrap reaches (queueing::DualFoldEngine). The kernels
+/// are validated finite and transformed once, at construction; signals
+/// are NOT re-scanned per call — the solver owns guardrails that catch
+/// runtime NaN/Inf.
 class DualKernelConvolver {
  public:
   /// Kernels must be non-empty, finite, and the same length; `n` must be
   /// a power of two >= 2. A kernel longer than n is wrapped mod n.
   DualKernelConvolver(std::vector<double> kernel_a, std::vector<double> kernel_b, std::size_t n);
+
+  std::size_t size() const noexcept { return n_; }
+
+  /// The bit-reversal table of the size-n plan: signal point j belongs at
+  /// freq[bitrev()[j]].
+  const std::uint32_t* bitrev() const noexcept { return plan_->bitrev(); }
 
   /// Two n-point buffers: `freq` takes the packed signals in
   /// bit-reversed order and transforms them to their natural-order
@@ -69,17 +75,17 @@ class DualKernelConvolver {
     return Workspace{std::vector<std::complex<double>>(n_), std::vector<std::complex<double>>(n_)};
   }
 
-  /// The window [first, first + count) of a (*) kernel_a and b (*)
-  /// kernel_b, the n-point circular convolutions, for signals of
-  /// 1 <= len <= n entries: out_a[i] and out_b[i] receive entry first + i,
-  /// and nothing else is written (first + count <= n; count may be 0). One
-  /// FFT round-trip, zero allocations, no bit-reversal swap pass: the
-  /// signals are scattered to their bit-reversed positions and the
-  /// product spectrum is written to its bit-reversed positions, so both
-  /// transforms run only their butterfly stages. The result has the bits
-  /// of packing in natural order and running FftPlan::forward / inverse.
-  void convolve_into(const double* a, const double* b, std::size_t len, Workspace& ws,
-                     std::size_t first, std::size_t count, double* out_a, double* out_b) const;
+  /// One FFT round-trip on a workspace the caller packed: ws.freq holds
+  /// the signal pair a + i b with point j at bitrev()[j] and zeros
+  /// elsewhere (1 <= len <= n points). Runs the forward stages, the
+  /// kernel table's split-multiply into ws.prod, and the inverse stages,
+  /// and returns ws.prod: n unscaled outputs in natural order, entry k's
+  /// real part n (a (*) kernel_a)[k] and its imaginary part
+  /// n (b (*) kernel_b)[k]. No allocation and no bit-reversal swap pass;
+  /// the result has the bits of packing in natural order and running
+  /// FftPlan::forward / inverse. Throws std::invalid_argument when either
+  /// buffer is not n points.
+  const std::complex<double>* round_trip(Workspace& ws) const;
 
  private:
   std::size_t n_;

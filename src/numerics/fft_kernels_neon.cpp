@@ -63,14 +63,17 @@ void radix4_neon(std::complex<double>* d, std::size_t n, std::size_t len,
 
 void radix4_pass_neon(std::complex<double>* data, std::size_t n, std::size_t len,
                       const std::complex<double>* wa, const std::complex<double>* wb,
-                      const std::complex<double>* wc, bool inverse) {
+                      const std::complex<double>* wc, bool inverse, bool radix2_first) {
+  if (radix2_first) radix2_pass_scalar(data, n);
   if (inverse)
     radix4_neon<true>(data, n, len, wa, wb, wc);
   else
     radix4_neon<false>(data, n, len, wa, wb, wc);
 }
 
-const FftKernels kNeonKernels{Isa::kNeon, "neon", &radix4_pass_neon};
+// The split-multiply runs the scalar table's entry: a 128-bit register
+// holds one complex double, so NEON has no bin pairs to vectorize.
+const FftKernels kNeonKernels{Isa::kNeon, "neon", &radix4_pass_neon, &spectrum_multiply_scalar};
 
 }  // namespace
 

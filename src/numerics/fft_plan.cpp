@@ -32,19 +32,18 @@ FftPlan::FftPlan(std::size_t n) : n_(n) {
     twiddle_[k] = {std::cos(ang), std::sin(ang)};
   }
   // Pair consecutive radix-2 stages into fused radix-2^2 passes. With an
-  // odd stage count the leftover is taken as the twiddle-free len == 2
-  // pass (w_0 = 1), leaving the remaining stages even in number.
+  // odd stage count the leftover is the twiddle-free first stage (w_0 =
+  // 1), which the first pass (len == 4) runs before its butterflies.
   std::size_t log2n = 0;
   while ((std::size_t{1} << log2n) < n) ++log2n;
-  leading_len2_ = (log2n % 2) == 1;
-  std::size_t len = leading_len2_ ? 4 : 2;
-  for (; len * 2 <= n; len *= 4) {
+  const bool odd = (log2n % 2) == 1;
+  for (std::size_t len = odd ? 4 : 2; len * 2 <= n; len *= 4) {
     // Contiguous per-stage twiddles so the vector kernels load the k and
     // k + 1 lanes with one unit-stride read; values are copied from the
     // strided base table, so fused and unfused stages see identical
     // doubles. wc = -i * wb folds the (k + len/2)-th twiddle of the
     // 2*len stage into a precomputed constant.
-    Stage s{len, stage_twiddle_.size(), 0, 0};
+    Stage s{len, stage_twiddle_.size(), 0, 0, odd && stages_.empty()};
     const std::size_t q = len / 2;
     for (std::size_t k = 0; k < q; ++k) stage_twiddle_.push_back(twiddle_[k * (n_ / len)]);
     s.wb = stage_twiddle_.size();
@@ -66,21 +65,13 @@ void FftPlan::bit_reverse(std::complex<double>* data) const noexcept {
 }
 
 void FftPlan::stages(std::complex<double>* data, bool inverse) const noexcept {
-  const std::size_t n = n_;
-  if (n < 2) return;
-  if (leading_len2_) {
-    // Unpaired first stage: w_0 = 1, so forward and inverse coincide.
-    for (std::size_t i = 0; i < n; i += 2) {
-      const std::complex<double> u = data[i];
-      const std::complex<double> v = data[i + 1];
-      data[i] = u + v;
-      data[i + 1] = u - v;
-    }
-  }
+  // n == 2 is one radix-2 butterfly with no pass to join; n == 1 is the
+  // identity.
+  if (n_ == 2) simd::detail::radix2_pass_scalar(data, n_);
   const simd::FftKernels& kernels = simd::active_fft_kernels();
   const std::complex<double>* tw = stage_twiddle_.data();
   for (const Stage& s : stages_)
-    kernels.radix4_pass(data, n, s.len, tw + s.wa, tw + s.wb, tw + s.wc, inverse);
+    kernels.radix4_pass(data, n_, s.len, tw + s.wa, tw + s.wb, tw + s.wc, inverse, s.radix2_first);
 }
 
 void FftPlan::forward(std::complex<double>* data) const noexcept {

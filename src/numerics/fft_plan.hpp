@@ -10,11 +10,16 @@
 // the Davies-Harte fGn generator and the periodogram estimators.
 //
 // A transform is a bit-reversal swap pass followed by the butterfly
-// stages. The stages are also exposed on their own (forward_from_bitrev,
-// inverse_from_bitrev) with the permutation table, so the solver's
-// convolver scatters its input straight into bit-reversed order and runs
-// no swap pass; forward() and inverse() call the same stage entries, so
-// both routes give the same bits on every kernel table.
+// stages, each stage one call of the kernel table's radix-4 pass (the
+// first one also runs the unpaired radix-2 stage when log2(n) is odd).
+// The stages are also exposed on their own (forward_from_bitrev,
+// inverse_from_bitrev) with the permutation table, so the solver's fold
+// step packs its input straight into bit-reversed order and runs no
+// swap pass; forward() and inverse() call the same stage entries, so
+// both routes give the same bits on every kernel table. RealFft keeps
+// the swap pass: at the sizes the trace builds and periodograms run
+// (2^17 points and up), packing into bit-reversed order was slower than
+// a natural-order pack plus the pass.
 //
 // Thread safety: fft_plan() lookup is mutex-guarded and the returned
 // plan is immutable, so plans may be shared freely across the
@@ -43,7 +48,9 @@ namespace lrd::numerics {
 /// carries contiguous copies of its three twiddle sequences
 /// (wa = e^{-2*pi*i*k/len}, wb = e^{-2*pi*i*k/(2*len)}, wc = -i*wb) so
 /// the kernels load them with unit stride. When log2(n) is odd the one
-/// unpaired stage is the twiddle-free len == 2 pass, run first.
+/// unpaired stage is the twiddle-free radix-2 stage; the first fused
+/// pass (len == 4) runs it before its own butterflies, so every stage
+/// of every size but n == 2 is one kernel-table call.
 class FftPlan {
  public:
   explicit FftPlan(std::size_t n);
@@ -74,18 +81,19 @@ class FftPlan {
   const std::complex<double>* twiddles() const noexcept { return twiddle_.data(); }
 
  private:
-  /// One fused pass covering the radix-2 stages (len, 2 * len); the
-  /// offsets index stage_twiddle_ (len / 2 entries per sequence).
+  /// One fused pass covering the radix-2 stages (len, 2 * len), and with
+  /// radix2_first the unpaired stage before them; the offsets index
+  /// stage_twiddle_ (len / 2 entries per sequence).
   struct Stage {
     std::size_t len;
     std::size_t wa, wb, wc;
+    bool radix2_first;
   };
 
   void bit_reverse(std::complex<double>* data) const noexcept;
   void stages(std::complex<double>* data, bool inverse) const noexcept;
 
   std::size_t n_;
-  bool leading_len2_ = false;  ///< run the unpaired len == 2 pass first
   std::vector<std::uint32_t> bitrev_;
   std::vector<std::complex<double>> twiddle_;
   std::vector<Stage> stages_;

@@ -50,7 +50,8 @@ void radix4_scalar_impl(std::complex<double>* d, std::size_t n, std::size_t len,
   }
 }
 
-const FftKernels kScalarKernels{Isa::kScalar, "scalar", &detail::radix4_pass_scalar};
+const FftKernels kScalarKernels{Isa::kScalar, "scalar", &detail::radix4_pass_scalar,
+                                &detail::spectrum_multiply_scalar};
 
 /// Best table this CPU supports.
 const FftKernels* detect() noexcept {
@@ -68,13 +69,50 @@ std::atomic<const FftKernels*> g_active{nullptr};
 
 namespace detail {
 
+void radix2_pass_scalar(std::complex<double>* data, std::size_t n) {
+  // w_0 = 1, so forward and inverse coincide.
+  for (std::size_t i = 0; i < n; i += 2) {
+    const std::complex<double> u = data[i];
+    const std::complex<double> v = data[i + 1];
+    data[i] = u + v;
+    data[i + 1] = u - v;
+  }
+}
+
 void radix4_pass_scalar(std::complex<double>* data, std::size_t n, std::size_t len,
                         const std::complex<double>* wa, const std::complex<double>* wb,
-                        const std::complex<double>* wc, bool inverse) {
+                        const std::complex<double>* wc, bool inverse, bool radix2_first) {
+  if (radix2_first) radix2_pass_scalar(data, n);
   if (inverse)
     radix4_scalar_impl<true>(data, n, len, wa, wb, wc);
   else
     radix4_scalar_impl<false>(data, n, len, wa, wb, wc);
+}
+
+void spectrum_multiply_scalar(const std::complex<double>* x, const std::complex<double>* ka,
+                              const std::complex<double>* kb, const std::uint32_t* rev,
+                              std::size_t n, std::size_t first, std::size_t last,
+                              std::complex<double>* y) {
+  // Written out in real arithmetic: std::complex products carry a NaN
+  // recovery branch per multiply, and dropping it made the whole fold
+  // step ~20% faster at 1024-16384 bins (micro_solver/fold_step). The
+  // AVX2 entry computes these very products, sums and differences, lane
+  // by lane.
+  for (std::size_t k = first; k < last; ++k) {
+    const std::size_t m = n - k;
+    const double ar = 0.5 * (x[k].real() + x[m].real());
+    const double ai = 0.5 * (x[k].imag() - x[m].imag());
+    const double br = 0.5 * (x[k].imag() + x[m].imag());
+    const double bi = -0.5 * (x[k].real() - x[m].real());
+    const double kar = ka[k].real(), kai = ka[k].imag();
+    const double kbr = kb[k].real(), kbi = kb[k].imag();
+    y[rev[k]] = {(ar * kar - ai * kai) - (br * kbi + bi * kbr),
+                 (ar * kai + ai * kar) + (br * kbr - bi * kbi)};
+    const double mar = ka[m].real(), mai = ka[m].imag();
+    const double mbr = kb[m].real(), mbi = kb[m].imag();
+    y[rev[m]] = {(ar * mar + ai * mai) - (br * mbi - bi * mbr),
+                 (ar * mai - ai * mar) + (br * mbr + bi * mbi)};
+  }
 }
 
 }  // namespace detail

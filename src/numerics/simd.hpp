@@ -1,12 +1,14 @@
 // LRD_SIMD dispatch layer: runtime-selected vector kernels for the FFT
-// butterfly passes.
+// butterfly passes and the solver's spectrum multiply.
 //
 // The transform core (fft_plan.cpp) is organized as fused radix-2^2
 // stage pairs whose inner butterfly is a pure data-parallel sweep over
-// the twiddle index; this header exposes that sweep as a function-table
-// entry so one binary carries a scalar implementation plus whatever the
-// target ISA offers (AVX2+FMA on x86-64, NEON on aarch64) and picks at
-// runtime. Selection happens once, on first use, via an atomic pointer:
+// the twiddle index; this header exposes that sweep, and the
+// convolver's per-bin split-multiply, as function-table entries so one
+// binary carries a scalar implementation plus whatever the target ISA
+// offers (AVX2+FMA on x86-64, NEON on aarch64) and picks at runtime.
+// Every table implements every entry. Selection happens once, on first
+// use, via an atomic pointer:
 //   1. the best supported ISA wins (AVX2 requires both the avx2 and fma
 //      CPUID bits; NEON is baseline on aarch64);
 //   2. `-DLRD_DISABLE_SIMD=ON` compiles the vector TUs out entirely,
@@ -14,17 +16,25 @@
 // Tests switch tables with set_active_kernels_for_testing().
 // The vector kernels live in separate translation units compiled with
 // the matching -m flags; nothing outside those TUs executes vector
-// instructions, so the binary stays safe on older CPUs.
+// instructions, so the binary stays safe on older CPUs. Those TUs hold
+// intrinsics only: GCC's SLP vectorizer turns scalar complex products
+// compiled with -mfma into fused multiply-adds even under
+// -ffp-contract=off, so scalar arithmetic whose bits must match the
+// scalar table is called from simd.cpp, never compiled there.
 //
 // Parity contract: every table computes the same butterflies in the
 // same order — implementations differ only in FMA contraction, so
 // scalar and vector spectra agree to ~1e-15 relative (the test suite
-// pins 1e-12 across sizes 8..16384). Thread count never changes which
-// table runs; results are reproducible across LRDQ_THREADS settings.
+// pins 1e-12 across sizes 8..16384). Where every product is exact (the
+// twiddle-free first passes) or no FMA is used (the spectrum multiply),
+// the vector entries give the scalar table's bits. Thread count never
+// changes which table runs; results are reproducible across
+// LRDQ_THREADS settings.
 #pragma once
 
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 
 #if defined(LRD_DISABLE_SIMD)
 #define LRD_SIMD 0
@@ -45,9 +55,26 @@ enum class Isa { kScalar = 0, kAvx2, kNeon };
 ///   y1 = a1 + wc[k] a3    y3 = a1 - wc[k] a3
 /// where x0..x3 sit at offsets {k, k + len/2, k + len, k + 3len/2} and
 /// wc[k] = -i wb[k] (precomputed). `inverse` conjugates every twiddle.
+/// With `radix2_first` (the first pass when log2(n) is odd, len == 4)
+/// the pass first runs the unpaired twiddle-free radix-2 stage, mapping
+/// each pair (u, v) = (x[2i], x[2i + 1]) to (u + v, u - v).
 using Radix4PassFn = void (*)(std::complex<double>* data, std::size_t n, std::size_t len,
                               const std::complex<double>* wa, const std::complex<double>* wb,
-                              const std::complex<double>* wc, bool inverse);
+                              const std::complex<double>* wc, bool inverse, bool radix2_first);
+
+/// The two-for-one spectrum split-multiply of the solver's convolver,
+/// for bins first <= k < last (1 <= first <= last <= n / 2), with
+/// m = n - k: from the natural-order spectrum X of the packed signal
+/// a + i b it forms A = (X_k + conj X_m) / 2 and B = -i (X_k - conj X_m) / 2,
+/// and writes y[rev[k]] = A Ka_k + i B Kb_k and
+/// y[rev[m]] = conj(A) Ka_m + i conj(B) Kb_m, in real arithmetic without
+/// FMA (ka, kb: the kernels' full n-bin spectra; rev: the bit-reversal
+/// table, so the inverse transform reads y without a swap pass).
+using SpectrumMultiplyFn = void (*)(const std::complex<double>* x,
+                                    const std::complex<double>* ka,
+                                    const std::complex<double>* kb, const std::uint32_t* rev,
+                                    std::size_t n, std::size_t first, std::size_t last,
+                                    std::complex<double>* y);
 
 /// Immutable kernel table for one ISA. Tables have static storage
 /// duration; pointers to them stay valid for the life of the process.
@@ -55,6 +82,7 @@ struct FftKernels {
   Isa isa;
   const char* name;  ///< "scalar", "avx2" or "neon" — recorded in bench env
   Radix4PassFn radix4_pass;
+  SpectrumMultiplyFn spectrum_multiply;
 };
 
 /// The kernel table in use (detected on first call; see file comment).
@@ -77,14 +105,23 @@ void reset_active_kernels_for_testing() noexcept;
 
 namespace detail {
 
-/// Scalar reference implementation (also the vector kernels' tail for
-/// the len == 2 pass). Non-inline on purpose: the AVX2 TU calls it, and
-/// an inline definition compiled there could be the copy the linker
-/// keeps — with AVX2 encodings — breaking the scalar fallback on older
-/// CPUs.
+/// The scalar table's entries, also called by the vector tables: NEON
+/// for its fused radix-2 stage and its multiply, AVX2 for passes below
+/// vector width (n < 8) and the odd leftover bin of its multiply.
+/// Non-inline on purpose: an inline definition compiled in a vector TU
+/// could be the copy the linker keeps — with vector encodings — breaking
+/// the scalar fallback on older CPUs.
 void radix4_pass_scalar(std::complex<double>* data, std::size_t n, std::size_t len,
                         const std::complex<double>* wa, const std::complex<double>* wb,
-                        const std::complex<double>* wc, bool inverse);
+                        const std::complex<double>* wc, bool inverse, bool radix2_first);
+void spectrum_multiply_scalar(const std::complex<double>* x, const std::complex<double>* ka,
+                              const std::complex<double>* kb, const std::uint32_t* rev,
+                              std::size_t n, std::size_t first, std::size_t last,
+                              std::complex<double>* y);
+
+/// The unpaired radix-2 stage alone: (x[2i], x[2i + 1]) -> (u + v, u - v)
+/// for every pair of the n points.
+void radix2_pass_scalar(std::complex<double>* data, std::size_t n);
 
 /// Table getters for the vector TUs; null when the ISA is compiled out
 /// (wrong architecture or -DLRD_DISABLE_SIMD). CPU support is checked

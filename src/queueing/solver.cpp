@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <complex>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <stdexcept>
@@ -150,32 +152,46 @@ void DualFoldEngine::step(std::vector<double>& q_low, std::vector<double>& q_hig
                           StepHealth& low_health, StepHealth& high_health) {
   if (q_low.size() != bins_ + 1 || q_high.size() != bins_ + 1)
     throw std::invalid_argument("DualFoldEngine::step: occupancy pmfs must have bins + 1 entries");
-  // Eq. 20: entry k of the circular output is occupancy (k - M) d. Its
-  // un-aliased interior M + 1 <= k <= 2M - 1 is next[1..M-1], written in
-  // place; everything at or below 0 folds into the empty-buffer atom and
-  // everything at or above B into the full-buffer atom, both taken
-  // exactly from q: four compensated dot products with the tails, in one
-  // pass over both chains.
-  conv_.convolve_into(q_low.data(), q_high.data(), bins_ + 1, ws_, bins_ + 1, bins_ - 1,
-                      next_low_.data() + 1, next_high_.data() + 1);
+  // Pack pass: both chains ride one transform, point j of the pair at its
+  // bit-reversed position in a zeroed buffer. Eq. 20's boundary atoms
+  // never touch the transform: everything at or below 0 folds into the
+  // empty-buffer atom and everything at or above B into the full-buffer
+  // atom, both taken exactly from q by four compensated dot products
+  // with the tails, in the same pass.
+  const std::size_t n = conv_.size();
+  const std::uint32_t* rev = conv_.bitrev();
+  std::complex<double>* x = ws_.freq.data();
+  std::fill(x, x + n, std::complex<double>{});
   numerics::CompensatedSum low_zero, low_full, high_zero, high_full;
   for (std::size_t j = 0; j <= bins_; ++j) {
+    x[rev[j]] = {q_low[j], q_high[j]};
     low_zero.add(q_low[j] * low_tails_.zero[j]);
     low_full.add(q_low[j] * low_tails_.full[j]);
     high_zero.add(q_high[j] * high_tails_.zero[j]);
     high_full.add(q_high[j] * high_tails_.full[j]);
   }
-  next_low_[0] = low_zero.value();
-  next_low_[bins_] = low_full.value();
-  next_high_[0] = high_zero.value();
-  next_high_[bins_] = high_full.value();
-  // One pass scans both chains' health and clamps them, a second one
-  // renormalizes both: the guardrails see the pmfs before the clamp.
+  const std::complex<double>* out = conv_.round_trip(ws_);
+  // Scan pass, in j order with the atoms at 0 and M: entry k of the
+  // circular output is occupancy (k - M) d, and its un-aliased interior
+  // M + 1 <= k <= 2M - 1 is next[1..M-1], scaled by 1/n as it is read.
+  // Each entry's health is scanned before the clamp, so the guardrails
+  // see the pmfs as the transform left them.
   ChainScan low, high;
-  for (std::size_t j = 0; j <= bins_; ++j) {
+  next_low_[0] = low_zero.value();
+  next_high_[0] = high_zero.value();
+  low.visit(next_low_[0]);
+  high.visit(next_high_[0]);
+  const double inv_n = 1.0 / static_cast<double>(n);
+  for (std::size_t j = 1; j < bins_; ++j) {
+    next_low_[j] = out[bins_ + j].real() * inv_n;
+    next_high_[j] = out[bins_ + j].imag() * inv_n;
     low.visit(next_low_[j]);
     high.visit(next_high_[j]);
   }
+  next_low_[bins_] = low_full.value();
+  next_high_[bins_] = high_full.value();
+  low.visit(next_low_[bins_]);
+  high.visit(next_high_[bins_]);
   const double inv_low = low.finish(low_health);
   const double inv_high = high.finish(high_health);
   for (std::size_t j = 0; j <= bins_; ++j) {

@@ -81,17 +81,21 @@ struct StepHealth {
 /// increment pmf, next[0] = sum_j q[j] sum_{i <= M-j} w[i] and
 /// next[M] = sum_j q[j] sum_{i >= 2M-j} w[i].
 ///
-/// The convolver writes that interior straight into the next-state pmf,
-/// so the engine holds no n-entry output buffer; its two n-point
-/// workspace buffers let both transforms skip the bit-reversal pass.
-/// After the transform a step makes three passes, each over both chains:
-/// the four atom dot products; the health scan of the pre-sanitize pmfs
-/// (into StepHealth) with the clamp of round-off below zero; and the
-/// renormalization. The step runs on the
-/// calling thread, so brackets do not depend on any thread setting. All
-/// scratch buffers are owned by the engine and sized at construction:
-/// steady-state step() calls perform zero heap allocations. Not
-/// thread-safe: one engine per level per thread.
+/// A step makes one pass on each side of the transform, then one more.
+/// The pack pass zeroes the convolver's workspace, writes point j of the
+/// pair (q_low, q_high) to its bit-reversed position, and takes the four
+/// atom dot products. DualKernelConvolver::round_trip runs both
+/// transforms' stages and the spectrum multiply on that workspace, with
+/// no bit-reversal pass. The scan pass reads the interior straight from
+/// the transform's output, scales it by 1/n, and, in j order with the
+/// atoms at 0 and M, scans the pre-sanitize pmfs' health (into
+/// StepHealth) and clamps round-off below zero. The last pass
+/// renormalizes. Besides the workspace, the engine holds only the two
+/// (M + 1)-entry next-state pmfs. The step runs on the calling thread,
+/// so brackets do not depend on any thread setting. All scratch buffers
+/// are owned by the engine and sized at construction: steady-state
+/// step() calls perform zero heap allocations. Not thread-safe: one
+/// engine per level per thread.
 class DualFoldEngine {
  public:
   /// Increment pmfs w_L / w_H for this level; each must have

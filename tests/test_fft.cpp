@@ -10,6 +10,7 @@
 #include "numerics/fft.hpp"
 #include "numerics/fft_plan.hpp"
 #include "numerics/random.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
@@ -304,7 +305,8 @@ TEST(DualKernelConvolver, MatchesTwoSequentialConvolutions) {
     const DualKernelConvolver dual(ka, kb, n);
     auto ws = dual.make_workspace();
     std::vector<double> out_a(n), out_b(n);
-    dual.convolve_into(a.data(), b.data(), a.size(), ws, 0, n, out_a.data(), out_b.data());
+    lrd::testing::convolve_window(dual, ws, a.data(), b.data(), a.size(), 0, n, out_a.data(),
+                                  out_b.data());
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_NEAR(out_a[i], ref_a[i], 1e-10) << "n " << n << " a " << i;
       EXPECT_NEAR(out_b[i], ref_b[i], 1e-10) << "n " << n << " b " << i;
@@ -329,7 +331,8 @@ TEST(DualKernelConvolver, PackedPmfPairConservesBothMasses) {
   const DualKernelConvolver dual(ka, kb, 2 * m);
   auto ws = dual.make_workspace();
   std::vector<double> out_a(2 * m), out_b(2 * m);
-  dual.convolve_into(a.data(), b.data(), a.size(), ws, 0, 2 * m, out_a.data(), out_b.data());
+  lrd::testing::convolve_window(dual, ws, a.data(), b.data(), a.size(), 0, 2 * m, out_a.data(),
+                                out_b.data());
   double ta = 0.0, tb = 0.0;
   for (double v : out_a) ta += v;
   for (double v : out_b) tb += v;
@@ -344,19 +347,24 @@ TEST(DualKernelConvolver, RejectsBadConfigurations) {
   EXPECT_THROW(DualKernelConvolver({1.0}, {1.0}, 0), std::invalid_argument);
   EXPECT_THROW(DualKernelConvolver({1.0}, {1.0}, 1), std::invalid_argument);
   EXPECT_THROW(DualKernelConvolver({1.0}, {1.0}, 6), std::invalid_argument);
-  const DualKernelConvolver dual({1.0, 1.0}, {1.0, 1.0}, 2);
+}
+
+TEST(DualKernelConvolver, RoundTripRefusesWrongSizeWorkspace) {
+  // round_trip transforms the workspace in place, so a buffer of any
+  // size but n would be read or written out of bounds.
+  const DualKernelConvolver dual({1.0, 1.0}, {1.0, 1.0}, 4);
   auto ws = dual.make_workspace();
-  std::vector<double> a{1.0, 2.0, 3.0}, out(4);
-  // A signal longer than n has no n-point circular convolution here.
-  EXPECT_THROW(dual.convolve_into(a.data(), a.data(), 3, ws, 0, 2, out.data(), out.data()),
-               std::invalid_argument);
-  EXPECT_THROW(dual.convolve_into(a.data(), a.data(), 0, ws, 0, 2, out.data(), out.data()),
-               std::invalid_argument);
-  // The output window must lie inside the n circular outputs.
-  EXPECT_THROW(dual.convolve_into(a.data(), a.data(), 2, ws, 1, 2, out.data(), out.data()),
-               std::invalid_argument);
-  EXPECT_THROW(dual.convolve_into(a.data(), a.data(), 2, ws, 3, 0, out.data(), out.data()),
-               std::invalid_argument);
+  EXPECT_NE(dual.round_trip(ws), nullptr);
+  DualKernelConvolver::Workspace short_freq{std::vector<cd>(2), std::vector<cd>(4)};
+  EXPECT_THROW(dual.round_trip(short_freq), std::invalid_argument);
+  DualKernelConvolver::Workspace long_prod{std::vector<cd>(4), std::vector<cd>(8)};
+  EXPECT_THROW(dual.round_trip(long_prod), std::invalid_argument);
+  DualKernelConvolver::Workspace empty{};
+  EXPECT_THROW(dual.round_trip(empty), std::invalid_argument);
+  // A workspace made by a convolver of another size is refused too.
+  const DualKernelConvolver other({1.0, 1.0}, {1.0, 1.0}, 8);
+  auto other_ws = other.make_workspace();
+  EXPECT_THROW(dual.round_trip(other_ws), std::invalid_argument);
 }
 
 TEST(Convolution, SelfConvolveSpectrumMatchesIterative) {

@@ -24,6 +24,7 @@
 #include "numerics/fft_plan.hpp"
 #include "numerics/random.hpp"
 #include "numerics/simd.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
@@ -67,6 +68,7 @@ std::vector<double> random_pmf(std::size_t n, std::uint64_t seed) {
 TEST(FftSimdDispatch, ActiveTableIsCoherent) {
   const simd::FftKernels& k = simd::active_fft_kernels();
   ASSERT_NE(k.radix4_pass, nullptr);
+  ASSERT_NE(k.spectrum_multiply, nullptr);
   ASSERT_NE(k.name, nullptr);
   EXPECT_STREQ(k.name, simd::active_isa_name());
   const std::string name = k.name;
@@ -190,7 +192,8 @@ TEST_P(FftSimdParity, DualConvolutionAgreesAcrossTables) {
     const DualKernelConvolver dual(kernel_a, kernel_b, n);
     auto ws = dual.make_workspace();
     std::vector<double> out(2 * n);
-    dual.convolve_into(a.data(), b.data(), a.size(), ws, 0, n, out.data(), out.data() + n);
+    lrd::testing::convolve_window(dual, ws, a.data(), b.data(), a.size(), 0, n, out.data(),
+                                  out.data() + n);
     return out;
   };
 
@@ -323,10 +326,112 @@ TEST(DualKernelConvolver, MatchesNaturalOrderReferenceBitForBit) {
       const DualKernelConvolver dual(ka, kb, n);
       auto ws = dual.make_workspace();
       std::vector<double> out_a(n), out_b(n);
-      dual.convolve_into(b.data(), a.data(), a.size(), ws, 0, n, out_a.data(), out_b.data());
-      dual.convolve_into(a.data(), b.data(), a.size(), ws, 0, n, out_a.data(), out_b.data());
+      lrd::testing::convolve_window(dual, ws, b.data(), a.data(), a.size(), 0, n, out_a.data(),
+                                    out_b.data());
+      lrd::testing::convolve_window(dual, ws, a.data(), b.data(), a.size(), 0, n, out_a.data(),
+                                    out_b.data());
       EXPECT_TRUE(same_bits(out_a, ref_a)) << simd::active_isa_name() << " bins " << m;
       EXPECT_TRUE(same_bits(out_b, ref_b)) << simd::active_isa_name() << " bins " << m;
+    }
+  }
+}
+
+// The twiddle-free first passes and the spectrum multiply: the vector
+// entries give the scalar table's bits, not just its values to 1e-12.
+
+/// Random complex entries with the awkward doubles mixed in: signed
+/// zeros, subnormals and entries of magnitude `big`.
+std::vector<cd> awkward_complex(std::size_t n, std::uint64_t seed, double big) {
+  Rng rng(seed);
+  const double specials[] = {0.0, -0.0, 4.9e-324, -2.5e-310, big, -big};
+  const auto pick = [&] {
+    if (rng.uniform() < 0.7) return rng.uniform(-1.0, 1.0);
+    return specials[static_cast<std::size_t>(rng.uniform() * 6.0) % 6];
+  };
+  std::vector<cd> v(n);
+  for (auto& z : v) {
+    const double re = pick();
+    z = {re, pick()};
+  }
+  return v;
+}
+
+TEST(FftSimdKernels, VectorLen2PassMatchesScalarBitForBit) {
+  // The first pass at even log2(n): one butterfly per 4-point block, whose
+  // twiddles (1, -0), (1, -0) and (-0, -1) make every product exact, so
+  // the FMA of the vector butterfly rounds the scalar kernel's sums.
+  KernelGuard guard;
+  if (!force_vector_kernels()) GTEST_SKIP() << "no vector ISA on this build/CPU";
+  const simd::FftKernels& vec = simd::active_fft_kernels();
+  const cd w = fft_plan(4).twiddles()[0];
+  const cd wc{w.imag(), -w.real()};
+  for (std::size_t n = 4; n <= 32768; n *= 2) {
+    for (const bool inverse : {false, true}) {
+      const auto input = awkward_complex(n, 11 * n + inverse, 1e300);
+      auto scalar = input;
+      simd::detail::radix4_pass_scalar(scalar.data(), n, 2, &w, &w, &wc, inverse, false);
+      auto vector = input;
+      vec.radix4_pass(vector.data(), n, 2, &w, &w, &wc, inverse, false);
+      EXPECT_TRUE(same_bits(vector, scalar)) << vec.name << " n " << n << " inverse " << inverse;
+    }
+  }
+}
+
+TEST(FftSimdKernels, FusedRadix2PassMatchesUnfusedOnEveryTable) {
+  // The first pass at odd log2(n) runs the unpaired radix-2 stage itself:
+  // it must equal that stage as its own loop followed by the plain pass.
+  KernelGuard guard;
+  for (const simd::Isa isa : usable_tables()) {
+    ASSERT_TRUE(simd::set_active_kernels_for_testing(isa));
+    const simd::FftKernels& table = simd::active_fft_kernels();
+    for (std::size_t n = 8; n <= 32768; n *= 4) {
+      // The len == 4 stage's twiddles, as FftPlan builds them.
+      const cd* tw = fft_plan(n).twiddles();
+      const cd wa[2] = {tw[0], tw[n / 4]};
+      const cd wb[2] = {tw[0], tw[n / 8]};
+      const cd wc[2] = {{wb[0].imag(), -wb[0].real()}, {wb[1].imag(), -wb[1].real()}};
+      for (const bool inverse : {false, true}) {
+        const auto input = awkward_complex(n, 13 * n + inverse, 1e300);
+        auto unfused = input;
+        for (std::size_t i = 0; i < n; i += 2) {
+          const cd u = unfused[i];
+          const cd v = unfused[i + 1];
+          unfused[i] = u + v;
+          unfused[i + 1] = u - v;
+        }
+        table.radix4_pass(unfused.data(), n, 4, wa, wb, wc, inverse, false);
+        auto fused = input;
+        table.radix4_pass(fused.data(), n, 4, wa, wb, wc, inverse, true);
+        EXPECT_TRUE(same_bits(fused, unfused))
+            << table.name << " n " << n << " inverse " << inverse;
+      }
+    }
+  }
+}
+
+TEST(FftSimdKernels, VectorSpectrumMultiplyMatchesScalarBitForBit) {
+  // Bin ranges of odd and even length, so the vector entry's leftover bin
+  // runs as well as its bin pairs. Entries stay below 1e150 so no product
+  // overflows: an Inf - Inf NaN would compare by payload, not by value.
+  KernelGuard guard;
+  if (!force_vector_kernels()) GTEST_SKIP() << "no vector ISA on this build/CPU";
+  const simd::FftKernels& vec = simd::active_fft_kernels();
+  for (std::size_t n = 4; n <= 32768; n *= 2) {
+    const std::uint32_t* rev = fft_plan(n).bitrev();
+    const auto x = awkward_complex(n, 17 * n, 1e150);
+    const auto ka = awkward_complex(n, 19 * n, 1e150);
+    const auto kb = awkward_complex(n, 23 * n, 1e150);
+    const std::size_t half = n / 2;
+    const std::pair<std::size_t, std::size_t> ranges[] = {
+        {1, half}, {1, half - 1}, {2, half}, {half / 2, half}, {1, 1}};
+    for (const auto& [first, last] : ranges) {
+      std::vector<cd> scalar(n, cd{-3.0, 7.0});
+      std::vector<cd> vector = scalar;
+      simd::detail::spectrum_multiply_scalar(x.data(), ka.data(), kb.data(), rev, n, first, last,
+                                             scalar.data());
+      vec.spectrum_multiply(x.data(), ka.data(), kb.data(), rev, n, first, last, vector.data());
+      EXPECT_TRUE(same_bits(vector, scalar))
+          << vec.name << " n " << n << " bins [" << first << ", " << last << ")";
     }
   }
 }

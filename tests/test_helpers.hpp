@@ -1,9 +1,16 @@
 // Shared helpers for the test suite: simple adaptive quadrature and
-// moment estimation used to cross-check closed forms.
+// moment estimation used to cross-check closed forms, and a windowed
+// front end to the solver's convolver.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
+#include <complex>
+#include <cstddef>
+#include <cstdint>
 #include <functional>
+
+#include "numerics/convolution.hpp"
 
 namespace lrd::testing {
 
@@ -31,6 +38,27 @@ inline double integrate_tail(const std::function<double(double)>& f, double a,
     if (piece < 1e-14 * (total + 1e-300) && k > 3) break;
   }
   return total;
+}
+
+/// The window [first, first + count) of the n-point circular
+/// convolutions a (*) kernel_a and b (*) kernel_b, through
+/// DualKernelConvolver::round_trip as the solver's fold step drives it:
+/// a and b (len points) packed at their bit-reversed positions in a
+/// zeroed workspace, the outputs read back scaled by 1/n.
+inline void convolve_window(const numerics::DualKernelConvolver& dual,
+                            numerics::DualKernelConvolver::Workspace& ws, const double* a,
+                            const double* b, std::size_t len, std::size_t first,
+                            std::size_t count, double* out_a, double* out_b) {
+  const std::size_t n = dual.size();
+  const std::uint32_t* rev = dual.bitrev();
+  std::fill(ws.freq.begin(), ws.freq.end(), std::complex<double>{});
+  for (std::size_t j = 0; j < len; ++j) ws.freq[rev[j]] = {a[j], b[j]};
+  const std::complex<double>* out = dual.round_trip(ws) + first;
+  const double inv_n = 1.0 / static_cast<double>(n);
+  for (std::size_t i = 0; i < count; ++i) {
+    out_a[i] = out[i].real() * inv_n;
+    out_b[i] = out[i].imag() * inv_n;
+  }
 }
 
 }  // namespace lrd::testing

@@ -25,6 +25,7 @@
 #include "numerics/special_functions.hpp"
 #include "queueing/fluid_queue_sim.hpp"
 #include "queueing/solver.hpp"
+#include "test_helpers.hpp"
 
 // Counting global allocator: every operator new in this test binary
 // bumps a relaxed atomic, so a test can prove a code region performs
@@ -545,8 +546,8 @@ class PerChainFoldReference {
   void step(std::vector<double>& q_low, std::vector<double>& q_high, queueing::StepHealth& hl,
             queueing::StepHealth& hh) {
     std::vector<double> next_low(bins_ + 1), next_high(bins_ + 1);
-    conv_.convolve_into(q_low.data(), q_high.data(), bins_ + 1, ws_, bins_ + 1, bins_ - 1,
-                        next_low.data() + 1, next_high.data() + 1);
+    lrd::testing::convolve_window(conv_, ws_, q_low.data(), q_high.data(), bins_ + 1, bins_ + 1,
+                                  bins_ - 1, next_low.data() + 1, next_high.data() + 1);
     atoms(q_low, low_, next_low);
     atoms(q_high, high_, next_high);
     merge_health(hl, scan_mass(next_low));
