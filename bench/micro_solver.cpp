@@ -224,13 +224,14 @@ int main(int argc, char** argv) {
     for (const std::size_t m : {std::size_t{128}, std::size_t{1024}, std::size_t{4096},
                                 std::size_t{16384}}) {
       h.add("fold_step/" + std::to_string(m), {1, 5}, [m](bench::Case& c) {
-        // The solver's per-epoch step: one pass packing both chains in
-        // bit-reversed order with their exact atoms, the packed
-        // next_pow2(2M)-point circular round trip (stages only, the
-        // kernel table's spectrum multiply), one pass scaling, scanning
-        // and clamping the interior in j order, and one renormalizing
-        // both. 128 bins (n = 256) runs the len == 2 first pass; 1024,
-        // 4096 and 16384 run the first pass fused with the radix-2 stage.
+        // The solver's per-epoch step: the kernel table's pack pass
+        // (both chains to bit-reversed order, their four exact atoms),
+        // the packed next_pow2(2M)-point circular round trip (stages
+        // only, the table's spectrum multiply), the table's scan pass
+        // (scale, health scan, clamp and total of the interior in j
+        // order), and one pass renormalizing both. 128 bins (n = 256)
+        // runs the len == 2 first pass; 1024, 4096 and 16384 run the
+        // first pass fused with the radix-2 stage.
         auto solver = figure_solver();
         queueing::DualFoldEngine engine(solver.increment_pmf_lower(m),
                                         solver.increment_pmf_upper(m), m);

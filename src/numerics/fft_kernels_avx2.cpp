@@ -226,7 +226,109 @@ void spectrum_multiply_avx2(const std::complex<double>* x, const std::complex<do
   if (k < last) spectrum_multiply_scalar(x, ka, kb, rev, n, k, last, y);
 }
 
-const FftKernels kAvx2Kernels{Isa::kAvx2, "avx2", &radix4_pass_avx2, &spectrum_multiply_avx2};
+// The fold passes. Every sum below is the scalar entry's sum, each lane
+// one of its chains, with the same values in the same order. This TU is
+// compiled with -ffp-contract=off, so each lane product is rounded
+// before it is added, as in the scalar entry.
+
+/// CompensatedSum::add on every lane: t = s + x, and the compensation of
+/// the branch |s| >= |x| selects, blended instead of branched (a NaN
+/// compares false and takes the second branch, as in the scalar add).
+inline void compensated_add(__m256d& s, __m256d& c, __m256d x) noexcept {
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const __m256d t = _mm256_add_pd(s, x);
+  const __m256d s_big =
+      _mm256_cmp_pd(_mm256_andnot_pd(sign, s), _mm256_andnot_pd(sign, x), _CMP_GE_OQ);
+  const __m256d if_s_big = _mm256_add_pd(_mm256_sub_pd(s, t), x);
+  const __m256d if_x_big = _mm256_add_pd(_mm256_sub_pd(x, t), s);
+  c = _mm256_add_pd(c, _mm256_blendv_pd(if_x_big, if_s_big, s_big));
+  s = t;
+}
+
+inline void compensated_add(__m128d& s, __m128d& c, __m128d x) noexcept {
+  const __m128d sign = _mm_set1_pd(-0.0);
+  const __m128d t = _mm_add_pd(s, x);
+  const __m128d s_big = _mm_cmp_pd(_mm_andnot_pd(sign, s), _mm_andnot_pd(sign, x), _CMP_GE_OQ);
+  const __m128d if_s_big = _mm_add_pd(_mm_sub_pd(s, t), x);
+  const __m128d if_x_big = _mm_add_pd(_mm_sub_pd(x, t), s);
+  c = _mm_add_pd(c, _mm_blendv_pd(if_x_big, if_s_big, s_big));
+  s = t;
+}
+
+/// The four atom sums as the lanes [low zero, high zero, low full, high
+/// full] of one register, against one 4-entry row of the tails table per
+/// occupancy j; the pair [q_low[j], q_high[j]] is the point scattered to
+/// x[rev[j]] and, duplicated, the row's multiplier.
+FoldAtoms fold_pack_avx2(const double* q_low, const double* q_high, const double* tails,
+                         const std::uint32_t* rev, std::size_t points, std::complex<double>* x) {
+  __m256d sum = _mm256_setzero_pd();
+  __m256d comp = _mm256_setzero_pd();
+  for (std::size_t j = 0; j < points; ++j) {
+    const __m128d q = _mm_unpacklo_pd(_mm_load_sd(q_low + j), _mm_load_sd(q_high + j));
+    _mm_storeu_pd(reinterpret_cast<double*>(x + rev[j]), q);
+    const __m256d qq = _mm256_insertf128_pd(_mm256_castpd128_pd256(q), q, 1);
+    compensated_add(sum, comp, _mm256_mul_pd(qq, _mm256_loadu_pd(tails + 4 * j)));
+  }
+  const __m256d value = _mm256_add_pd(sum, comp);
+  FoldAtoms atoms;
+  _mm_storeu_pd(reinterpret_cast<double*>(&atoms.zero), _mm256_castpd256_pd128(value));
+  _mm_storeu_pd(reinterpret_cast<double*>(&atoms.full), _mm256_extractf128_pd(value, 1));
+  return atoms;
+}
+
+/// The scan of both chains as the lanes [low, high] of each register.
+/// A non-finite entry enters the mass and the minimum as +0.0 instead of
+/// being skipped, which leaves both as they are unless one holds -0.0,
+/// and none ever does: each starts at +0.0, a round-to-nearest sum is
+/// -0.0 only when both operands are, and the minimum takes an entry only
+/// below itself, so never -0.0 from +0.0 down. The clamp is max(0, p),
+/// which returns its second operand p when p is NaN or -0.0, as
+/// `if (p < 0) p = 0` keeps it.
+struct ScanLanes {
+  __m128d sum = _mm_setzero_pd();
+  __m128d comp = _mm_setzero_pd();
+  __m128d min = _mm_setzero_pd();
+  __m128d total = _mm_setzero_pd();
+  __m128d finite = _mm_castsi128_pd(_mm_set1_epi64x(-1));
+
+  void visit(__m128d p, double* low, double* high) noexcept {
+    const __m128d is_finite = _mm_cmp_pd(_mm_andnot_pd(_mm_set1_pd(-0.0), p),
+                                         _mm_set1_pd(__builtin_inf()), _CMP_LT_OQ);
+    const __m128d finite_p = _mm_and_pd(p, is_finite);
+    compensated_add(sum, comp, finite_p);
+    min = _mm_min_pd(finite_p, min);  // finite_p < min ? finite_p : min
+    finite = _mm_and_pd(finite, is_finite);
+    const __m128d clamped = _mm_max_pd(_mm_setzero_pd(), p);
+    _mm_storel_pd(low, clamped);
+    _mm_storeh_pd(high, clamped);
+    total = _mm_add_pd(total, clamped);
+  }
+};
+
+inline __m128d load_pair(const std::complex<double>& z) noexcept {
+  return _mm_loadu_pd(reinterpret_cast<const double*>(&z));
+}
+
+inline double low_lane(__m128d v) noexcept { return _mm_cvtsd_f64(v); }
+inline double high_lane(__m128d v) noexcept { return _mm_cvtsd_f64(_mm_unpackhi_pd(v, v)); }
+
+void fold_scan_avx2(FoldAtoms atoms, const std::complex<double>* interior, std::size_t count,
+                    double scale, double* next_low, double* next_high, ChainScan& low,
+                    ChainScan& high) {
+  ScanLanes s;
+  s.visit(load_pair(atoms.zero), next_low, next_high);
+  const __m128d sc = _mm_set1_pd(scale);
+  for (std::size_t i = 0; i < count; ++i)
+    s.visit(_mm_mul_pd(load_pair(interior[i]), sc), next_low + i + 1, next_high + i + 1);
+  s.visit(load_pair(atoms.full), next_low + count + 1, next_high + count + 1);
+  const __m128d mass = _mm_add_pd(s.sum, s.comp);
+  const int finite = _mm_movemask_pd(s.finite);
+  low = {low_lane(mass), low_lane(s.min), low_lane(s.total), (finite & 1) != 0};
+  high = {high_lane(mass), high_lane(s.min), high_lane(s.total), (finite & 2) != 0};
+}
+
+const FftKernels kAvx2Kernels{Isa::kAvx2,           "avx2",          &radix4_pass_avx2,
+                              &spectrum_multiply_avx2, &fold_pack_avx2, &fold_scan_avx2};
 
 }  // namespace
 

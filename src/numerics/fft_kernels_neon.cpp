@@ -71,9 +71,11 @@ void radix4_pass_neon(std::complex<double>* data, std::size_t n, std::size_t len
     radix4_neon<false>(data, n, len, wa, wb, wc);
 }
 
-// The split-multiply runs the scalar table's entry: a 128-bit register
-// holds one complex double, so NEON has no bin pairs to vectorize.
-const FftKernels kNeonKernels{Isa::kNeon, "neon", &radix4_pass_neon, &spectrum_multiply_scalar};
+// The split-multiply and the fold passes run the scalar table's entries:
+// a 128-bit register holds one complex double, so NEON has no bin pairs
+// to vectorize.
+const FftKernels kNeonKernels{Isa::kNeon,         "neon",           &radix4_pass_neon,
+                              &spectrum_multiply_scalar, &fold_pack_scalar, &fold_scan_scalar};
 
 }  // namespace
 

@@ -1,6 +1,9 @@
 #include "numerics/simd.hpp"
 
 #include <atomic>
+#include <cmath>
+
+#include "numerics/special_functions.hpp"
 
 namespace lrd::numerics::simd {
 
@@ -50,8 +53,35 @@ void radix4_scalar_impl(std::complex<double>* d, std::size_t n, std::size_t len,
   }
 }
 
-const FftKernels kScalarKernels{Isa::kScalar, "scalar", &detail::radix4_pass_scalar,
-                                &detail::spectrum_multiply_scalar};
+/// One chain's share of the scan pass, entry by entry: the health scan
+/// of the pre-clamp value, then the clamp and the running total.
+struct ChainScanner {
+  CompensatedSum mass;
+  ChainScan scan;
+
+  void visit(double& p) noexcept {
+    if (std::isfinite(p)) {
+      mass.add(p);
+      if (p < scan.min_entry) scan.min_entry = p;
+    } else {
+      scan.finite = false;
+    }
+    if (p < 0.0) p = 0.0;
+    scan.total += p;
+  }
+
+  ChainScan finish() noexcept {
+    scan.mass = mass.value();
+    return scan;
+  }
+};
+
+const FftKernels kScalarKernels{Isa::kScalar,
+                                "scalar",
+                                &detail::radix4_pass_scalar,
+                                &detail::spectrum_multiply_scalar,
+                                &detail::fold_pack_scalar,
+                                &detail::fold_scan_scalar};
 
 /// Best table this CPU supports.
 const FftKernels* detect() noexcept {
@@ -113,6 +143,42 @@ void spectrum_multiply_scalar(const std::complex<double>* x, const std::complex<
     y[rev[m]] = {(ar * mar + ai * mai) - (br * mbi - bi * mbr),
                  (ar * mai - ai * mar) + (br * mbr + bi * mbi)};
   }
+}
+
+FoldAtoms fold_pack_scalar(const double* q_low, const double* q_high, const double* tails,
+                           const std::uint32_t* rev, std::size_t points, std::complex<double>* x) {
+  CompensatedSum low_zero, high_zero, low_full, high_full;
+  for (std::size_t j = 0; j < points; ++j) {
+    const double* t = tails + 4 * j;
+    x[rev[j]] = {q_low[j], q_high[j]};
+    low_zero.add(q_low[j] * t[0]);
+    high_zero.add(q_high[j] * t[1]);
+    low_full.add(q_low[j] * t[2]);
+    high_full.add(q_high[j] * t[3]);
+  }
+  return {{low_zero.value(), high_zero.value()}, {low_full.value(), high_full.value()}};
+}
+
+void fold_scan_scalar(FoldAtoms atoms, const std::complex<double>* interior, std::size_t count,
+                      double scale, double* next_low, double* next_high, ChainScan& low,
+                      ChainScan& high) {
+  ChainScanner lo, hi;
+  next_low[0] = atoms.zero.real();
+  next_high[0] = atoms.zero.imag();
+  lo.visit(next_low[0]);
+  hi.visit(next_high[0]);
+  for (std::size_t i = 0; i < count; ++i) {
+    next_low[i + 1] = interior[i].real() * scale;
+    next_high[i + 1] = interior[i].imag() * scale;
+    lo.visit(next_low[i + 1]);
+    hi.visit(next_high[i + 1]);
+  }
+  next_low[count + 1] = atoms.full.real();
+  next_high[count + 1] = atoms.full.imag();
+  lo.visit(next_low[count + 1]);
+  hi.visit(next_high[count + 1]);
+  low = lo.finish();
+  high = hi.finish();
 }
 
 }  // namespace detail

@@ -12,6 +12,7 @@
 #include "core/failpoint.hpp"
 #include "numerics/convolution.hpp"
 #include "numerics/fft.hpp"
+#include "numerics/simd.hpp"
 #include "numerics/special_functions.hpp"
 #include "obs/clock.hpp"
 #include "obs/context.hpp"
@@ -59,39 +60,16 @@ std::vector<double> pmf_from_ccdf(const double* s, std::size_t bins) {
   return w;
 }
 
-/// One chain's share of the fold step's post-pass over its next-state
-/// pmf, entry by entry: the health scan of the pre-clamp value
-/// (compensated mass of the finite entries, most negative entry,
-/// finiteness), then the clamp of FFT round-off below zero and the
-/// running total the renormalization divides by.
-struct ChainScan {
-  numerics::CompensatedSum mass;
-  double min_entry = 0.0;
-  bool finite = true;
-  double total = 0.0;
-
-  void visit(double& p) noexcept {
-    if (std::isfinite(p)) {
-      mass.add(p);
-      if (p < min_entry) min_entry = p;
-    } else {
-      finite = false;
-    }
-    if (p < 0.0) p = 0.0;
-    total += p;
-  }
-
-  /// Merges this step into the chain's health and returns the factor
-  /// that renormalizes the clamped pmf to mass one. Without positive mass
-  /// the factor is 1, and x * 1 is x for every double, so the pmf stays as
-  /// clamped.
-  double finish(StepHealth& h) const noexcept {
-    if (!finite) h.finite = false;
-    h.mass_dev = std::max(h.mass_dev, std::abs(mass.value() - 1.0));
-    h.min_entry = std::min(h.min_entry, min_entry);
-    return total > 0.0 ? 1.0 / total : 1.0;
-  }
-};
+/// Merges one chain's scan of a fold step into the chain's health and
+/// returns the factor that renormalizes the clamped pmf to mass one.
+/// Without positive mass the factor is 1, and x * 1 is x for every
+/// double, so the pmf stays as clamped.
+double merge_scan(const numerics::simd::ChainScan& scan, StepHealth& h) noexcept {
+  if (!scan.finite) h.finite = false;
+  h.mass_dev = std::max(h.mass_dev, std::abs(scan.mass - 1.0));
+  h.min_entry = std::min(h.min_entry, scan.min_entry);
+  return scan.total > 0.0 ? 1.0 / scan.total : 1.0;
+}
 
 lrd::Status guard_failure(const char* invariant, std::string message) {
   return lrd::Status::failure(lrd::make_diagnostics(lrd::ErrorCategory::kNumericalGuard,
@@ -118,22 +96,27 @@ lrd::Status step_guard(const StepHealth& h, const char* chain) {
 
 }  // namespace
 
-DualFoldEngine::Tails DualFoldEngine::tails(const std::vector<double>& w, std::size_t bins) {
+std::vector<double> DualFoldEngine::tails(const std::vector<double>& lower_pmf,
+                                          const std::vector<double>& upper_pmf,
+                                          std::size_t bins) {
   if (bins == 0) throw std::invalid_argument("DualFoldEngine: bins must be >= 1");
-  if (w.size() != 2 * bins + 1)
+  if (lower_pmf.size() != 2 * bins + 1 || upper_pmf.size() != 2 * bins + 1)
     throw std::invalid_argument("DualFoldEngine: increment pmfs must have 2 * bins + 1 entries");
   // Occupancy j plus increment (i - M) lands at or below 0 iff i <= M - j
   // and at or above B iff i >= 2M - j: a compensated running sum from
   // each end of w gives both tails for every j.
-  Tails t{std::vector<double>(bins + 1), std::vector<double>(bins + 1)};
-  numerics::CompensatedSum low, high;
-  for (std::size_t j = bins + 1; j-- > 0;) {
-    low.add(w[bins - j]);
-    t.zero[j] = low.value();
-  }
-  for (std::size_t j = 0; j <= bins; ++j) {
-    high.add(w[2 * bins - j]);
-    t.full[j] = high.value();
+  std::vector<double> t(4 * (bins + 1));
+  for (std::size_t chain = 0; chain < 2; ++chain) {
+    const std::vector<double>& w = chain == 0 ? lower_pmf : upper_pmf;
+    numerics::CompensatedSum zero, full;
+    for (std::size_t j = bins + 1; j-- > 0;) {
+      zero.add(w[bins - j]);
+      t[4 * j + chain] = zero.value();
+    }
+    for (std::size_t j = 0; j <= bins; ++j) {
+      full.add(w[2 * bins - j]);
+      t[4 * j + 2 + chain] = full.value();
+    }
   }
   return t;
 }
@@ -141,8 +124,7 @@ DualFoldEngine::Tails DualFoldEngine::tails(const std::vector<double>& w, std::s
 DualFoldEngine::DualFoldEngine(std::vector<double> lower_pmf, std::vector<double> upper_pmf,
                                std::size_t bins)
     : bins_(bins),
-      low_tails_(tails(lower_pmf, bins)),
-      high_tails_(tails(upper_pmf, bins)),
+      tails_(tails(lower_pmf, upper_pmf, bins)),
       conv_(std::move(lower_pmf), std::move(upper_pmf), numerics::next_pow2(2 * bins)),
       ws_(conv_.make_workspace()),
       next_low_(bins + 1),
@@ -158,42 +140,23 @@ void DualFoldEngine::step(std::vector<double>& q_low, std::vector<double>& q_hig
   // empty-buffer atom and everything at or above B into the full-buffer
   // atom, both taken exactly from q by four compensated dot products
   // with the tails, in the same pass.
+  const numerics::simd::FftKernels& kernels = numerics::simd::active_fft_kernels();
   const std::size_t n = conv_.size();
-  const std::uint32_t* rev = conv_.bitrev();
   std::complex<double>* x = ws_.freq.data();
   std::fill(x, x + n, std::complex<double>{});
-  numerics::CompensatedSum low_zero, low_full, high_zero, high_full;
-  for (std::size_t j = 0; j <= bins_; ++j) {
-    x[rev[j]] = {q_low[j], q_high[j]};
-    low_zero.add(q_low[j] * low_tails_.zero[j]);
-    low_full.add(q_low[j] * low_tails_.full[j]);
-    high_zero.add(q_high[j] * high_tails_.zero[j]);
-    high_full.add(q_high[j] * high_tails_.full[j]);
-  }
+  const numerics::simd::FoldAtoms atoms = kernels.fold_pack(
+      q_low.data(), q_high.data(), tails_.data(), conv_.bitrev(), bins_ + 1, x);
   const std::complex<double>* out = conv_.round_trip(ws_);
   // Scan pass, in j order with the atoms at 0 and M: entry k of the
   // circular output is occupancy (k - M) d, and its un-aliased interior
   // M + 1 <= k <= 2M - 1 is next[1..M-1], scaled by 1/n as it is read.
   // Each entry's health is scanned before the clamp, so the guardrails
   // see the pmfs as the transform left them.
-  ChainScan low, high;
-  next_low_[0] = low_zero.value();
-  next_high_[0] = high_zero.value();
-  low.visit(next_low_[0]);
-  high.visit(next_high_[0]);
-  const double inv_n = 1.0 / static_cast<double>(n);
-  for (std::size_t j = 1; j < bins_; ++j) {
-    next_low_[j] = out[bins_ + j].real() * inv_n;
-    next_high_[j] = out[bins_ + j].imag() * inv_n;
-    low.visit(next_low_[j]);
-    high.visit(next_high_[j]);
-  }
-  next_low_[bins_] = low_full.value();
-  next_high_[bins_] = high_full.value();
-  low.visit(next_low_[bins_]);
-  high.visit(next_high_[bins_]);
-  const double inv_low = low.finish(low_health);
-  const double inv_high = high.finish(high_health);
+  numerics::simd::ChainScan low, high;
+  kernels.fold_scan(atoms, out + bins_ + 1, bins_ - 1, 1.0 / static_cast<double>(n),
+                    next_low_.data(), next_high_.data(), low, high);
+  const double inv_low = merge_scan(low, low_health);
+  const double inv_high = merge_scan(high, high_health);
   for (std::size_t j = 0; j <= bins_; ++j) {
     next_low_[j] *= inv_low;
     next_high_[j] *= inv_high;

@@ -82,16 +82,18 @@ struct StepHealth {
 /// next[M] = sum_j q[j] sum_{i >= 2M-j} w[i].
 ///
 /// A step makes one pass on each side of the transform, then one more.
-/// The pack pass zeroes the convolver's workspace, writes point j of the
-/// pair (q_low, q_high) to its bit-reversed position, and takes the four
-/// atom dot products. DualKernelConvolver::round_trip runs both
-/// transforms' stages and the spectrum multiply on that workspace, with
-/// no bit-reversal pass. The scan pass reads the interior straight from
-/// the transform's output, scales it by 1/n, and, in j order with the
-/// atoms at 0 and M, scans the pre-sanitize pmfs' health (into
-/// StepHealth) and clamps round-off below zero. The last pass
-/// renormalizes. Besides the workspace, the engine holds only the two
-/// (M + 1)-entry next-state pmfs. The step runs on the calling thread,
+/// The pack pass (the kernel table's fold_pack entry, after zeroing the
+/// convolver's workspace) writes point j of the pair (q_low, q_high) to
+/// its bit-reversed position and takes the four atom dot products.
+/// DualKernelConvolver::round_trip runs both transforms' stages and the
+/// spectrum multiply on that workspace, with no bit-reversal pass. The
+/// scan pass (the table's fold_scan entry) reads the interior straight
+/// from the transform's output, scales it by 1/n, and, in j order with
+/// the atoms at 0 and M, scans the pre-sanitize pmfs' health (merged
+/// into StepHealth) and clamps round-off below zero. The last pass
+/// renormalizes. Besides the workspace and the per-level tails table,
+/// the engine holds only the two (M + 1)-entry next-state pmfs. Every
+/// kernel table gives the same bits. The step runs on the calling thread,
 /// so brackets do not depend on any thread setting. All scratch buffers
 /// are owned by the engine and sized at construction: steady-state
 /// step() calls perform zero heap allocations. Not thread-safe: one
@@ -114,15 +116,15 @@ class DualFoldEngine {
             StepHealth& high_health);
 
  private:
-  /// Mass of w on the increments that empty / fill the buffer from each
-  /// occupancy j: zero[j] = sum_{i <= M-j} w[i], full[j] = sum_{i >= 2M-j} w[i].
-  struct Tails {
-    std::vector<double> zero, full;  // M + 1 entries each
-  };
-  static Tails tails(const std::vector<double>& w, std::size_t bins);
+  /// Mass of each increment pmf on the increments that empty / fill the
+  /// buffer from occupancy j, zero[j] = sum_{i <= M-j} w[i] and
+  /// full[j] = sum_{i >= 2M-j} w[i], interleaved as the fold_pack entry
+  /// reads them: row j is (zero_L[j], zero_H[j], full_L[j], full_H[j]).
+  static std::vector<double> tails(const std::vector<double>& lower_pmf,
+                                   const std::vector<double>& upper_pmf, std::size_t bins);
 
   std::size_t bins_;
-  Tails low_tails_, high_tails_;  // built before conv_ takes the pmfs
+  std::vector<double> tails_;  // 4 (M + 1) entries, built before conv_ takes the pmfs
   numerics::DualKernelConvolver conv_;
   numerics::DualKernelConvolver::Workspace ws_;
   std::vector<double> next_low_, next_high_;  // folded pmfs, M + 1

@@ -15,6 +15,7 @@
 #include <complex>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,13 +32,8 @@ namespace {
 using namespace lrd::numerics;
 using cd = std::complex<double>;
 
-/// Restores runtime detection no matter how a test exits.
-struct KernelGuard {
-  KernelGuard() = default;
-  KernelGuard(const KernelGuard&) = delete;
-  KernelGuard& operator=(const KernelGuard&) = delete;
-  ~KernelGuard() { simd::reset_active_kernels_for_testing(); }
-};
+using lrd::testing::KernelGuard;
+using lrd::testing::usable_tables;
 
 /// Forces the best vector table this build + CPU supports. False when
 /// only the scalar table is usable (non-SIMD build or old hardware).
@@ -214,16 +210,6 @@ INSTANTIATE_TEST_SUITE_P(Sizes, FftSimdParity,
 // The bit-reversed seams: the solver's convolver skips the swap pass by
 // writing its inputs straight into bit-reversed order, which must give
 // the bits of the natural-order route exactly, on every table.
-
-/// Every kernel table this build and CPU can run: scalar, plus the
-/// vector table when there is one.
-std::vector<simd::Isa> usable_tables() {
-  std::vector<simd::Isa> isas{simd::Isa::kScalar};
-  for (const simd::Isa isa : {simd::Isa::kAvx2, simd::Isa::kNeon})
-    if (simd::set_active_kernels_for_testing(isa)) isas.push_back(isa);
-  simd::reset_active_kernels_for_testing();
-  return isas;
-}
 
 bool same_bits(const std::vector<cd>& a, const std::vector<cd>& b) {
   return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(cd)) == 0;
@@ -432,6 +418,116 @@ TEST(FftSimdKernels, VectorSpectrumMultiplyMatchesScalarBitForBit) {
       vec.spectrum_multiply(x.data(), ka.data(), kb.data(), rev, n, first, last, vector.data());
       EXPECT_TRUE(same_bits(vector, scalar))
           << vec.name << " n " << n << " bins [" << first << ", " << last << ")";
+    }
+  }
+}
+
+// The fold step's pack and scan entries: the vector entries give the
+// scalar table's bits at the solver's shapes (M + 1 points, a
+// next_pow2(2M)-point transform, an interior of M - 1 points).
+
+/// The NaN that Inf - Inf makes on this CPU, computed at run time. A sum
+/// that meets two NaNs keeps one operand's payload, and the compiler may
+/// order an add's operands either way; with one payload everywhere, that
+/// choice cannot show in the bits.
+double hardware_nan() {
+  volatile double inf = std::numeric_limits<double>::infinity();
+  return inf - inf;
+}
+
+enum class Entries { kPmf, kAwkward, kNonFinite };
+
+/// `count` entries of one kind. kPmf: a random pmf with round-off-sized
+/// negatives. kAwkward puts -0.0, subnormals and +-1e300 at every third
+/// entry from entry 1, and halfway an entry far above the running sum (a
+/// compensated add then takes its |x| > |s| branch); kNonFinite puts NaN
+/// and +-Inf first in that cycle.
+std::vector<double> fold_entries(std::size_t count, std::uint64_t seed, Entries kind) {
+  auto v = random_pmf(count, seed);
+  Rng rng(seed + 1);
+  for (auto& x : v) x += rng.uniform(-1e-17, 1e-17);
+  if (kind == Entries::kPmf) return v;
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> specials{-0.0, 4.9e-324, -2.5e-310, 1e300, -1e300};
+  if (kind == Entries::kNonFinite) specials.insert(specials.begin(), {hardware_nan(), inf, -inf});
+  for (std::size_t j = 1; j < count; j += 3) v[j] = specials[(j / 3) % specials.size()];
+  v[count / 6 * 3] = 1e6;  // a multiple of 3, so no special sits there
+  return v;
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+bool same_bits(const simd::ChainScan& a, const simd::ChainScan& b) {
+  return same_bits(a.mass, b.mass) && same_bits(a.min_entry, b.min_entry) &&
+         same_bits(a.total, b.total) && a.finite == b.finite;
+}
+
+bool same_bits(const simd::FoldAtoms& a, const simd::FoldAtoms& b) {
+  return same_bits(a.zero.real(), b.zero.real()) && same_bits(a.zero.imag(), b.zero.imag()) &&
+         same_bits(a.full.real(), b.full.real()) && same_bits(a.full.imag(), b.full.imag());
+}
+
+constexpr std::size_t kFoldBins[] = {1, 2, 3, 127, 128, 1024};
+constexpr Entries kFoldKinds[] = {Entries::kPmf, Entries::kAwkward, Entries::kNonFinite};
+
+TEST(FftSimdKernels, VectorFoldPackMatchesScalarBitForBit) {
+  KernelGuard guard;
+  if (!force_vector_kernels()) GTEST_SKIP() << "no vector ISA on this build/CPU";
+  const simd::FftKernels& vec = simd::active_fft_kernels();
+  for (const std::size_t bins : kFoldBins) {
+    const std::size_t n = next_pow2(2 * bins);
+    const std::uint32_t* rev = fft_plan(n).bitrev();
+    for (const Entries kind : kFoldKinds) {
+      const auto seed = 31 * bins + static_cast<std::uint64_t>(kind);
+      const auto q_low = fold_entries(bins + 1, seed, kind);
+      const auto q_high = fold_entries(bins + 1, seed + 2, kind);
+      const auto tails = fold_entries(4 * (bins + 1), seed + 4, kind);
+      std::vector<cd> scalar(n), vector(n);
+      const simd::FoldAtoms want = simd::detail::fold_pack_scalar(
+          q_low.data(), q_high.data(), tails.data(), rev, bins + 1, scalar.data());
+      const simd::FoldAtoms got =
+          vec.fold_pack(q_low.data(), q_high.data(), tails.data(), rev, bins + 1, vector.data());
+      const int k = static_cast<int>(kind);
+      EXPECT_TRUE(same_bits(got, want)) << vec.name << " bins " << bins << " kind " << k;
+      EXPECT_TRUE(same_bits(vector, scalar)) << vec.name << " bins " << bins << " kind " << k;
+    }
+  }
+}
+
+TEST(FftSimdKernels, VectorFoldScanMatchesScalarBitForBit) {
+  KernelGuard guard;
+  if (!force_vector_kernels()) GTEST_SKIP() << "no vector ISA on this build/CPU";
+  const simd::FftKernels& vec = simd::active_fft_kernels();
+  for (const std::size_t bins : kFoldBins) {
+    const double scale = 1.0 / static_cast<double>(next_pow2(2 * bins));
+    for (const Entries kind : kFoldKinds) {
+      const auto seed = 37 * bins + static_cast<std::uint64_t>(kind);
+      // The atoms, then the interior, as the transform leaves them (n times
+      // the pmf).
+      const auto re = fold_entries(bins + 1, seed, kind);
+      const auto im = fold_entries(bins + 1, seed + 2, kind);
+      const simd::FoldAtoms atoms{{re[0], im[0]}, {re[bins], im[bins]}};
+      std::vector<cd> interior(bins - 1);
+      for (std::size_t i = 0; i + 1 < bins; ++i)
+        interior[i] = {re[i + 1] / scale, im[i + 1] / scale};
+
+      std::vector<double> scalar_low(bins + 1), scalar_high(bins + 1);
+      std::vector<double> vector_low(bins + 1), vector_high(bins + 1);
+      simd::ChainScan want_low, want_high, got_low, got_high;
+      simd::detail::fold_scan_scalar(atoms, interior.data(), bins - 1, scale, scalar_low.data(),
+                                     scalar_high.data(), want_low, want_high);
+      vec.fold_scan(atoms, interior.data(), bins - 1, scale, vector_low.data(),
+                    vector_high.data(), got_low, got_high);
+      const int k = static_cast<int>(kind);
+      EXPECT_TRUE(same_bits(vector_low, scalar_low))
+          << vec.name << " bins " << bins << " kind " << k;
+      EXPECT_TRUE(same_bits(vector_high, scalar_high))
+          << vec.name << " bins " << bins << " kind " << k;
+      EXPECT_TRUE(same_bits(got_low, want_low)) << vec.name << " bins " << bins << " kind " << k;
+      EXPECT_TRUE(same_bits(got_high, want_high)) << vec.name << " bins " << bins << " kind " << k;
+      const bool finite = kind != Entries::kNonFinite;
+      EXPECT_EQ(want_low.finite, finite) << "bins " << bins << " kind " << k;
+      EXPECT_EQ(want_high.finite, finite) << "bins " << bins << " kind " << k;
     }
   }
 }

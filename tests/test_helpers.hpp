@@ -1,6 +1,7 @@
 // Shared helpers for the test suite: simple adaptive quadrature and
-// moment estimation used to cross-check closed forms, and a windowed
-// front end to the solver's convolver.
+// moment estimation used to cross-check closed forms, a windowed front
+// end to the solver's convolver, and the kernel-table switch the
+// every-table tests loop over.
 #pragma once
 
 #include <algorithm>
@@ -9,8 +10,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "numerics/convolution.hpp"
+#include "numerics/simd.hpp"
 
 namespace lrd::testing {
 
@@ -59,6 +62,25 @@ inline void convolve_window(const numerics::DualKernelConvolver& dual,
     out_a[i] = out[i].real() * inv_n;
     out_b[i] = out[i].imag() * inv_n;
   }
+}
+
+/// Restores runtime kernel-table detection no matter how a test exits.
+struct KernelGuard {
+  KernelGuard() = default;
+  KernelGuard(const KernelGuard&) = delete;
+  KernelGuard& operator=(const KernelGuard&) = delete;
+  ~KernelGuard() { numerics::simd::reset_active_kernels_for_testing(); }
+};
+
+/// Every kernel table this build and CPU can run: scalar, plus the
+/// vector table when there is one.
+inline std::vector<numerics::simd::Isa> usable_tables() {
+  using numerics::simd::Isa;
+  std::vector<Isa> isas{Isa::kScalar};
+  for (const Isa isa : {Isa::kAvx2, Isa::kNeon})
+    if (numerics::simd::set_active_kernels_for_testing(isa)) isas.push_back(isa);
+  numerics::simd::reset_active_kernels_for_testing();
+  return isas;
 }
 
 }  // namespace lrd::testing

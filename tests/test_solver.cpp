@@ -13,6 +13,7 @@
 #include <memory>
 #include <new>
 #include <numeric>
+#include <string>
 
 #include "core/model.hpp"
 #include "core/traces.hpp"
@@ -22,6 +23,7 @@
 #include "numerics/fft.hpp"
 #include "numerics/grid.hpp"
 #include "numerics/parallel.hpp"
+#include "numerics/simd.hpp"
 #include "numerics/special_functions.hpp"
 #include "queueing/fluid_queue_sim.hpp"
 #include "queueing/solver.hpp"
@@ -601,46 +603,63 @@ bool same_bits(const queueing::StepHealth& a, const queueing::StepHealth& b) {
 }
 
 TEST(SolverFoldEngine, StepMatchesPerChainPassesBitForBit) {
-  // 20 clean epochs, then the lower chain loses its mass (no positive
-  // total, so no renormalization), then entries the guardrails exist for:
-  // a negative entry in each chain (min_entry and the clamp), then a NaN
-  // in one chain and an Inf in the other (finiteness, non-finite totals).
-  // Health accumulates across the steps, as within a check.
+  // 18 clean epochs, then a -0.0 and then a subnormal in each chain (at
+  // its end with the least mass, so the chain keeps its mass), then the
+  // lower chain loses its mass (no positive total, so no
+  // renormalization), then entries the guardrails exist for: a negative
+  // entry in each chain (min_entry and the clamp), then a NaN in one
+  // chain and an Inf in the other (finiteness, non-finite totals). Health
+  // accumulates across the steps, as within a check. On every usable
+  // kernel table: the reference's passes are plain loops, so a vector
+  // pack or scan that moved a bit would show.
+  lrd::testing::KernelGuard guard;
   Marginal m({2.0, 6.0, 10.0, 14.0, 18.0}, {0.1, 0.2, 0.4, 0.2, 0.1});
   FluidQueueSolver s(m, pareto(0.015, 1.3, 10.0), 12.5, 6.25);
-  for (const std::size_t bins : {1, 2, 3, 96, 128, 1024}) {
-    const auto wl = s.increment_pmf_lower(bins);
-    const auto wh = s.increment_pmf_upper(bins);
-    queueing::DualFoldEngine engine(wl, wh, bins);
-    PerChainFoldReference ref(wl, wh, bins);
-    std::vector<double> q_low(bins + 1, 0.0), q_high(bins + 1, 0.0);
-    q_low[0] = 1.0;
-    q_high[bins] = 1.0;
-    std::vector<double> r_low = q_low, r_high = q_high;
-    queueing::StepHealth hl, hh, rl, rh;
-    for (std::size_t step = 0; step < 30; ++step) {
-      if (step == 20) {
-        std::fill(q_low.begin(), q_low.end(), 0.0);
-        std::fill(r_low.begin(), r_low.end(), 0.0);
+  for (const numerics::simd::Isa isa : lrd::testing::usable_tables()) {
+    ASSERT_TRUE(numerics::simd::set_active_kernels_for_testing(isa));
+    const std::string table = numerics::simd::active_isa_name();
+    for (const std::size_t bins : {1, 2, 3, 96, 128, 1024}) {
+      const auto wl = s.increment_pmf_lower(bins);
+      const auto wh = s.increment_pmf_upper(bins);
+      queueing::DualFoldEngine engine(wl, wh, bins);
+      PerChainFoldReference ref(wl, wh, bins);
+      std::vector<double> q_low(bins + 1, 0.0), q_high(bins + 1, 0.0);
+      q_low[0] = 1.0;
+      q_high[bins] = 1.0;
+      std::vector<double> r_low = q_low, r_high = q_high;
+      queueing::StepHealth hl, hh, rl, rh;
+      for (std::size_t step = 0; step < 30; ++step) {
+        if (step == 18) {
+          q_low[bins] = r_low[bins] = -0.0;
+          q_high[0] = r_high[0] = -0.0;
+        }
+        if (step == 19) {
+          q_low[bins] = r_low[bins] = 4.9e-324;
+          q_high[0] = r_high[0] = 2.5e-310;
+        }
+        if (step == 20) {
+          std::fill(q_low.begin(), q_low.end(), 0.0);
+          std::fill(r_low.begin(), r_low.end(), 0.0);
+        }
+        if (step == 24) {
+          q_low[bins / 2] = r_low[bins / 2] = -1e-7;
+          q_high[bins / 2] = r_high[bins / 2] = -0.75;
+        }
+        if (step == 27) {
+          q_low[0] = r_low[0] = std::numeric_limits<double>::quiet_NaN();
+          q_high[bins] = r_high[bins] = std::numeric_limits<double>::infinity();
+        }
+        engine.step(q_low, q_high, hl, hh);
+        ref.step(r_low, r_high, rl, rh);
+        ASSERT_TRUE(same_bits(q_low, r_low)) << table << " bins " << bins << " step " << step;
+        ASSERT_TRUE(same_bits(q_high, r_high)) << table << " bins " << bins << " step " << step;
+        ASSERT_TRUE(same_bits(hl, rl)) << table << " bins " << bins << " step " << step;
+        ASSERT_TRUE(same_bits(hh, rh)) << table << " bins " << bins << " step " << step;
       }
-      if (step == 24) {
-        q_low[bins / 2] = r_low[bins / 2] = -1e-7;
-        q_high[bins / 2] = r_high[bins / 2] = -0.75;
-      }
-      if (step == 27) {
-        q_low[0] = r_low[0] = std::numeric_limits<double>::quiet_NaN();
-        q_high[bins] = r_high[bins] = std::numeric_limits<double>::infinity();
-      }
-      engine.step(q_low, q_high, hl, hh);
-      ref.step(r_low, r_high, rl, rh);
-      ASSERT_TRUE(same_bits(q_low, r_low)) << "bins " << bins << " step " << step;
-      ASSERT_TRUE(same_bits(q_high, r_high)) << "bins " << bins << " step " << step;
-      ASSERT_TRUE(same_bits(hl, rl)) << "bins " << bins << " step " << step;
-      ASSERT_TRUE(same_bits(hh, rh)) << "bins " << bins << " step " << step;
+      EXPECT_FALSE(hl.finite);
+      EXPECT_FALSE(hh.finite);
+      EXPECT_LT(hh.min_entry, 0.0);
     }
-    EXPECT_FALSE(hl.finite);
-    EXPECT_FALSE(hh.finite);
-    EXPECT_LT(hh.min_entry, 0.0);
   }
 }
 
@@ -836,6 +855,72 @@ TEST(SolverLevelBuild, CarriedLevelsEqualFreshBuildsWithAtomOnGridEdge) {
   cfg.target_relative_gap = 1e-3;
   cfg.max_bins = 1024;
   expect_carried_levels_match_fresh(s, cfg, 3);
+}
+
+/// A perfbench cell: a Fig. 4/5 surface cell (gap 0.2, max_bins 4096) or
+/// a solve_tight cell (gap 0.02, max_bins 16384).
+struct BenchCell {
+  dist::Marginal marginal;
+  core::ModelConfig model;
+  SolverConfig solver;
+};
+
+BenchCell bench_cell(const dist::Marginal& marginal, double hurst, double mean_epoch,
+                     double utilization, double buffer, double cutoff, double gap,
+                     std::size_t max_bins) {
+  BenchCell c{marginal, {}, {}};
+  c.model.hurst = hurst;
+  c.model.mean_epoch = mean_epoch;
+  c.model.utilization = utilization;
+  c.model.normalized_buffer = buffer;
+  c.model.cutoff = cutoff;
+  c.solver.target_relative_gap = gap;
+  c.solver.max_bins = max_bins;
+  return c;
+}
+
+TEST(SolverFftSimd, ConvergedSolvesAgreeAcrossTables) {
+  // The kernel tables above the convolver: a converged solve on the vector
+  // table takes the scalar table's path (levels, iterations, final bins,
+  // stop reason) and its bounds move only by the butterflies' FMA
+  // rounding. One cell per path: one 128-bin level, two refinements to
+  // 512 bins, 1,952 iterations after one refinement, and a tight cell
+  // refined to 1024 bins; every loss is above 1e-6. The 1e-12 bound is
+  // not met by every perfbench cell: three long converged ones differ by
+  // 1.0-1.8e-12 (docs/NUMERICS.md, "A vector-width pack and scan").
+  lrd::testing::KernelGuard guard;
+  const auto tables = lrd::testing::usable_tables();
+  if (tables.size() < 2) GTEST_SKIP() << "no vector ISA on this build/CPU";
+  const core::TraceModel mtv = core::mtv_model();
+  const core::TraceModel bc = core::bellcore_model();
+  const Marginal three({2.0, 6.0, 10.0}, {0.3, 0.4, 0.3});
+  const BenchCell cells[] = {
+      bench_cell(mtv.marginal, mtv.hurst, mtv.mean_epoch, mtv.utilization, 0.2, 10.0, 0.2, 1 << 12),
+      bench_cell(mtv.marginal, mtv.hurst, mtv.mean_epoch, mtv.utilization, 5.0, 10.0, 0.2, 1 << 12),
+      bench_cell(bc.marginal, bc.hurst, bc.mean_epoch, bc.utilization, 5.0, 100.0, 0.2, 1 << 12),
+      bench_cell(three, 0.85, 0.05, 0.8, 0.5, 10.0, 0.02, 1 << 14)};
+  for (const BenchCell& cell : cells) {
+    const core::FluidModel model(cell.marginal, cell.model);
+    ASSERT_TRUE(numerics::simd::set_active_kernels_for_testing(tables[0]));
+    const auto want = model.solve(cell.solver);
+    ASSERT_TRUE(want.converged);
+    ASSERT_GT(want.loss.lower, 1e-6);
+    const std::string where = "b " + std::to_string(cell.model.normalized_buffer) + " T_c " +
+                              std::to_string(cell.model.cutoff);
+    for (std::size_t t = 1; t < tables.size(); ++t) {
+      ASSERT_TRUE(numerics::simd::set_active_kernels_for_testing(tables[t]));
+      const auto got = model.solve(cell.solver);
+      const std::string table = numerics::simd::active_isa_name();
+      EXPECT_EQ(got.levels, want.levels) << table << " " << where;
+      EXPECT_EQ(got.iterations, want.iterations) << table << " " << where;
+      EXPECT_EQ(got.final_bins, want.final_bins) << table << " " << where;
+      EXPECT_EQ(got.stop, want.stop) << table << " " << where;
+      EXPECT_NEAR(got.loss.lower, want.loss.lower, 1e-12 * want.loss.lower)
+          << table << " " << where;
+      EXPECT_NEAR(got.loss.upper, want.loss.upper, 1e-12 * want.loss.upper)
+          << table << " " << where;
+    }
+  }
 }
 
 }  // namespace
