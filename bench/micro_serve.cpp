@@ -1,10 +1,14 @@
 // micro_serve — microbenchmarks for the serving tier.
 //
-// Two claims are gated here:
+// Three claims are gated here:
 //   * serve/query_warm — a warm repeat query (parse, cell key, sharded
 //     cache hit, correlation horizon, response serialization) costs
 //     microseconds, not solver milliseconds: the daemon's steady-state
 //     answer path never re-solves a cell it has already answered;
+//   * serve/query_warm_trace — the same on the hit real traffic sends: a
+//     2.2 KB line carrying the MTV trace's 48-rate marginal with %.17g,
+//     the lines serve_mixed's hot set sends, where parsing the numbers
+//     is most of the cost;
 //   * cache/sharded_lookup — concurrent lookups against the sharded
 //     memory tier scale with threads instead of serializing on one
 //     global mutex; the record carries the measured speedup against a
@@ -22,6 +26,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/traces.hpp"
 #include "harness.hpp"
 #include "runtime/cache.hpp"
 #include "serve/service.hpp"
@@ -86,6 +91,53 @@ double timed_lookups(std::size_t threads, std::size_t per_thread, std::size_t ke
   return obs::seconds_since(t0) * 1e9 / static_cast<double>(threads * per_thread);
 }
 
+/// One warm query line, timed: a cold execute warms the cache, then the
+/// timed region is parse + key + sharded hit + horizon + serialize, never
+/// a solve.
+void time_warm_hits(bench::Case& c, const std::string& line) {
+  runtime::SolverCache cache;
+  const serve::QueryService service(&cache);
+  const serve::Response cold = service.execute_line(line);
+  if (cold.status != serve::QueryStatus::kOk) {
+    std::fprintf(stderr, "micro_serve: warmup solve failed: %s\n", cold.diagnostic.c_str());
+    return;
+  }
+  std::size_t hits = 0;
+  c.measure_ns_per_iter(512, [&](std::size_t) {
+    const serve::Response r = service.execute_line(line);
+    hits += r.cache_hit ? 1 : 0;
+  });
+  // Every timed iteration must be a cache hit, or the number above is
+  // a solver benchmark in disguise; the gate watches this stay 1.
+  const std::size_t total = (c.warmup() + c.repeats()) * 512;
+  c.metric("hit_rate", total == 0 ? 0.0 : static_cast<double>(hits) / total);
+}
+
+std::string join17(const std::vector<double>& xs) {
+  std::string out;
+  char buf[32];
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    std::snprintf(buf, sizeof buf, "%.17g", xs[i]);
+    if (i != 0) out += ',';
+    out += buf;
+  }
+  return out;
+}
+
+/// A Fig. 4 cell as serve_mixed's hot set sends it (b 0.2, T_c 1, gap
+/// 0.2, 4096 bins), every number with %.17g.
+std::string mtv_query_line() {
+  const core::TraceModel m = core::mtv_model();
+  char knobs[256];
+  std::snprintf(knobs, sizeof knobs,
+                "], \"hurst\": %.17g, \"mean_epoch\": %.17g, \"cutoff\": %.17g, "
+                "\"utilization\": %.17g, \"buffer\": %.17g, \"gap\": %.17g, "
+                "\"max_bins\": 4096}",
+                m.hurst, m.mean_epoch, 1.0, m.utilization, 0.2, 0.2);
+  return "{\"id\": \"warm-trace\", \"rates\": [" + join17(m.marginal.rates()) +
+         "], \"probs\": [" + join17(m.marginal.probs()) + knobs;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -106,29 +158,15 @@ int main(int argc, char** argv) {
     bench::Harness serve_h("serve", args);
     bench::Harness cache_h("cache", args);
 
-    // Steady-state daemon answer path: the same cell asked again. One
-    // cold execute warms the cache; the timed region is parse + key +
-    // sharded hit + horizon + serialize, never a solve.
+    // Steady-state daemon answer path: the same cell asked again.
     serve_h.add("query_warm", {1, 5}, [](bench::Case& c) {
-      runtime::SolverCache cache;
-      const serve::QueryService service(&cache);
-      const std::string line =
-          R"({"id": "warm", "rates": [2, 6, 10], "probs": [0.3, 0.4, 0.3],)"
-          R"( "cutoff": 5, "buffer": 0.2})";
-      const serve::Response cold = service.execute_line(line);
-      if (cold.status != serve::QueryStatus::kOk) {
-        std::fprintf(stderr, "micro_serve: warmup solve failed: %s\n", cold.diagnostic.c_str());
-        return;
-      }
-      std::size_t hits = 0;
-      c.measure_ns_per_iter(512, [&](std::size_t) {
-        const serve::Response r = service.execute_line(line);
-        hits += r.cache_hit ? 1 : 0;
-      });
-      // Every timed iteration must be a cache hit, or the number above is
-      // a solver benchmark in disguise; the gate watches this stay 1.
-      const std::size_t total = (c.warmup() + c.repeats()) * 512;
-      c.metric("hit_rate", total == 0 ? 0.0 : static_cast<double>(hits) / total);
+      time_warm_hits(c, R"({"id": "warm", "rates": [2, 6, 10], "probs": [0.3, 0.4, 0.3],)"
+                        R"( "cutoff": 5, "buffer": 0.2})");
+    });
+    serve_h.add("query_warm_trace", {1, 5}, [](bench::Case& c) {
+      const std::string line = mtv_query_line();
+      c.metric("line_bytes", static_cast<double>(line.size()));
+      time_warm_hits(c, line);
     });
 
     // Concurrent warm lookups: sharded tier vs the single-global-mutex

@@ -1,5 +1,6 @@
 #include "obs/doctor.hpp"
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -9,6 +10,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 
 #include "obs/fmt.hpp"
@@ -1162,16 +1164,33 @@ lrd::Expected<std::string> triage_socket(const std::string& socket_path, const O
                     socket_path);
   }
   const std::string query = "{\"op\": \"dump\", \"id\": \"doctor\"}\n";
-  std::size_t off = 0;
-  while (off < query.size()) {
+  for (std::size_t off = 0; off < query.size();) {
     const ssize_t n = ::send(fd, query.data() + off, query.size() - off, MSG_NOSIGNAL);
-    if (n <= 0 && errno != EINTR) break;
-    if (n > 0) off += static_cast<std::size_t>(n);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      const std::string why = n < 0 ? std::strerror(errno) : "connection closed";
+      ::close(fd);
+      return fail(lrd::ErrorCategory::kIo, "daemon socket accepts the dump query",
+                  "cannot send the dump query: " + why + ": " + socket_path);
+    }
+    off += static_cast<std::size_t>(n);
   }
+  // The dump op queues behind admitted solves, so the answer may take a
+  // while; like `lrdq_serve --connect`, each wait for more bytes is
+  // bounded all the same, since a wedged daemon must not hang the tool.
+  const int wait_ms = static_cast<int>(
+      std::min<std::size_t>(opt.timeout_ms, std::numeric_limits<int>::max()));
   std::string buf;
   char chunk[4096];
+  bool timed_out = false;
   while (buf.find('\n') == std::string::npos) {
+    pollfd pfd{fd, POLLIN, 0};
+    const int ready = ::poll(&pfd, 1, wait_ms);
+    if (ready < 0 && errno == EINTR) continue;
+    timed_out = ready == 0;
+    if (ready <= 0) break;
     const ssize_t n = ::read(fd, chunk, sizeof chunk);
+    if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;
     buf.append(chunk, static_cast<std::size_t>(n));
   }
@@ -1179,7 +1198,10 @@ lrd::Expected<std::string> triage_socket(const std::string& socket_path, const O
   const auto nl = buf.find('\n');
   if (nl == std::string::npos)
     return fail(lrd::ErrorCategory::kIo, "triage input is readable",
-                "no response line from daemon: " + socket_path);
+                (timed_out ? "no response line from daemon within " +
+                                 std::to_string(opt.timeout_ms) + " ms (--timeout-ms): "
+                           : std::string("no response line from daemon: ")) +
+                    socket_path);
   auto parsed = json::parse(buf.substr(0, nl));
   if (!parsed || !parsed.value().is_object())
     return fail(lrd::ErrorCategory::kParse, "dump response is a JSON object",

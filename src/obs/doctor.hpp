@@ -195,6 +195,9 @@ struct Options {
   std::size_t top = 10;
   /// Render the machine-readable report (`"kind": "doctor"`) instead of text.
   bool json = false;
+  /// How long triage_socket waits for the daemon's answer. The dump op
+  /// queues behind solves, so the default is `lrdq_serve --connect`'s.
+  std::size_t timeout_ms = 120000;
 };
 
 /// Triage of one bundle directory: incidents (crash signal, failpoint
@@ -210,7 +213,8 @@ lrd::Expected<std::string> triage_access_log(const std::string& path, const Opti
 
 /// Asks a live lrdq_serve daemon for a fresh diagnostics bundle (the
 /// "dump" control op over its unix socket) and triages the bundle it
-/// reports. kIo when the daemon is unreachable or was started without
+/// reports. kIo when the daemon is unreachable, takes the query but
+/// sends no answer line within `opt.timeout_ms`, or was started without
 /// --dump-dir; kParse when its response is malformed.
 lrd::Expected<std::string> triage_socket(const std::string& socket_path,
                                          const Options& opt = {});

@@ -1,47 +1,13 @@
 #include "obs/json.hpp"
 
 #include <algorithm>
-#include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <limits>
+#include <system_error>
 
 namespace lrd::obs::json {
-
-Value Value::boolean(bool b) {
-  Value v;
-  v.type_ = Type::kBool;
-  v.bool_ = b;
-  return v;
-}
-
-Value Value::number(double n) {
-  Value v;
-  v.type_ = Type::kNumber;
-  v.number_ = n;
-  return v;
-}
-
-Value Value::string(std::string s) {
-  Value v;
-  v.type_ = Type::kString;
-  v.string_ = std::move(s);
-  return v;
-}
-
-Value Value::array() {
-  Value v;
-  v.type_ = Type::kArray;
-  return v;
-}
-
-Value Value::object() {
-  Value v;
-  v.type_ = Type::kObject;
-  return v;
-}
 
 const Value* Value::find(std::string_view key) const noexcept {
   for (const auto& [name, value] : members_)
@@ -64,21 +30,10 @@ std::string Value::string_at(std::string_view key, std::string fallback) const {
   return v != nullptr && v->is_string() ? v->as_string() : std::move(fallback);
 }
 
-void Value::push_back(Value v) {
-  type_ = Type::kArray;
-  items_.push_back(std::move(v));
-}
-
-void Value::set(std::string key, Value v) {
-  type_ = Type::kObject;
-  members_.emplace_back(std::move(key), std::move(v));
-}
-
-namespace {
-
 /// Strict recursive-descent parser. Tracks the current line for the
 /// kParse diagnostic; depth is capped so a pathological input cannot
-/// overflow the stack.
+/// overflow the stack. A friend of Value, so it builds each value in its
+/// final slot.
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -94,6 +49,9 @@ class Parser {
  private:
   static constexpr std::size_t kMaxDepth = 64;
 
+  // Each parse_* fills `out` where it lies. `out` is always a fresh
+  // default (null) Value: the root, a new array slot or a new member, and
+  // nothing else touches the container holding it until the call returns.
   bool parse_value(Value& out, std::size_t depth) {
     if (depth > kMaxDepth) return set_error("nesting deeper than 64 levels");
     skip_whitespace();
@@ -101,31 +59,19 @@ class Parser {
     switch (text_[pos_]) {
       case '{': return parse_object(out, depth);
       case '[': return parse_array(out, depth);
-      case '"': {
-        std::string s;
-        if (!parse_string(s)) return false;
-        out = Value::string(std::move(s));
-        return true;
-      }
-      case 't':
-        if (!literal("true")) return false;
-        out = Value::boolean(true);
-        return true;
-      case 'f':
-        if (!literal("false")) return false;
-        out = Value::boolean(false);
-        return true;
-      case 'n':
-        if (!literal("null")) return false;
-        out = Value::null();
-        return true;
+      case '"':
+        out.type_ = Value::Type::kString;
+        return parse_string(out.string_);
+      case 't': return parse_bool(out, "true", true);
+      case 'f': return parse_bool(out, "false", false);
+      case 'n': return literal("null");
       default: return parse_number(out);
     }
   }
 
   bool parse_object(Value& out, std::size_t depth) {
     ++pos_;  // '{'
-    out = Value::object();
+    out.type_ = Value::Type::kObject;
     skip_whitespace();
     if (peek() == '}') {
       ++pos_;
@@ -134,14 +80,12 @@ class Parser {
     while (true) {
       skip_whitespace();
       if (peek() != '"') return set_error("expected a string object key");
-      std::string key;
+      auto& [key, member] = out.members_.emplace_back();
       if (!parse_string(key)) return false;
       skip_whitespace();
       if (peek() != ':') return set_error("expected ':' after object key");
       ++pos_;
-      Value member;
       if (!parse_value(member, depth + 1)) return false;
-      out.set(std::move(key), std::move(member));
       skip_whitespace();
       if (peek() == ',') {
         ++pos_;
@@ -157,16 +101,14 @@ class Parser {
 
   bool parse_array(Value& out, std::size_t depth) {
     ++pos_;  // '['
-    out = Value::array();
+    out.type_ = Value::Type::kArray;
     skip_whitespace();
     if (peek() == ']') {
       ++pos_;
       return true;
     }
     while (true) {
-      Value item;
-      if (!parse_value(item, depth + 1)) return false;
-      out.push_back(std::move(item));
+      if (!parse_value(out.items_.emplace_back(), depth + 1)) return false;
       skip_whitespace();
       if (peek() == ',') {
         ++pos_;
@@ -183,61 +125,68 @@ class Parser {
   bool parse_string(std::string& out) {
     ++pos_;  // opening quote
     while (pos_ < text_.size()) {
+      // The run of plain bytes up to the next quote, escape or newline is
+      // appended in one piece.
+      const std::size_t run = text_.find_first_of("\"\\\n", pos_);
+      const std::size_t end = run == std::string_view::npos ? text_.size() : run;
+      out.append(text_.data() + pos_, end - pos_);
+      pos_ = end;
+      if (pos_ == text_.size()) break;
       const char ch = text_[pos_];
       if (ch == '"') {
         ++pos_;
         return true;
       }
       if (ch == '\n') return set_error("unterminated string literal");
-      if (ch == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) return set_error("unterminated escape sequence");
-        switch (text_[pos_]) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            if (pos_ + 4 >= text_.size()) return set_error("truncated \\u escape");
-            unsigned code = 0;
-            for (int i = 1; i <= 4; ++i) {
-              const char hex = text_[pos_ + static_cast<std::size_t>(i)];
-              code <<= 4;
-              if (hex >= '0' && hex <= '9') code += static_cast<unsigned>(hex - '0');
-              else if (hex >= 'a' && hex <= 'f') code += static_cast<unsigned>(hex - 'a') + 10;
-              else if (hex >= 'A' && hex <= 'F') code += static_cast<unsigned>(hex - 'A') + 10;
-              else return set_error("invalid \\u escape");
-            }
-            pos_ += 4;
-            // Encode the code point as UTF-8 (surrogates pass through as
-            // three-byte sequences; the artifacts never contain them).
-            if (code < 0x80) {
-              out += static_cast<char>(code);
-            } else if (code < 0x800) {
-              out += static_cast<char>(0xC0 | (code >> 6));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            } else {
-              out += static_cast<char>(0xE0 | (code >> 12));
-              out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            }
-            break;
+      ++pos_;  // backslash
+      if (pos_ >= text_.size()) return set_error("unterminated escape sequence");
+      switch (text_[pos_]) {
+        case '"': out += '"'; break;
+        case '\\': out += '\\'; break;
+        case '/': out += '/'; break;
+        case 'b': out += '\b'; break;
+        case 'f': out += '\f'; break;
+        case 'n': out += '\n'; break;
+        case 'r': out += '\r'; break;
+        case 't': out += '\t'; break;
+        case 'u': {
+          if (pos_ + 4 >= text_.size()) return set_error("truncated \\u escape");
+          unsigned code = 0;
+          for (int i = 1; i <= 4; ++i) {
+            const char hex = text_[pos_ + static_cast<std::size_t>(i)];
+            code <<= 4;
+            if (hex >= '0' && hex <= '9') code += static_cast<unsigned>(hex - '0');
+            else if (hex >= 'a' && hex <= 'f') code += static_cast<unsigned>(hex - 'a') + 10;
+            else if (hex >= 'A' && hex <= 'F') code += static_cast<unsigned>(hex - 'A') + 10;
+            else return set_error("invalid \\u escape");
           }
-          default: return set_error("unknown escape sequence");
+          pos_ += 4;
+          // Encode the code point as UTF-8 (surrogates pass through as
+          // three-byte sequences; the artifacts never contain them).
+          if (code < 0x80) {
+            out += static_cast<char>(code);
+          } else if (code < 0x800) {
+            out += static_cast<char>(0xC0 | (code >> 6));
+            out += static_cast<char>(0x80 | (code & 0x3F));
+          } else {
+            out += static_cast<char>(0xE0 | (code >> 12));
+            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+            out += static_cast<char>(0x80 | (code & 0x3F));
+          }
+          break;
         }
-        ++pos_;
-        continue;
+        default: return set_error("unknown escape sequence");
       }
-      out += ch;
       ++pos_;
     }
     return set_error("unterminated string literal");
   }
 
+  /// The token is the maximal run of number characters; std::from_chars
+  /// converts it where it lies and must consume all of it. It rounds
+  /// correctly, takes no leading '+', and answers result_out_of_range for
+  /// a value that overflows or underflows to zero (a subnormal result is
+  /// in range).
   bool parse_number(Value& out) {
     const std::size_t start = pos_;
     if (peek() == '-') ++pos_;
@@ -247,13 +196,19 @@ class Parser {
                                    text_[pos_] == '-'))
       ++pos_;
     if (pos_ == start) return set_error("unexpected character");
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    errno = 0;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size() || errno == ERANGE || !std::isfinite(v))
-      return set_error("malformed number '" + token + "'");
-    out = Value::number(v);
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    const auto [end, ec] = std::from_chars(first, last, out.number_);
+    if (ec != std::errc() || end != last)
+      return set_error("malformed number '" + std::string(first, last) + "'");
+    out.type_ = Value::Type::kNumber;
+    return true;
+  }
+
+  bool parse_bool(Value& out, const char* word, bool value) {
+    if (!literal(word)) return false;
+    out.type_ = Value::Type::kBool;
+    out.bool_ = value;
     return true;
   }
 
@@ -298,8 +253,6 @@ class Parser {
   std::size_t line_ = 1;
   std::string error_;
 };
-
-}  // namespace
 
 lrd::Expected<Value> parse(std::string_view text) { return Parser(text).run(); }
 

@@ -1,13 +1,24 @@
-// Minimal JSON reader for the artifact-analysis layer.
+// Minimal JSON reader for the artifact-analysis layer and the serve
+// protocol.
 //
 // The observability tools emit JSON (manifests, metrics snapshots, Chrome
-// traces, bench history lines) and also *consume* it. This is the one
-// reader they share: a strict recursive-descent parser into a small Value
-// tree, the whole-file read every loader uses, and the lenient line
-// splitter every JSONL loader uses. Malformed input comes back as a kParse
-// diagnostic carrying the 1-based line number, matching the
-// RateTrace::try_load contract, so `lrdq_doctor profile broken.json`
-// points at the offending line instead of aborting.
+// traces, bench history lines) and also *consume* it; lrdq_serve reads
+// every query line with it. This is the one reader they share: a strict
+// recursive-descent parser into a small Value tree, the whole-file read
+// every loader uses, and the lenient line splitter every JSONL loader
+// uses. Malformed input comes back as a kParse diagnostic carrying the
+// 1-based line number, matching the RateTrace::try_load contract, so
+// `lrdq_doctor profile broken.json` points at the offending line instead
+// of aborting.
+//
+// The parser builds each string, array element and object member in its
+// final slot, and converts each number where it lies with
+// std::from_chars, which rounds correctly: a number printed with %.17g
+// reads back to the same bits. Numbers follow the JSON grammar with three
+// leniencies: leading zeros (`01`), a bare leading point (`.5`) and a
+// bare trailing point (`1.`). A leading `+` is rejected, as JSON
+// requires. Subnormals (`5e-324`) are accepted; a value that overflows
+// (`1e400`) or underflows to zero (`1e-400`) is rejected.
 //
 // Scope is deliberately narrow: UTF-8 pass-through (no surrogate-pair
 // decoding beyond \uXXXX -> UTF-8), doubles only (the artifacts never need
@@ -33,11 +44,23 @@ class Value {
 
   Value() = default;
   static Value null() { return Value(); }
-  static Value boolean(bool b);
-  static Value number(double v);
-  static Value string(std::string s);
-  static Value array();
-  static Value object();
+  static Value boolean(bool b) {
+    Value v(Type::kBool);
+    v.bool_ = b;
+    return v;
+  }
+  static Value number(double n) {
+    Value v(Type::kNumber);
+    v.number_ = n;
+    return v;
+  }
+  static Value string(std::string s) {
+    Value v(Type::kString);
+    v.string_ = std::move(s);
+    return v;
+  }
+  static Value array() { return Value(Type::kArray); }
+  static Value object() { return Value(Type::kObject); }
 
   Type type() const noexcept { return type_; }
   bool is_null() const noexcept { return type_ == Type::kNull; }
@@ -85,11 +108,22 @@ class Value {
                : fallback;
   }
 
-  // Mutation (used by tests building fixtures; parsing uses these too).
-  void push_back(Value v);
-  void set(std::string key, Value v);
+  // Mutation, for code that builds a document (the reader in json.cpp
+  // fills its values in place instead).
+  void push_back(Value v) {
+    type_ = Type::kArray;
+    items_.push_back(std::move(v));
+  }
+  void set(std::string key, Value v) {
+    type_ = Type::kObject;
+    members_.emplace_back(std::move(key), std::move(v));
+  }
 
  private:
+  friend class Parser;
+
+  explicit Value(Type type) : type_(type) {}
+
   Type type_ = Type::kNull;
   bool bool_ = false;
   double number_ = 0.0;

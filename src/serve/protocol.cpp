@@ -1,5 +1,6 @@
 #include "serve/protocol.hpp"
 
+#include <charconv>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -51,6 +52,27 @@ bool to_number_list(const json::Value& v, std::vector<double>& out) {
 
 }  // namespace
 
+std::optional<std::string> id_text(const json::Value& id) {
+  if (id.is_string()) return id.as_string();
+  if (!id.is_number()) return std::nullopt;
+  // Every whole double up to 2^53 is an exact integer: its digits, as
+  // sent. Past that, and for fractions, the shortest round-trip text.
+  constexpr double kExactWhole = 9007199254740992.0;
+  const double v = id.as_number();
+  char buf[32];
+  const bool whole = std::abs(v) <= kExactWhole && v == std::trunc(v);
+  const auto r = whole ? std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed)
+                       : std::to_chars(buf, buf + sizeof buf, v);
+  return std::string(buf, r.ptr);
+}
+
+std::string peek_id(std::string_view line) {
+  const auto parsed = json::parse(line);
+  if (!parsed || !parsed.value().is_object()) return "";
+  const json::Value* id = parsed.value().find("id");
+  return id != nullptr ? id_text(*id).value_or("") : "";
+}
+
 lrd::Expected<Query> parse_query(std::string_view line) {
   auto parsed = json::parse(line);
   if (!parsed) {
@@ -64,8 +86,7 @@ lrd::Expected<Query> parse_query(std::string_view line) {
   Query q;
   for (const auto& [key, value] : v.members()) {
     if (key == "id") {
-      if (value.is_string()) q.id = value.as_string();
-      else if (value.is_number()) q.id = json::number_text(value.as_number());
+      if (auto text = id_text(value)) q.id = std::move(*text);
       else if (!value.is_null()) return query_error("\"id\" must be a string or number");
     } else if (key == "op") {
       if (!value.is_string()) return query_error("\"op\" must be a string");

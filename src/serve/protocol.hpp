@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/status.hpp"
@@ -67,6 +68,18 @@ struct Query {
   /// the provenance escape hatch for clients that must not trust a cache.
   bool use_cache = true;
 };
+
+/// The text a response echoes for a query's "id" value: a string
+/// verbatim; a whole number of magnitude up to 2^53 as its digits; any
+/// other number as the shortest text that reads back to the same double
+/// (std::to_chars), so no digit a client sent is lost. nullopt for any
+/// other JSON type.
+std::optional<std::string> id_text(const obs::json::Value& id);
+
+/// Best-effort echo id of a line that will not be answered as a query
+/// (rejected or shed): id_text of its "id", or empty when the
+/// line is not a JSON object or its id is absent or of another type.
+std::string peek_id(std::string_view line);
 
 /// Parses one query line. Unknown keys are an error (fail fast beats
 /// silently ignoring a typo'd parameter in a capacity-planning request);

@@ -68,18 +68,6 @@ void set_nonblocking(int fd) {
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
-/// Best-effort "id" of a query line that will not be fully processed
-/// (shed / overlong), so the rejection still echoes the client's id.
-std::string peek_id(std::string_view line) {
-  auto parsed = obs::json::parse(line);
-  if (!parsed || !parsed.value().is_object()) return "";
-  const obs::json::Value* id = parsed.value().find("id");
-  if (id == nullptr) return "";
-  if (id->is_string()) return id->as_string();
-  if (id->is_number()) return obs::json::number_text(id->as_number());
-  return "";
-}
-
 }  // namespace
 
 /// One client. The fd is closed exactly once, by the destructor of the

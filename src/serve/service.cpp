@@ -59,14 +59,7 @@ Response QueryService::execute_line(std::string_view line,
   if (!parsed) {
     // Echo the id even for a rejected query (when the line is at least
     // valid JSON), so a pipelined client can match the error response.
-    std::string id;
-    if (auto raw = obs::json::parse(line); raw && raw.value().is_object()) {
-      if (const obs::json::Value* v = raw.value().find("id")) {
-        if (v->is_string()) id = v->as_string();
-        else if (v->is_number()) id = obs::json::number_text(v->as_number());
-      }
-    }
-    Response r = error_response(std::move(id), parsed.diagnostics());
+    Response r = error_response(peek_id(line), parsed.diagnostics());
     r.query_id = obs::current_query_id();
     return r;
   }

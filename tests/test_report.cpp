@@ -11,7 +11,14 @@
 // job alongside the recording-path tests.
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <random>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -106,6 +113,159 @@ TEST(ObsJsonParser, EscapeRoundTripsThroughParse) {
   const std::string original = "tab\t\"quote\"\nnewline\\slash";
   const obs::json::Value v = parse_ok(obs::json::escape(original));
   EXPECT_EQ(v.as_string(), original);
+}
+
+// --- JSON number grammar ---------------------------------------------------
+
+/// A number token as json::parse reads it; `ok` is false on a rejection.
+struct Read {
+  bool ok = false;
+  double value = 0.0;
+};
+
+Read json_read(const std::string& token) {
+  const auto v = obs::json::parse(token);
+  if (!v || !v.value().is_number()) return {};
+  return {true, v.value().as_number()};
+}
+
+/// The reader's number path before it converted tokens in place: a copy
+/// of the token into a std::string, then strtod, rejecting a partial
+/// parse, ERANGE and non-finite values. `erange` reports glibc's flag,
+/// which it also sets for a subnormal result.
+struct StrtodRead {
+  bool ok = false;
+  bool erange = false;
+  double value = 0.0;
+};
+
+StrtodRead strtod_read(const std::string& token) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(token.c_str(), &end);
+  StrtodRead r;
+  r.erange = errno == ERANGE;
+  r.value = v;
+  r.ok = end == token.c_str() + token.size() && !r.erange && std::isfinite(v);
+  return r;
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+std::string printed(const char* format, double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, format, v);
+  return buf;
+}
+
+TEST(ObsJsonParser, PrintedNumbersReadBackToTheSameBits) {
+  std::vector<double> values = {0.0, -0.0, DBL_TRUE_MIN, -DBL_TRUE_MIN, DBL_MIN, -DBL_MIN,
+                                DBL_MAX, -DBL_MAX};
+  std::mt19937_64 rng(0x6a50'4e0b'1d5e'0001ull);
+  while (values.size() < 100000 + 8) {
+    const std::uint64_t bits = rng();
+    double v;
+    std::memcpy(&v, &bits, sizeof v);
+    if (std::isfinite(v)) values.push_back(v);
+  }
+  std::size_t subnormals = 0;
+  for (const double v : values) {
+    if (v != 0.0 && std::abs(v) < DBL_MIN) ++subnormals;
+    // %.17g is exact: the original bits come back.
+    const std::string exact = printed("%.17g", v);
+    const Read a = json_read(exact);
+    ASSERT_TRUE(a.ok) << exact;
+    ASSERT_TRUE(same_bits(a.value, v)) << exact << " read " << printed("%.17g", a.value);
+    // %.9g (json::number_text) is not; it reads back to the correctly
+    // rounded value of its text, the one strtod returns.
+    const std::string short_text = printed("%.9g", v);
+    const Read b = json_read(short_text);
+    ASSERT_TRUE(b.ok) << short_text;
+    ASSERT_TRUE(same_bits(b.value, std::strtod(short_text.c_str(), nullptr))) << short_text;
+  }
+  EXPECT_GT(subnormals, 10u) << "random bit patterns reach the subnormal range";
+}
+
+TEST(ObsJsonParser, AgreesWithTheStrtodReaderOutsideTwoDocumentedClasses) {
+  // Seed tokens: printed doubles across the range plus the boundaries.
+  std::mt19937_64 rng(0x6a50'4e0b'1d5e'0002ull);
+  const auto below = [&](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+  std::vector<std::string> seeds = {"0",      "-0",    "1",       "17",     "0.5",
+                                    "5e-324", "1e-310", "2.2250738585072012e-308",
+                                    "1.7976931348623157e308", "1e-400", "1e400", "2e-324"};
+  for (int i = 0; i < 64; ++i) {
+    const std::uint64_t bits = rng();
+    double v;
+    std::memcpy(&v, &bits, sizeof v);
+    if (!std::isfinite(v)) continue;
+    seeds.push_back(printed("%.17g", v));
+    seeds.push_back(printed("%.9g", v));
+  }
+  // Mutations draw from the characters the reader's token scan takes.
+  const std::string alphabet = "0123456789.eE+-";
+  std::size_t both = 0, plus = 0, subnormal = 0, neither = 0;
+  for (int trial = 0; trial < 50000; ++trial) {
+    std::string token = seeds[below(seeds.size())];
+    for (std::size_t m = 1 + below(3); m > 0; --m) {
+      const char ch = alphabet[below(alphabet.size())];
+      switch (below(5)) {
+        case 0: token.insert(below(token.size() + 1), 1, ch); break;
+        case 1: if (!token.empty()) token.erase(below(token.size()), 1); break;
+        case 2: if (!token.empty()) token[below(token.size())] = ch; break;
+        case 3: token.insert(0, 1, below(2) == 0 ? '+' : '-'); break;
+        default: token.resize(below(token.size() + 1)); break;
+      }
+    }
+    if (token.empty()) continue;
+    SCOPED_TRACE("token '" + token + "'");
+    const StrtodRead old = strtod_read(token);
+    const Read now = json_read(token);
+    if (old.ok && now.ok) {
+      ++both;
+      ASSERT_TRUE(same_bits(old.value, now.value));
+    } else if (old.ok) {
+      // Class 1: a leading '+', which JSON forbids and strtod took.
+      ASSERT_EQ(token.front(), '+');
+      ++plus;
+    } else if (now.ok) {
+      // Class 2: a subnormal, which glibc flags ERANGE. The value is the
+      // one strtod rounded to, nonzero and at most DBL_MIN in magnitude.
+      ASSERT_TRUE(old.erange);
+      ASSERT_TRUE(same_bits(old.value, now.value));
+      ASSERT_NE(now.value, 0.0);
+      ASSERT_LE(std::abs(now.value), DBL_MIN);
+      ++subnormal;
+    } else {
+      ++neither;
+    }
+  }
+  EXPECT_GT(both, 1000u);
+  EXPECT_GT(plus, 100u);
+  EXPECT_GT(subnormal, 10u);
+  EXPECT_GT(neither, 1000u);
+}
+
+TEST(ObsJsonParser, NumberGrammarEdgeCases) {
+  // Accepted, with the value each reads as.
+  const std::pair<const char*, double> accepted[] = {
+      {"-0", -0.0}, {"5e-324", DBL_TRUE_MIN}, {"01", 1.0}, {".5", 0.5}, {"1.", 1.0}};
+  for (const auto& [text, value] : accepted) {
+    const Read r = json_read(text);
+    ASSERT_TRUE(r.ok) << text;
+    EXPECT_TRUE(same_bits(r.value, value)) << text;
+  }
+  // Rejected: a leading '+', out of range either way, and tokens that
+  // are not numbers at all.
+  for (const char* text : {"+1", "1e-400", "1e400", "-", "1e", "1e+", "0x10"}) {
+    const auto v = obs::json::parse(text);
+    ASSERT_FALSE(v.has_value()) << text;
+    EXPECT_EQ(v.diagnostics().category, ErrorCategory::kParse) << text;
+  }
+  // The same inside a document: the member's value, not the whole line.
+  const obs::json::Value doc = parse_ok(R"({"a": [5e-324, -0, 01]})");
+  EXPECT_EQ(doc.find("a")->items()[0].as_number(), DBL_TRUE_MIN);
+  EXPECT_TRUE(std::signbit(doc.find("a")->items()[1].as_number()));
+  EXPECT_FALSE(obs::json::parse(R"({"a": [+1]})").has_value());
 }
 
 // --- robust statistics and the overhead clamp ------------------------------

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -16,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "core/model.hpp"
+#include "core/traces.hpp"
 #include "obs/bundle.hpp"
 #include "obs/context.hpp"
 #include "obs/doctor.hpp"
@@ -142,6 +144,71 @@ TEST(ServeProtocol, ResponseEchoesTheCorrelationIdWhenMinted) {
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(static_cast<std::uint64_t>(parsed.value().number_at("query_id")),
             0x1d2c3b4a5ull);
+}
+
+/// A numeric id and the text every response echoes for it.
+struct IdEcho {
+  const char* sent;
+  const char* echoed;
+};
+
+class ServeIdEcho : public ::testing::TestWithParam<IdEcho> {};
+
+TEST_P(ServeIdEcho, NumericIdEchoesWithoutLosingDigits) {
+  const IdEcho& c = GetParam();
+  // Accepted query, rejected query, and the shed path (peek_id).
+  const auto q = serve::parse_query(std::string("{\"id\": ") + c.sent + ", \"op\": \"ping\"}");
+  ASSERT_TRUE(q.has_value()) << q.status().describe();
+  EXPECT_EQ(q.value().id, c.echoed);
+  const std::string rejected = std::string("{\"id\": ") + c.sent + ", \"op\": \"pong\"}";
+  const serve::QueryService service(nullptr);
+  const serve::Response r = service.execute_line(rejected);
+  EXPECT_EQ(r.status, serve::QueryStatus::kError);
+  EXPECT_EQ(r.id, c.echoed);
+  EXPECT_EQ(json::parse(r.to_json()).value().string_at("id"), c.echoed);
+  EXPECT_EQ(serve::peek_id(rejected), c.echoed);
+}
+
+INSTANTIATE_TEST_SUITE_P(NumericIds, ServeIdEcho,
+                         ::testing::Values(IdEcho{"17", "17"}, IdEcho{"0.1", "0.1"},
+                                           IdEcho{"1e21", "1e+21"},
+                                           IdEcho{"1234567890", "1234567890"},
+                                           IdEcho{"9007199254740992", "9007199254740992"},
+                                           IdEcho{"100000", "100000"},
+                                           IdEcho{"0.1234567891", "0.1234567891"}));
+
+/// A solve query line whose rates and probs are `m`'s marginal printed
+/// with %.17g, the way perfbench and lrdq_sweep clients send the Fig. 4/5
+/// traces.
+std::string trace_query_line(const core::TraceModel& m) {
+  const auto join = [](const std::vector<double>& xs) {
+    std::string out;
+    char buf[32];
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      std::snprintf(buf, sizeof buf, "%.17g", xs[i]);
+      if (i != 0) out += ',';
+      out += buf;
+    }
+    return out;
+  };
+  return "{\"id\": \"trace\", \"rates\": [" + join(m.marginal.rates()) + "], \"probs\": [" +
+         join(m.marginal.probs()) + "], \"cutoff\": 1, \"buffer\": 0.5}";
+}
+
+TEST(ServeProtocol, TraceMarginalsReadBackToTheirBits) {
+  for (const core::TraceModel& m : {core::mtv_model(), core::bellcore_model()}) {
+    SCOPED_TRACE(m.name);
+    const std::string line = trace_query_line(m);
+    EXPECT_GT(line.size(), 1000u) << "the real traffic's lines are kilobytes long";
+    const auto q = serve::parse_query(line);
+    ASSERT_TRUE(q.has_value()) << q.status().describe();
+    const std::vector<double>& rates = m.marginal.rates();
+    const std::vector<double>& probs = m.marginal.probs();
+    ASSERT_EQ(q.value().rates.size(), rates.size());
+    ASSERT_EQ(q.value().probs.size(), probs.size());
+    EXPECT_EQ(std::memcmp(q.value().rates.data(), rates.data(), rates.size() * sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(q.value().probs.data(), probs.data(), probs.size() * sizeof(double)), 0);
+  }
 }
 
 // ----------------------------------------------------------------- service
@@ -305,6 +372,33 @@ TEST(ServeService, InvalidModelAnswersErrorNotThrow) {
   EXPECT_EQ(r.status, serve::QueryStatus::kError);
   EXPECT_EQ(r.code(), 3);
   EXPECT_FALSE(r.diagnostic.empty());
+}
+
+TEST(ServeService, SubnormalQueryValuesGetATypedAnswer) {
+  // The reader accepts subnormals, so they reach the model and the
+  // solver: each must answer (or fail typed) within its deadline.
+  const serve::QueryService service(nullptr);
+  for (const char* field : {R"("buffer": 5e-324)", R"("mean_epoch": 5e-324)",
+                            R"("cutoff": 5e-324)", R"("rates": [5e-324, 6, 10])"}) {
+    SCOPED_TRACE(field);
+    const std::string line =
+        std::string(R"({"id": "s", "rates": [2, 6, 10], "probs": [0.3, 0.4, 0.3], )"
+                    R"("cutoff": 5, "buffer": 0.2, "deadline_ms": 200, )") +
+        field + "}";
+    const auto q = serve::parse_query(line);
+    ASSERT_TRUE(q.has_value()) << q.status().describe();
+    serve::Response r;
+    ASSERT_NO_THROW(r = service.execute_line(line));
+    EXPECT_NE(r.status, serve::QueryStatus::kShed);
+    EXPECT_NE(r.status, serve::QueryStatus::kCancelled);
+    if (r.status == serve::QueryStatus::kError) {
+      EXPECT_NE(r.error_category, ErrorCategory::kInternal) << r.diagnostic;
+      EXPECT_FALSE(r.diagnostic.empty());
+    }
+    const auto back = json::parse(r.to_json());
+    ASSERT_TRUE(back.has_value()) << r.to_json();
+    EXPECT_EQ(back.value().string_at("id"), "s");
+  }
 }
 
 TEST(ServeService, ControlOpsAnswerPingStatsInvalidate) {
@@ -626,6 +720,48 @@ TEST(ServeServer, DoctorTriagesALiveDaemonOverItsSocket) {
 
   obs::bundle::reset_for_tests();
   std::filesystem::remove_all(dump_dir);
+}
+
+TEST(ServeServer, DoctorStopsWaitingOnADaemonThatNeverAnswers) {
+  const std::string sock = test_socket_path("mute");
+  ::unlink(sock.c_str());
+  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, sock.c_str(), sock.size() + 1);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  // Accepts, reads the dump query, never replies; leaves when the client
+  // hangs up (or after 10 s, so a broken client cannot hang the test).
+  std::thread mute([listener] {
+    pollfd lp{listener, POLLIN, 0};
+    if (::poll(&lp, 1, 10000) <= 0) return;
+    const int conn = ::accept(listener, nullptr, nullptr);
+    if (conn < 0) return;
+    char chunk[256];
+    pollfd pfd{conn, POLLIN, 0};
+    while (::poll(&pfd, 1, 10000) > 0 && ::read(conn, chunk, sizeof chunk) > 0) {
+    }
+    ::close(conn);
+  });
+
+  obs::doctor::Options opt;
+  opt.timeout_ms = 200;
+  const auto start = std::chrono::steady_clock::now();
+  const auto report = obs::doctor::triage_socket(sock, opt);
+  const auto waited = std::chrono::steady_clock::now() - start;
+  mute.join();
+  ::close(listener);
+  ::unlink(sock.c_str());
+
+  ASSERT_FALSE(static_cast<bool>(report));
+  EXPECT_EQ(report.diagnostics().category, ErrorCategory::kIo);
+  EXPECT_EQ(exit_code_for(report.diagnostics().category), 5);
+  EXPECT_NE(report.diagnostics().message.find("200 ms"), std::string::npos)
+      << report.diagnostics().message;
+  EXPECT_GE(waited, std::chrono::milliseconds(200));
+  EXPECT_LT(waited, std::chrono::seconds(5));
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 //   lrdq_doctor bundle DIR          triage a diagnostics bundle
 //   lrdq_doctor access-log FILE     triage a JSONL access log
 //   lrdq_doctor socket PATH         ask a live lrdq_serve for a fresh bundle
-//                                   (the "dump" control op), then triage it
+//                                   (the "dump" control op), then triage it;
+//                                   --timeout-ms bounds the wait (exit 5)
 //   lrdq_doctor query ID [sources]  join every artifact on one correlation id
 //   lrdq_doctor profile TRACE       wall-time profile of a Chrome trace
 //   lrdq_doctor selftime PROFILE    per-frame self/total samples of a CPU profile
@@ -32,7 +33,10 @@ namespace {
 constexpr const char* kUsage =
     "usage: lrdq_doctor bundle DIR          (triage a diagnostics bundle)\n"
     "       lrdq_doctor access-log FILE     (triage a JSONL access log)\n"
-    "       lrdq_doctor socket PATH         (dump + triage a live lrdq_serve)\n"
+    "       lrdq_doctor socket PATH [--timeout-ms MS]\n"
+    "                                       (dump + triage a live lrdq_serve;\n"
+    "                                       waits up to MS, default 120000,\n"
+    "                                       for its answer, else exits 5)\n"
     "       lrdq_doctor query ID [--access-log FILE] [--bundle DIR]\n"
     "                   [--profile FILE] [--trace FILE]\n"
     "                                       (cross-artifact join on one query_id)\n"
@@ -94,6 +98,7 @@ int main(int argc, char** argv) {
     }
     std::vector<std::string> known = {"top", "out"};
     if (command == "query") known.insert(known.end(), {"bundle", "profile", "trace"});
+    if (command == "socket") known.push_back("timeout-ms");
     cli::Args args(argc - (next - 1), argv + (next - 1), known, {"json"});
     if (args.help()) {
       std::printf("%s\n", kUsage);
@@ -104,6 +109,7 @@ int main(int argc, char** argv) {
     obs::doctor::Options opt;
     opt.top = args.get_size("top", 10);
     opt.json = args.has("json");
+    opt.timeout_ms = args.get_size("timeout-ms", opt.timeout_ms);
     const auto want = [&](std::size_t n) {
       if (operands.size() == n) return;
       throw std::invalid_argument("'" + command + "' takes " + std::to_string(n) + " operand" +
