@@ -97,8 +97,7 @@ CellOutcome solve_cell(const dist::Marginal& marginal, const ModelConfig& mc,
     }
     // Budget exhaustion and rolled-back guard trips still carry a valid
     // (wide) bracket; a cell with no healthy level at all does not.
-    const bool usable = result.has_valid_bounds() &&
-                        !(result.stop == queueing::SolverStop::kGuardTripped &&
+    const bool usable = !(result.stop == queueing::SolverStop::kGuardTripped &&
                           result.last_healthy_level == 0);
     out.value = usable ? result.loss_estimate() : kNaN;
     out.degraded = true;

@@ -6,7 +6,8 @@
 // level's bin count, iteration count, final loss bracket, the sup-norm
 // distance between the two occupancy pmfs, the worst
 // pre-renormalization mass drift the guardrails observed, and wall
-// time. Collection is opt-in (SolverConfig::collect_telemetry); the
+// time from the level's entry (its build included) to its close.
+// Collection is opt-in (SolverConfig::collect_telemetry); the
 // struct rides on SolverResult and serializes into sweep manifests and
 // `lrdq_solve --telemetry-out`.
 #pragma once
@@ -25,7 +26,7 @@ struct LevelTelemetry {
   double bracket_upper = 0.0;   ///< l(Q_H^M) at the level's last check.
   double occupancy_gap = 0.0;   ///< ||Q_H - Q_L||_inf at the level's end.
   double mass_drift = 0.0;      ///< Worst pre-renormalization |mass - 1|.
-  double wall_seconds = 0.0;    ///< Wall time spent in this level.
+  double wall_seconds = 0.0;    ///< Wall time from the level's entry, its build included.
 
   double bracket_width() const noexcept { return bracket_upper - bracket_lower; }
 };

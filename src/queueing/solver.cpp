@@ -4,8 +4,6 @@
 #include <cmath>
 #include <complex>
 #include <cstdint>
-#include <cstdio>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -17,6 +15,7 @@
 #include "obs/clock.hpp"
 #include "obs/context.hpp"
 #include "obs/flight.hpp"
+#include "obs/fmt.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
@@ -25,17 +24,19 @@ namespace lrd::queueing {
 
 namespace {
 
-std::string format_g(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%g", v);
-  return buf;
-}
-
 /// Dirac pmf over M+1 grid points with all mass at `index`.
 std::vector<double> dirac(std::size_t points, std::size_t index) {
   std::vector<double> q(points, 0.0);
   q[index] = 1.0;
   return q;
+}
+
+/// Footnote 3's re-seed: a coarse pmf on the grid of twice its bins,
+/// grid point j d at 2j (d/2).
+std::vector<double> refine_pmf(const std::vector<double>& q) {
+  std::vector<double> fine(2 * q.size() - 1, 0.0);
+  for (std::size_t j = 0; j < q.size(); ++j) fine[2 * j] = q[j];
+  return fine;
 }
 
 /// Mean of an occupancy pmf over {0, d, ..., Md}.
@@ -71,27 +72,106 @@ double merge_scan(const numerics::simd::ChainScan& scan, StepHealth& h) noexcept
   return scan.total > 0.0 ? 1.0 / scan.total : 1.0;
 }
 
-lrd::Status guard_failure(const char* invariant, std::string message) {
-  return lrd::Status::failure(lrd::make_diagnostics(lrd::ErrorCategory::kNumericalGuard,
-                                                    "queueing.solver", invariant,
-                                                    std::move(message)));
+/// A guard's violated invariant and its message; none when it held.
+struct Violation {
+  const char* invariant = nullptr;
+  std::string message;
+  explicit operator bool() const noexcept { return invariant != nullptr; }
+};
+
+/// The per-step guardrails for one chain's health over a check block.
+Violation step_guard(const StepHealth& h, const char* chain) {
+  if (!h.finite)
+    return {"occupancy pmf entries are finite",
+            obs::fmt("%s occupancy pmf contains NaN/Inf after convolution", chain)};
+  if (h.min_entry < -kNegativeTolerance)
+    return {"occupancy pmf entries are non-negative",
+            obs::fmt("%s occupancy pmf entry %g below -%g", chain, h.min_entry,
+                     kNegativeTolerance)};
+  if (h.mass_dev > kMassTolerance)
+    return {"occupancy pmf conserves unit mass",
+            obs::fmt("%s occupancy pmf mass drifted %g from 1 (tolerance %g); the increment pmf "
+                     "leaks mass",
+                     chain, h.mass_dev, kMassTolerance)};
+  return {};
 }
 
-/// Evaluates the per-step guardrails for one chain's accumulated health.
-lrd::Status step_guard(const StepHealth& h, const char* chain) {
-  if (!h.finite)
-    return guard_failure("occupancy pmf entries are finite",
-                         std::string(chain) + " occupancy pmf contains NaN/Inf after convolution");
-  if (h.min_entry < -kNegativeTolerance)
-    return guard_failure("occupancy pmf entries are non-negative",
-                         std::string(chain) + " occupancy pmf entry " + format_g(h.min_entry) +
-                             " below -" + format_g(kNegativeTolerance));
-  if (h.mass_dev > kMassTolerance)
-    return guard_failure("occupancy pmf conserves unit mass",
-                         std::string(chain) + " occupancy pmf mass drifted " +
-                             format_g(h.mass_dev) + " from 1 (tolerance " +
-                             format_g(kMassTolerance) + "); the increment pmf leaks mass");
-  return lrd::Status::ok();
+/// Case 1 of decide(): the step guards, then the finite and
+/// inverted-bracket guards on the loss bounds.
+Violation guard(const SolverCheck& c) {
+  if (Violation v = step_guard(c.low, "lower")) return v;
+  if (Violation v = step_guard(c.high, "upper")) return v;
+  const LossBounds& l = c.loss;
+  if (!std::isfinite(l.lower) || !std::isfinite(l.upper))
+    return {"loss bounds are finite",
+            obs::fmt("loss bracket [%g, %g] is not finite", l.lower, l.upper)};
+  if (l.lower - l.upper > kBracketTolerance * std::max(l.lower, l.upper))
+    return {"lower bound <= upper bound (Prop. II.1)",
+            obs::fmt("bracket inverted: lower %g > upper %g", l.lower, l.upper)};
+  return {};
+}
+
+/// The invariant and message of each stop short of the target: how far
+/// the bracket was from it, and which budget ran out.
+Violation short_of_target(SolverStop stop, const SolverCheck& c, const SolverConfig& cfg) {
+  const std::string gap = obs::fmt("relative gap %g still above target %g", c.loss.relative_gap(),
+                                   cfg.target_relative_gap);
+  switch (stop) {
+    case SolverStop::kIterationBudget:
+      return {"bracket reaches target_relative_gap within max_total_iterations",
+              obs::fmt("%s after %zu iterations", gap.c_str(), c.iterations)};
+    case SolverStop::kCancelled:
+      return {"solve completes before cooperative cancellation",
+              obs::fmt("cancelled: %s after %zu iterations", gap.c_str(), c.iterations)};
+    case SolverStop::kDeadlineExceeded:
+      return {"bracket reaches target_relative_gap within deadline_ms",
+              obs::fmt("deadline_exceeded: %s after %zu ms (%zu iterations)", gap.c_str(),
+                       cfg.deadline_ms, c.iterations)};
+    default:  // kBinBudget
+      return {"bracket reaches target_relative_gap within max_bins",
+              obs::fmt("%s at max_bins = %zu", gap.c_str(), cfg.max_bins)};
+  }
+}
+
+/// Every check before a stop passed the guards, so a guard trip's last
+/// healthy level is the previous check's: the level before at a level's
+/// first check (0 at level 1), else this one.
+std::size_t last_healthy_level(const SolverCheck& c, SolverStop stop) {
+  return stop == SolverStop::kGuardTripped && c.level_iterations <= kCheckEvery ? c.level - 1
+                                                                                 : c.level;
+}
+
+/// The finished solve's metrics, closing flight events, profiler sample and span args.
+void publish(const SolverResult& result, const SolverConfig& cfg, obs::SteadyTime solve_start,
+             obs::Span& solve_span) {
+  if constexpr (obs::kObsEnabled) {
+    auto& reg = obs::Registry::global();
+    static obs::Counter& solves =
+        reg.counter("lrd_solver_solves_total", "Fluid-queue solves completed (any stop reason)");
+    static obs::Counter& iters =
+        reg.counter("lrd_solver_iterations_total", "Solver iterations (epochs) across all solves");
+    static obs::Counter& guard_trips = reg.counter(
+        "lrd_solver_guard_trips_total", "Solves ended by a numerical-health guard trip");
+    static obs::Counter& deadline_exceeded = reg.counter(
+        "lrd_solver_deadline_exceeded_total",
+        "Solves ended by the deadline_ms wall-clock budget (valid but wide bracket)");
+    static obs::Histogram& seconds =
+        reg.histogram("lrd_solver_solve_seconds", "Wall time per fluid-queue solve");
+    solves.inc();
+    iters.inc(result.iterations);
+    if (result.stop == SolverStop::kGuardTripped) guard_trips.inc();
+    if (result.stop == SolverStop::kDeadlineExceeded) deadline_exceeded.inc();
+    seconds.observe(obs::seconds_since(solve_start));
+    if (result.stop == SolverStop::kDeadlineExceeded)
+      obs::flight::record(obs::flight::EventKind::kDeadlineExceeded, "solve", 0, 0,
+                          cfg.deadline_ms);
+    obs::flight::record(obs::flight::EventKind::kSolveFinish, solver_stop_name(result.stop),
+                        result.iterations, result.final_bins,
+                        obs::seconds_since(solve_start) * 1e3);
+    obs::profiler::sample_now();
+    solve_span.annotate("bins", result.final_bins, "iterations", result.iterations, "levels",
+                        result.levels, "stop", static_cast<std::int64_t>(result.stop));
+  }
 }
 
 }  // namespace
@@ -178,7 +258,7 @@ lrd::Status SolverConfig::validate() const {
                                                " < initial_bins = " + std::to_string(initial_bins));
   if (!(target_relative_gap > 0.0) || !std::isfinite(target_relative_gap))
     return bad("target_relative_gap in (0, inf)",
-               "target_relative_gap = " + format_g(target_relative_gap));
+               obs::fmt("target_relative_gap = %g", target_relative_gap));
   if (max_iterations_per_level == 0)
     return bad("max_iterations_per_level >= 1", "max_iterations_per_level = 0");
   if (max_total_iterations == 0) return bad("max_total_iterations >= 1", "max_total_iterations = 0");
@@ -195,9 +275,48 @@ const char* solver_stop_name(SolverStop stop) noexcept {
     case SolverStop::kGuardTripped: return "guard-tripped";
     case SolverStop::kDeadlineExceeded: return "deadline-exceeded";
     case SolverStop::kCancelled: return "cancelled";
-    case SolverStop::kInvalidInput: return "invalid-input";
   }
   return "unknown";
+}
+
+SolverDecision decide(const SolverCheck& c, const SolverConfig& cfg, StallState stall) {
+  // Every stop but zero loss and convergence carries a diagnostic with
+  // the check's context.
+  auto stop = [&](SolverStop why, lrd::ErrorCategory category, Violation v) {
+    auto d = lrd::make_diagnostics(category, "queueing.solver", v.invariant, std::move(v.message));
+    d.iteration = c.iterations;
+    d.level = c.level;
+    d.bins = c.bins;
+    d.last_healthy_level = last_healthy_level(c, why);
+    return SolverDecision{SolverAction::kStop, why, lrd::Status::failure(std::move(d)), {}};
+  };
+  auto short_stop = [&](SolverStop why) {
+    return stop(why, lrd::ErrorCategory::kResourceExhausted, short_of_target(why, c, cfg));
+  };
+  if (Violation v = guard(c))
+    return stop(SolverStop::kGuardTripped, lrd::ErrorCategory::kNumericalGuard, std::move(v));
+  if (c.loss.upper < kZeroLossThreshold)
+    return {SolverAction::kStop, SolverStop::kZeroLoss, {}, {}};
+  const double gap = c.loss.relative_gap();
+  if (gap <= cfg.target_relative_gap)
+    return {SolverAction::kStop, SolverStop::kConverged, {}, {}};
+  // The budgets are read at the check, so the bounds just evaluated are
+  // the reported ones: a wide but valid bracket (Prop. II.1 holds at any
+  // n), never a hang.
+  if (c.iterations >= cfg.max_total_iterations) return short_stop(SolverStop::kIterationBudget);
+  if (c.cancelled) return short_stop(SolverStop::kCancelled);
+  if (cfg.deadline_ms > 0 && c.elapsed_ms >= static_cast<double>(cfg.deadline_ms))
+    return short_stop(SolverStop::kDeadlineExceeded);
+  // A stall is several consecutive low-improvement checks: the gap of a
+  // slowly mixing chain shrinks steadily but slowly, and a single noisy
+  // check must not trigger refinement.
+  const bool slow =
+      std::isfinite(stall.prev_gap) && stall.prev_gap - gap < kStallImprovement * stall.prev_gap;
+  stall = {gap, slow ? stall.stalled_checks + 1 : 0};
+  if (stall.stalled_checks < kStallThreshold && c.level_iterations < cfg.max_iterations_per_level)
+    return {SolverAction::kIterate, SolverStop::kNone, {}, stall};
+  if (c.bins * 2 > cfg.max_bins) return short_stop(SolverStop::kBinBudget);
+  return {SolverAction::kRefine, SolverStop::kNone, {}, {}};  // the fine level stalls afresh
 }
 
 FluidQueueSolver::FluidQueueSolver(dist::Marginal marginal, dist::EpochPtr epochs,
@@ -213,9 +332,9 @@ FluidQueueSolver::FluidQueueSolver(dist::Marginal marginal, dist::EpochPtr epoch
   };
   if (!epochs_) throw bad("epoch distribution is non-null", "null epoch distribution");
   if (!(service_rate > 0.0) || !std::isfinite(service_rate))
-    throw bad("service rate is finite and > 0", "service rate = " + format_g(service_rate));
+    throw bad("service rate is finite and > 0", obs::fmt("service rate = %g", service_rate));
   if (!(buffer > 0.0) || !std::isfinite(buffer))
-    throw bad("buffer is finite and > 0", "buffer = " + format_g(buffer));
+    throw bad("buffer is finite and > 0", obs::fmt("buffer = %g", buffer));
 }
 
 template <FluidQueueSolver::Sides sides>
@@ -354,280 +473,114 @@ SolverResult FluidQueueSolver::solve(const SolverConfig& cfg) const {
   const obs::SteadyTime solve_start = obs::now();
 
   SolverResult result;
+  SolverCheck check;
+  check.bins = cfg.initial_bins;
+  std::vector<double> q_low, q_high;
+  obs::SteadyTime level_start;
+  double level_drift = 0.0;  // worst pre-renormalization mass drift of the level
 
-  // Note: utilization >= 1 is NOT rejected here. The finite-buffer
-  // recursion is stable at any load (Q lives on [0, B]); overload just
-  // means heavy loss, and the bracket converges to it (e.g. exactly
-  // (r - c)/r for a constant rate r > c). The paper's parameterization,
-  // where rho in (0, 1) defines c, enforces that range in
-  // ModelConfig::validate / ModelSweepConfig::validate instead.
+  // Level entry: its clock starts before its build. The first level starts
+  // the chains empty and full, a refinement re-seeds them from the coarse
+  // level (footnote 3). Each level stamps a profiler sample with this
+  // query's id, so even a solve shorter than the sampling interval shows.
+  auto enter_level = [&](const Level* coarse) {
+    level_start = obs::now();
+    level_drift = 0.0;
+    core::failpoint_hit("solve.level");
+    obs::flight::record(obs::flight::EventKind::kSolveLevel, "solve", check.level, check.bins);
+    obs::profiler::sample_now();
+    // Seeded before the build, where a refining solve's memory peaks: the
+    // other order raised that peak by about 50 KB at 8192 bins.
+    std::vector<double> low = coarse ? refine_pmf(q_low) : dirac(check.bins + 1, 0);
+    std::vector<double> high = coarse ? refine_pmf(q_high) : dirac(check.bins + 1, check.bins);
+    Level fine = build_level(check.bins, coarse);
+    q_low = std::move(low);
+    q_high = std::move(high);
+    return fine;
+  };
+  // Level close: the level's telemetry, projected from its last check (a
+  // guard-tripped level's is its failing state, before the rollback).
+  auto close_level = [&] {
+    if (!cfg.collect_telemetry) return;
+    double sup_gap = 0.0;
+    for (std::size_t j = 0; j < q_low.size(); ++j)
+      sup_gap = std::max(sup_gap, std::abs(q_high[j] - q_low[j]));
+    result.telemetry.levels.push_back({check.bins, check.level_iterations, check.loss.lower,
+                                       check.loss.upper, sup_gap, level_drift,
+                                       obs::seconds_since(level_start)});
+  };
 
-  std::size_t bins = cfg.initial_bins;
-  core::failpoint_hit("solve.level");
-  obs::flight::record(obs::flight::EventKind::kSolveLevel, "solve", 1, bins);
-  // Level-boundary profile markers: a sub-interval solve would be
-  // invisible to the statistical sampler, so each level stamps at
-  // least one sample carrying this query's id (no-op when the
-  // profiler is off — one relaxed load).
-  obs::profiler::sample_now();
-  Level level = build_level(bins);
-  result.levels = 1;
-
-  std::vector<double> q_low = dirac(bins + 1, 0);
-  std::vector<double> q_high = dirac(bins + 1, bins);
-
-  // Rollback point for graceful degradation: the most recent state that
-  // passed every health check.
-  struct Healthy {
+  Level level = enter_level(nullptr);
+  // The previous check's state, which passed every guard: a guard trip
+  // rolls back to it.
+  struct {
     std::vector<double> q_low, q_high;
     LossBounds loss;
     std::size_t bins = 0;
-    std::size_t levels = 0;
-    bool valid = false;
   } healthy;
-
-  auto budget_exhausted = [&](const char* invariant, std::string message) {
-    auto d = lrd::make_diagnostics(lrd::ErrorCategory::kResourceExhausted, "queueing.solver",
-                                   invariant, std::move(message));
-    d.iteration = result.iterations;
-    d.level = result.levels;
-    d.bins = bins;
-    d.last_healthy_level = result.last_healthy_level;
-    result.status = lrd::Status::failure(std::move(d));
-  };
-
-  double prev_gap = std::numeric_limits<double>::infinity();
-  std::size_t level_iterations = 0;
-  int stalled_checks = 0;
-
-  // Telemetry accrues per level and is finalized on every level
-  // transition and on every exit path, so the audit trail always covers
-  // the level the solver was in when it stopped.
-  obs::LevelTelemetry level_tel;
-  obs::SteadyTime level_start = solve_start;
-  level_tel.bins = bins;
-  auto finalize_level = [&] {
-    if (!cfg.collect_telemetry) return;
-    level_tel.iterations = level_iterations;
-    level_tel.bracket_lower = result.loss.lower;
-    level_tel.bracket_upper = result.loss.upper;
-    double sup_gap = 0.0;
-    const std::size_t n = std::min(q_low.size(), q_high.size());
-    for (std::size_t j = 0; j < n; ++j) sup_gap = std::max(sup_gap, std::abs(q_high[j] - q_low[j]));
-    level_tel.occupancy_gap = sup_gap;
-    level_tel.wall_seconds = obs::seconds_since(level_start);
-    result.telemetry.levels.push_back(level_tel);
-  };
-
+  SolverDecision decision;
   while (true) {
-    StepHealth low_health, high_health;
-    for (std::size_t k = 0; k < kCheckEvery; ++k) {
-      level.engine.step(q_low, q_high, low_health, high_health);
-      ++result.iterations;
-      ++level_iterations;
-    }
+    check.low = check.high = StepHealth{};
+    for (std::size_t k = 0; k < kCheckEvery; ++k)
+      level.engine.step(q_low, q_high, check.low, check.high);
+    check.iterations += kCheckEvery;
+    check.level_iterations += kCheckEvery;
+    level_drift = std::max({level_drift, check.low.mass_dev, check.high.mass_dev});
+    // Bounds are read only from pmfs that pass the step guards (SolverCheck::loss).
+    if (!step_guard(check.low, "lower") && !step_guard(check.high, "upper"))
+      check.loss = {loss_from_pmf(q_low, level.kernel), loss_from_pmf(q_high, level.kernel)};
+    check.elapsed_ms = obs::seconds_since(solve_start) * 1000.0;
+    check.cancelled = cfg.cancellation != nullptr && cfg.cancellation->cancelled();
 
-    if (cfg.collect_telemetry)
-      level_tel.mass_drift =
-          std::max({level_tel.mass_drift, low_health.mass_dev, high_health.mass_dev});
-
-    lrd::Status guard = step_guard(low_health, "lower");
-    if (guard.is_ok()) guard = step_guard(high_health, "upper");
-
-    if (guard.is_ok()) {
-      result.loss.lower = loss_from_pmf(q_low, level.kernel);
-      result.loss.upper = loss_from_pmf(q_high, level.kernel);
-      if (!std::isfinite(result.loss.lower) || !std::isfinite(result.loss.upper)) {
-        guard = guard_failure("loss bounds are finite",
-                              "loss bracket [" + format_g(result.loss.lower) + ", " +
-                                  format_g(result.loss.upper) + "] is not finite");
-      } else if (result.loss.lower - result.loss.upper >
-                 kBracketTolerance * std::max(result.loss.lower, result.loss.upper)) {
-        guard = guard_failure("lower bound <= upper bound (Prop. II.1)",
-                              "bracket inverted: lower " + format_g(result.loss.lower) +
-                                  " > upper " + format_g(result.loss.upper));
-      }
-    }
-
-    if (!guard.is_ok()) {
-      // Graceful degradation: report the last healthy state (whose bounds
-      // still bracket the true loss by monotonicity) instead of garbage.
-      auto d = guard.diagnostics();
-      d.iteration = result.iterations;
-      d.level = result.levels;
-      d.bins = bins;
-      d.last_healthy_level = healthy.valid ? healthy.levels : 0;
-      result.status = lrd::Status::failure(std::move(d));
-      result.stop = SolverStop::kGuardTripped;
-      result.converged = false;
-      result.zero_loss = false;
-      // Record the failing level's state before rolling back so the
-      // telemetry shows what tripped the guard (a non-finite pmf yields
-      // occupancy_gap = NaN, serialized as null).
-      finalize_level();
-      if (healthy.valid) {
-        result.loss = healthy.loss;
-        q_low = std::move(healthy.q_low);
-        q_high = std::move(healthy.q_high);
-        bins = healthy.bins;
-      } else {
-        result.loss = LossBounds{0.0, 1.0};  // vacuous but valid bracket
-        q_low.clear();
-        q_high.clear();
-      }
-      break;
-    }
-
-    // This state passed every guardrail: make it the new rollback point.
+    decision = decide(check, cfg, decision.stall);
+    if (decision.action == SolverAction::kStop) break;
     healthy.q_low = q_low;
     healthy.q_high = q_high;
-    healthy.loss = result.loss;
-    healthy.bins = bins;
-    healthy.levels = result.levels;
-    healthy.valid = true;
-    result.last_healthy_level = result.levels;
-
-    if (result.loss.upper < kZeroLossThreshold) {
-      result.zero_loss = true;
-      result.converged = true;
-      result.stop = SolverStop::kZeroLoss;
-      finalize_level();
-      break;
-    }
-    const double gap = result.loss.relative_gap();
-    if (gap <= cfg.target_relative_gap) {
-      result.converged = true;
-      result.stop = SolverStop::kConverged;
-      finalize_level();
-      break;
-    }
-    if (result.iterations >= cfg.max_total_iterations) {
-      result.stop = SolverStop::kIterationBudget;
-      budget_exhausted("bracket reaches target_relative_gap within max_total_iterations",
-                       "relative gap " + format_g(gap) + " still above target " +
-                           format_g(cfg.target_relative_gap) + " after " +
-                           std::to_string(result.iterations) + " iterations");
-      finalize_level();
-      break;
-    }
-    // Deadline / cancellation: polled here, at the check-block boundary,
-    // so the bounds just evaluated above are always the reported ones —
-    // a wide but valid bracket (Prop. II.1 holds at any n), never a hang.
-    if (cfg.cancellation != nullptr && cfg.cancellation->cancelled()) {
-      result.stop = SolverStop::kCancelled;
-      budget_exhausted("solve completes before cooperative cancellation",
-                       "cancelled: relative gap " + format_g(gap) + " still above target " +
-                           format_g(cfg.target_relative_gap) + " after " +
-                           std::to_string(result.iterations) + " iterations");
-      finalize_level();
-      break;
-    }
-    if (cfg.deadline_ms > 0 &&
-        obs::seconds_since(solve_start) * 1000.0 >= static_cast<double>(cfg.deadline_ms)) {
-      result.stop = SolverStop::kDeadlineExceeded;
-      budget_exhausted("bracket reaches target_relative_gap within deadline_ms",
-                       "deadline_exceeded: relative gap " + format_g(gap) +
-                           " still above target " + format_g(cfg.target_relative_gap) +
-                           " after " + std::to_string(cfg.deadline_ms) + " ms (" +
-                           std::to_string(result.iterations) + " iterations)");
-      finalize_level();
-      break;
-    }
-
-    // Declare a stall only after several consecutive low-improvement
-    // checks: the gap of a slowly mixing chain shrinks steadily but
-    // slowly, and a single noisy check must not trigger refinement.
-    if (std::isfinite(prev_gap) && (prev_gap - gap) < kStallImprovement * prev_gap) {
-      ++stalled_checks;
-    } else {
-      stalled_checks = 0;
-    }
-    const bool stalled = stalled_checks >= 3;
-    const bool level_exhausted = level_iterations >= cfg.max_iterations_per_level;
-    prev_gap = gap;
-
-    if (stalled || level_exhausted) {
-      if (bins * 2 > cfg.max_bins) {
-        // Cannot refine; report the best (still valid) bracket.
-        result.stop = SolverStop::kBinBudget;
-        budget_exhausted("bracket reaches target_relative_gap within max_bins",
-                         "relative gap " + format_g(gap) + " still above target " +
-                             format_g(cfg.target_relative_gap) + " at max_bins = " +
-                             std::to_string(cfg.max_bins));
-        finalize_level();
-        break;
-      }
-      // Footnote 3: double M and re-seed the fine recursion from the
-      // current coarse distributions (grid point j d maps to 2j (d/2)).
-      finalize_level();
-      core::failpoint_hit("solve.level");
-      obs::flight::record(obs::flight::EventKind::kSolveLevel, "solve", result.levels + 1,
-                          bins * 2);
-      obs::profiler::sample_now();
-      const std::size_t fine = bins * 2;
-      std::vector<double> ql(fine + 1, 0.0), qh(fine + 1, 0.0);
-      for (std::size_t j = 0; j <= bins; ++j) {
-        ql[2 * j] = q_low[j];
-        qh[2 * j] = q_high[j];
-      }
-      bins = fine;
-      // The fine level is built from the coarse one before it replaces it.
-      level = build_level(bins, &level);
-      q_low = std::move(ql);
-      q_high = std::move(qh);
-      ++result.levels;
-      level_iterations = 0;
-      stalled_checks = 0;
-      prev_gap = std::numeric_limits<double>::infinity();
-      level_tel = obs::LevelTelemetry{};
-      level_tel.bins = bins;
-      level_start = obs::now();
-      obs::instant("solver.refine", "solver", "bins", bins);
+    healthy.loss = check.loss;
+    healthy.bins = check.bins;
+    if (decision.action == SolverAction::kRefine) {
+      close_level();
+      ++check.level;
+      check.bins *= 2;
+      check.level_iterations = 0;
+      level = enter_level(&level);
+      obs::instant("solver.refine", "solver", "bins", check.bins);
     }
   }
+  close_level();
 
-  result.final_bins = bins;
-  result.occupancy_lower = std::move(q_low);
-  result.occupancy_upper = std::move(q_high);
-  if (!result.occupancy_lower.empty() && !result.occupancy_upper.empty()) {
-    const double step = buffer_ / static_cast<double>(bins);
-    result.mean_queue_lower = pmf_mean(result.occupancy_lower, step);
-    result.mean_queue_upper = pmf_mean(result.occupancy_upper, step);
-  } else {
-    // No healthy state survived: report the vacuous occupancy bracket.
-    result.mean_queue_lower = 0.0;
+  result.stop = decision.stop;
+  result.status = std::move(decision.status);
+  result.zero_loss = result.stop == SolverStop::kZeroLoss;
+  result.converged = result.zero_loss || result.stop == SolverStop::kConverged;
+  result.last_healthy_level = last_healthy_level(check, result.stop);
+  result.iterations = check.iterations;
+  result.levels = check.level;
+  result.loss = check.loss;
+  result.final_bins = check.bins;
+  // Graceful degradation: a guard trip reports the previous check's state,
+  // whose bounds still bracket the true loss by monotonicity, or, when the
+  // first check tripped, the vacuous but valid brackets and no pmfs.
+  const bool tripped = result.stop == SolverStop::kGuardTripped;
+  if (tripped && result.last_healthy_level == 0) {
+    result.loss = LossBounds{0.0, 1.0};
     result.mean_queue_upper = buffer_;
+  } else {
+    if (tripped) {
+      result.loss = healthy.loss;
+      result.final_bins = healthy.bins;
+      q_low.swap(healthy.q_low);
+      q_high.swap(healthy.q_high);
+    }
+    const double step = buffer_ / static_cast<double>(result.final_bins);
+    result.mean_queue_lower = pmf_mean(q_low, step);
+    result.mean_queue_upper = pmf_mean(q_high, step);
+    result.occupancy_lower = std::move(q_low);
+    result.occupancy_upper = std::move(q_high);
   }
 
   if (cfg.collect_telemetry) result.telemetry.total_seconds = obs::seconds_since(solve_start);
-  if constexpr (obs::kObsEnabled) {
-    auto& reg = obs::Registry::global();
-    static obs::Counter& solves =
-        reg.counter("lrd_solver_solves_total", "Fluid-queue solves completed (any stop reason)");
-    static obs::Counter& iters =
-        reg.counter("lrd_solver_iterations_total", "Solver iterations (epochs) across all solves");
-    static obs::Counter& guard_trips = reg.counter(
-        "lrd_solver_guard_trips_total", "Solves ended by a numerical-health guard trip");
-    static obs::Counter& deadline_exceeded = reg.counter(
-        "lrd_solver_deadline_exceeded_total",
-        "Solves ended by the deadline_ms wall-clock budget (valid but wide bracket)");
-    static obs::Histogram& seconds =
-        reg.histogram("lrd_solver_solve_seconds", "Wall time per fluid-queue solve");
-    solves.inc();
-    iters.inc(result.iterations);
-    if (result.stop == SolverStop::kGuardTripped) guard_trips.inc();
-    if (result.stop == SolverStop::kDeadlineExceeded) deadline_exceeded.inc();
-    seconds.observe(obs::seconds_since(solve_start));
-    if (result.stop == SolverStop::kDeadlineExceeded)
-      obs::flight::record(obs::flight::EventKind::kDeadlineExceeded, "solve", 0, 0,
-                          cfg.deadline_ms);
-    obs::flight::record(obs::flight::EventKind::kSolveFinish, solver_stop_name(result.stop),
-                        result.iterations, result.final_bins,
-                        obs::seconds_since(solve_start) * 1e3);
-    obs::profiler::sample_now();
-    solve_span.annotate("bins", result.final_bins, "iterations", result.iterations, "levels",
-                        result.levels, "stop", static_cast<std::int64_t>(result.stop));
-  }
+  publish(result, cfg, solve_start, solve_span);
   return result;
 }
 

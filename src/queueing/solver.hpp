@@ -14,6 +14,19 @@
 // the fine recursion from the coarse distributions, footnote 3) whenever
 // convergence stalls.
 //
+// Each check block (kCheckEvery steps) fills one SolverCheck record;
+// decide() reads it with the stall rule's state and answers iterate,
+// refine, or stop with a SolverStop and its Status. Its cases, in order:
+//   1. the step guards (lower chain, then upper), then the finite and
+//      inverted-bracket guards on the loss bounds;
+//   2. zero loss (upper < kZeroLossThreshold), then converged;
+//   3. the total iteration budget, cancellation, then the deadline;
+//   4. a stall (kStallThreshold checks in a row improving the relative
+//      gap by less than kStallImprovement) or the per-level budget, which
+//      refines, or at max_bins stops on the bin budget.
+// Around it, solve() has one level entry, one level close (the telemetry
+// projection) and, after the loop, the rollback of a guard trip.
+//
 // Level build: each level samples the increment ccdfs Pr{W > i d} and
 // Pr{W >= i d} once per grid point i = -M..M (one EpochDistribution::
 // ccdf_both per rate), takes both increment pmfs as differences of those
@@ -22,6 +35,7 @@
 #pragma once
 
 #include <cstddef>
+#include <limits>
 #include <vector>
 
 #include "core/status.hpp"
@@ -39,9 +53,11 @@ namespace lrd::queueing {
 inline constexpr double kZeroLossThreshold = 1e-10;
 /// Evaluate the loss bounds every kCheckEvery iterations.
 inline constexpr std::size_t kCheckEvery = 16;
-/// Refine (double M) after 3 consecutive checks in which the relative gap
-/// improved by less than this factor, while still above target.
+/// Refine (double M) after kStallThreshold consecutive checks in which
+/// the relative gap improved by less than this factor, while still above
+/// target.
 inline constexpr double kStallImprovement = 5e-3;
+inline constexpr int kStallThreshold = 3;
 
 // Numerical-health guardrails. Each fold step measures the occupancy pmf
 // *before* it is clamped/renormalized; a violation beyond these
@@ -183,11 +199,6 @@ enum class SolverStop {
                      ///< back to the last healthy state.
   kDeadlineExceeded, ///< deadline_ms elapsed; bracket is valid but wide.
   kCancelled,        ///< Cancellation token fired; bracket is valid but wide.
-  kInvalidInput,     ///< Reserved: input rejected up front. (The finite-buffer
-                     ///< recursion is stable at any utilization — overload just
-                     ///< means heavy loss — so no well-formed input currently
-                     ///< takes this path; rho in (0, 1) is enforced by the
-                     ///< model/sweep configs instead.)
 };
 
 const char* solver_stop_name(SolverStop stop) noexcept;
@@ -231,9 +242,6 @@ struct SolverResult {
   /// Midpoint loss with the zero-loss convention applied.
   double loss_estimate() const noexcept { return zero_loss ? 0.0 : loss.mid(); }
 
-  /// True when the result carries usable loss bounds (possibly wide).
-  bool has_valid_bounds() const noexcept { return stop != SolverStop::kInvalidInput; }
-
   /// Exit code of this outcome: 0 converged (or zero loss), 1 stopped
   /// short with an ok status, otherwise the code of the diagnostic's
   /// category (lrd::exit_code_for).
@@ -242,6 +250,43 @@ struct SolverResult {
     return status.is_ok() ? 1 : lrd::exit_code_for(status.category());
   }
 };
+
+/// What one check block saw: the record the stop rules read. solve()
+/// refills one record every kCheckEvery steps.
+struct SolverCheck {
+  std::size_t iterations = 0;        ///< Total across levels.
+  std::size_t level_iterations = 0;  ///< At this level.
+  std::size_t level = 1;             ///< Discretization level, 1-based.
+  std::size_t bins = 0;              ///< Its bin count M.
+  /// l(Q_L), l(Q_H) of the block's last pmfs. They are read only from
+  /// pmfs that pass the step guards; after a step-guard trip the record
+  /// keeps the last bounds evaluated.
+  LossBounds loss;
+  StepHealth low, high;     ///< Each chain's worst health over the block.
+  double elapsed_ms = 0.0;  ///< Since the solve began.
+  bool cancelled = false;   ///< SolverConfig::cancellation had fired.
+};
+
+/// The stall rule's two numbers, carried from check to check; a
+/// refinement resets them.
+struct StallState {
+  double prev_gap = std::numeric_limits<double>::infinity();  ///< Previous relative gap.
+  int stalled_checks = 0;  ///< Consecutive checks improving it by < kStallImprovement.
+};
+
+enum class SolverAction { kIterate, kRefine, kStop };
+
+struct SolverDecision {
+  SolverAction action = SolverAction::kIterate;
+  SolverStop stop = SolverStop::kNone;  ///< Why, when action is kStop.
+  lrd::Status status;  ///< Ok, or the stop's diagnostic with the check's context.
+  StallState stall;  ///< The stall rule's numbers for the next check.
+};
+
+/// The stop rules of one check, in the order of this file's header. Pure:
+/// reads only its arguments. A guard trip's last healthy level is the
+/// previous check's (0 at the solve's first); any other stop's is `check.level`.
+SolverDecision decide(const SolverCheck& check, const SolverConfig& cfg, StallState stall);
 
 class FluidQueueSolver {
  public:

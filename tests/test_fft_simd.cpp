@@ -426,15 +426,6 @@ TEST(FftSimdKernels, VectorSpectrumMultiplyMatchesScalarBitForBit) {
 // scalar table's bits at the solver's shapes (M + 1 points, a
 // next_pow2(2M)-point transform, an interior of M - 1 points).
 
-/// The NaN that Inf - Inf makes on this CPU, computed at run time. A sum
-/// that meets two NaNs keeps one operand's payload, and the compiler may
-/// order an add's operands either way; with one payload everywhere, that
-/// choice cannot show in the bits.
-double hardware_nan() {
-  volatile double inf = std::numeric_limits<double>::infinity();
-  return inf - inf;
-}
-
 enum class Entries { kPmf, kAwkward, kNonFinite };
 
 /// `count` entries of one kind. kPmf: a random pmf with round-off-sized
@@ -449,7 +440,8 @@ std::vector<double> fold_entries(std::size_t count, std::uint64_t seed, Entries 
   if (kind == Entries::kPmf) return v;
   const double inf = std::numeric_limits<double>::infinity();
   std::vector<double> specials{-0.0, 4.9e-324, -2.5e-310, 1e300, -1e300};
-  if (kind == Entries::kNonFinite) specials.insert(specials.begin(), {hardware_nan(), inf, -inf});
+  if (kind == Entries::kNonFinite)
+    specials.insert(specials.begin(), {lrd::testing::hardware_nan(), inf, -inf});
   for (std::size_t j = 1; j < count; j += 3) v[j] = specials[(j / 3) % specials.size()];
   v[count / 6 * 3] = 1e6;  // a multiple of 3, so no special sits there
   return v;

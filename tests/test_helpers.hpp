@@ -1,7 +1,7 @@
 // Shared helpers for the test suite: simple adaptive quadrature and
 // moment estimation used to cross-check closed forms, a windowed front
-// end to the solver's convolver, and the kernel-table switch the
-// every-table tests loop over.
+// end to the solver's convolver, the kernel-table switch the every-table
+// tests loop over, and the run-time NaN the bit-for-bit tests inject.
 #pragma once
 
 #include <algorithm>
@@ -10,12 +10,22 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "numerics/convolution.hpp"
 #include "numerics/simd.hpp"
 
 namespace lrd::testing {
+
+/// The NaN that Inf - Inf makes on this CPU, computed at run time. A sum
+/// that meets two NaNs keeps one operand's payload, and the compiler may
+/// order an add's operands either way; with one payload everywhere, that
+/// choice cannot show in the bits.
+inline double hardware_nan() {
+  volatile double inf = std::numeric_limits<double>::infinity();
+  return inf - inf;
+}
 
 /// Simpson's rule on [a, b] with n (even) panels.
 inline double simpson(const std::function<double(double)>& f, double a, double b, int n = 4096) {

@@ -301,7 +301,6 @@ TEST(SolverGuards, OverloadedQueueSolvesWithFiniteBracket) {
   const auto r = solver.solve();
   EXPECT_TRUE(r.converged);
   EXPECT_TRUE(r.status.is_ok());
-  EXPECT_TRUE(r.has_valid_bounds());
   EXPECT_TRUE(std::isfinite(r.loss.lower));
   EXPECT_TRUE(std::isfinite(r.loss.upper));
   EXPECT_GT(r.loss_estimate(), 0.0);
@@ -337,10 +336,47 @@ TEST(SolverGuards, LeakingIncrementPmfTripsMassGuard) {
   EXPECT_EQ(r.last_healthy_level, 0u);
   EXPECT_DOUBLE_EQ(r.loss.lower, 0.0);
   EXPECT_DOUBLE_EQ(r.loss.upper, 1.0);
-  EXPECT_TRUE(r.has_valid_bounds());
   // Populated on every exit path.
   EXPECT_GT(r.final_bins, 0u);
   EXPECT_GE(r.levels, 1u);
+}
+
+TEST(SolverGuards, TripAfterARefinementRollsBackToTheCoarseLevel) {
+  // Monotone at the 16-bin level's grid points (multiples of 1/8) and
+  // bumped up between them, so only the refined level's pmfs leak mass.
+  // Its first check trips the guard; the result is the coarse level's
+  // last check, the one before.
+  const auto solver = make_broken_solver(
+      [](double t) { return std::exp(-t) + (std::fmod(t, 0.125) != 0.0 ? 0.3 : 0.0); });
+  SolverConfig cfg;
+  cfg.initial_bins = 16;
+  cfg.max_bins = 256;
+  cfg.max_iterations_per_level = 32;
+  cfg.target_relative_gap = 1e-9;
+  cfg.collect_telemetry = true;
+  const auto r = solver.solve(cfg);
+
+  EXPECT_EQ(r.stop, SolverStop::kGuardTripped);
+  EXPECT_EQ(r.status.category(), ErrorCategory::kNumericalGuard);
+  const auto& d = r.status.diagnostics();
+  EXPECT_EQ(d.invariant, "occupancy pmf conserves unit mass");
+  EXPECT_EQ(d.iteration, 48u);
+  EXPECT_EQ(d.level, 2u);
+  EXPECT_EQ(d.bins, 32u);
+  EXPECT_EQ(d.last_healthy_level, 1u);
+  EXPECT_EQ(r.last_healthy_level, 1u);
+  EXPECT_EQ(r.iterations, 48u);
+  EXPECT_EQ(r.levels, 2u);
+  EXPECT_EQ(r.final_bins, 16u);
+  ASSERT_EQ(r.occupancy_lower.size(), 17u);
+  ASSERT_EQ(r.occupancy_upper.size(), 17u);
+  // The coarse level's last bracket, which its telemetry also closed on.
+  ASSERT_EQ(r.telemetry.levels.size(), 2u);
+  EXPECT_EQ(r.loss.lower, r.telemetry.levels[0].bracket_lower);
+  EXPECT_EQ(r.loss.upper, r.telemetry.levels[0].bracket_upper);
+  EXPECT_GT(r.loss.lower, 0.0);
+  EXPECT_LE(r.loss.lower, r.loss.upper);
+  EXPECT_GT(r.telemetry.levels[1].mass_drift, queueing::kMassTolerance);
 }
 
 TEST(SolverGuards, NonFiniteKernelIsCaughtUpFront) {
@@ -375,7 +411,6 @@ TEST(SolverGuards, BudgetExhaustionKeepsValidWideBracket) {
   EXPECT_TRUE(r.stop == SolverStop::kIterationBudget || r.stop == SolverStop::kBinBudget);
   ASSERT_FALSE(r.status.is_ok());
   EXPECT_EQ(r.status.category(), ErrorCategory::kResourceExhausted);
-  EXPECT_TRUE(r.has_valid_bounds());
   EXPECT_TRUE(std::isfinite(r.loss.lower));
   EXPECT_TRUE(std::isfinite(r.loss.upper));
   EXPECT_LE(r.loss.lower, r.loss.upper);
@@ -433,7 +468,6 @@ TEST(SolverDeadline, ExpiryReturnsWideValidBracketNeverAHang) {
   EXPECT_NE(r.status.diagnostics().message.find("deadline_exceeded"), std::string::npos);
   // The bracket reported is the one evaluated at the last check-block
   // boundary: wide, but valid (Prop. II.1 holds at any n), never NaN.
-  EXPECT_TRUE(r.has_valid_bounds());
   EXPECT_TRUE(std::isfinite(r.loss.lower));
   EXPECT_TRUE(std::isfinite(r.loss.upper));
   EXPECT_LE(r.loss.lower, r.loss.upper);
@@ -454,7 +488,6 @@ TEST(SolverDeadline, CancellationTokenStopsAtNextCheck) {
   EXPECT_FALSE(r.converged);
   EXPECT_EQ(r.status.category(), ErrorCategory::kResourceExhausted);
   EXPECT_NE(r.status.diagnostics().message.find("cancelled"), std::string::npos);
-  EXPECT_TRUE(r.has_valid_bounds());
   EXPECT_LE(r.loss.lower, r.loss.upper);
 }
 

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -151,6 +152,10 @@ struct IdEcho {
   const char* sent;
   const char* echoed;
 };
+
+/// Prints the id sent, so the case's name does not hold the load address
+/// of its string literals (which changes with every run).
+void PrintTo(const IdEcho& c, std::ostream* os) { *os << c.sent; }
 
 class ServeIdEcho : public ::testing::TestWithParam<IdEcho> {};
 

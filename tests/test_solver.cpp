@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -609,7 +610,9 @@ TEST(SolverFoldEngine, StepMatchesPerChainPassesBitForBit) {
   // renormalization), then entries the guardrails exist for: a negative
   // entry in each chain (min_entry and the clamp), then a NaN in one
   // chain and an Inf in the other (finiteness, non-finite totals). Health
-  // accumulates across the steps, as within a check. On every usable
+  // accumulates across the steps, as within a check. The NaN is the one
+  // Inf - Inf makes, the payload of every NaN the steps then make, so the
+  // operand order of a NaN + NaN add cannot show. On every usable
   // kernel table: the reference's passes are plain loops, so a vector
   // pack or scan that moved a bit would show.
   lrd::testing::KernelGuard guard;
@@ -646,7 +649,7 @@ TEST(SolverFoldEngine, StepMatchesPerChainPassesBitForBit) {
           q_high[bins / 2] = r_high[bins / 2] = -0.75;
         }
         if (step == 27) {
-          q_low[0] = r_low[0] = std::numeric_limits<double>::quiet_NaN();
+          q_low[0] = r_low[0] = lrd::testing::hardware_nan();
           q_high[bins] = r_high[bins] = std::numeric_limits<double>::infinity();
         }
         engine.step(q_low, q_high, hl, hh);
@@ -855,6 +858,79 @@ TEST(SolverLevelBuild, CarriedLevelsEqualFreshBuildsWithAtomOnGridEdge) {
   cfg.target_relative_gap = 1e-3;
   cfg.max_bins = 1024;
   expect_carried_levels_match_fresh(s, cfg, 3);
+}
+
+/// Truncated Pareto epochs whose every ccdf call busy-waits at least
+/// `wait_s` seconds and is counted. Only the one-sided ccdfs are
+/// overridden, so the level build's ccdf_both makes two counted calls.
+class SlowCcdfEpoch final : public dist::EpochDistribution {
+ public:
+  explicit SlowCcdfEpoch(double wait_s) : wait_s_(wait_s) {}
+  double mean() const override { return base_.mean(); }
+  double variance() const override { return base_.variance(); }
+  double ccdf_open(double t) const override {
+    wait();
+    return base_.ccdf_open(t);
+  }
+  double ccdf_closed(double t) const override {
+    wait();
+    return base_.ccdf_closed(t);
+  }
+  double excess_mean(double u) const override { return base_.excess_mean(u); }
+  double max_support() const override { return base_.max_support(); }
+  double sample(numerics::Rng& rng) const override { return base_.sample(rng); }
+  std::size_t calls() const noexcept { return calls_.load(std::memory_order_relaxed); }
+
+ private:
+  void wait() const {
+    calls_.fetch_add(1, std::memory_order_relaxed);
+    const auto t0 = std::chrono::steady_clock::now();
+    while (std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count() < wait_s_) {
+    }
+  }
+  double wait_s_;
+  dist::TruncatedPareto base_{0.015, 1.3, 10.0};
+  mutable std::atomic<std::size_t> calls_{0};
+};
+
+TEST(SolverTelemetry, EveryLevelsWallTimeIncludesItsBuild) {
+  // Each level's clock starts before its build: the first level's fresh
+  // build and every refinement's carried one. One check per level
+  // (max_iterations_per_level 16) keeps the fold steps short beside the
+  // builds, whose ccdf calls each wait 20 us.
+  constexpr double kWait = 20e-6;
+  const auto epochs = std::make_shared<const SlowCcdfEpoch>(kWait);
+  const FluidQueueSolver s(Marginal({2.0, 6.0, 10.0}, {0.3, 0.4, 0.3}), epochs, 7.5, 2.0);
+  SolverConfig cfg;
+  cfg.initial_bins = 16;
+  cfg.max_bins = 128;
+  cfg.max_iterations_per_level = queueing::kCheckEvery;
+  cfg.target_relative_gap = 1e-9;
+  cfg.collect_telemetry = true;
+  std::vector<std::size_t> build_calls;  // counted ccdf calls of each level's build
+  {
+    std::size_t before = epochs->calls();
+    auto level = queueing::LevelBuildProbe::build(s, cfg.initial_bins, nullptr);
+    build_calls.push_back(epochs->calls() - before);
+    for (std::size_t bins = 2 * cfg.initial_bins; bins <= cfg.max_bins; bins *= 2) {
+      before = epochs->calls();
+      level = queueing::LevelBuildProbe::build(s, bins, &level);
+      build_calls.push_back(epochs->calls() - before);
+    }
+  }
+  const auto r = s.solve(cfg);
+  EXPECT_EQ(r.stop, queueing::SolverStop::kBinBudget);
+  ASSERT_EQ(r.telemetry.levels.size(), build_calls.size());
+  double sum = 0.0;
+  for (std::size_t i = 0; i < build_calls.size(); ++i) {
+    const obs::LevelTelemetry& level = r.telemetry.levels[i];
+    EXPECT_EQ(level.bins, cfg.initial_bins << i);
+    EXPECT_GT(build_calls[i], 0u);
+    EXPECT_GE(level.wall_seconds, static_cast<double>(build_calls[i]) * kWait)
+        << "level " << i + 1 << ", " << build_calls[i] << " ccdf calls";
+    sum += level.wall_seconds;
+  }
+  EXPECT_LE(sum, r.telemetry.total_seconds);
 }
 
 /// A perfbench cell: a Fig. 4/5 surface cell (gap 0.2, max_bins 4096) or

@@ -19,10 +19,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -42,7 +44,8 @@ constexpr const char* kUsage =
     "                  [--cache-dir DIR] [--cache-capacity N]\n"
     "                  [--metrics-out FILE] [--trace-out FILE]\n"
     "       lrdq_serve --once    (read queries from stdin, answer on stdout)\n"
-    "       lrdq_serve --connect PATH [--timeout-ms MS]  (scripted client)\n"
+    "       lrdq_serve --connect PATH [--timeout-ms MS]  (scripted client; each\n"
+    "                  wait for the daemon is bounded by MS, default 120000)\n"
     "       lrdq_serve --help | --version\n"
     "protocol: one JSON query per line, one JSON response per line\n"
     "      (completion order; match by \"id\") — see docs/SERVE.md.\n"
@@ -66,7 +69,8 @@ constexpr const char* kUsage =
     "      lrdq_doctor query (docs/OBSERVABILITY.md).\n"
     "exit codes: 0 ok, 1 not converged, 2 usage, 3 bad config, 4 parse,\n"
     "            5 I/O, 6 numerical guard / deadline, 7 load shed\n"
-    "            (--once/--connect exit with the worst response code seen)";
+    "            (--once/--connect exit with the worst response code seen;\n"
+    "            --connect exits 5 when a query goes unanswered)";
 
 volatile std::sig_atomic_t g_signal = 0;
 void on_signal(int) { g_signal = 1; }
@@ -112,10 +116,11 @@ int run_once(const lrd::serve::QueryService& service) {
 
 /// Scripted client: send every stdin line to the daemon, then read one
 /// response per sent query (the server answers every admitted OR shed
-/// query exactly once; completion order, not send order). EOF from the
-/// server (drain) or --timeout-ms ends the session early. Exits with the
+/// query exactly once; completion order, not send order). Exits with the
 /// worst response code seen, so CI can assert shed (7) or deadline (6)
-/// outcomes from the shell.
+/// outcomes from the shell. EOF from the server (drain) or a wait longer
+/// than --timeout-ms ends the session early; a session that ends with
+/// queries unanswered exits 5 (I/O), naming how many.
 int run_connect(const std::string& path, std::size_t timeout_ms) {
   std::vector<std::string> queries;
   {
@@ -164,15 +169,22 @@ int run_connect(const std::string& path, std::size_t timeout_ms) {
   // Keep the write side open: the server treats client EOF as "gone" and
   // stops answering, so a scripted session closes only after reading.
 
+  // poll() takes an int: a longer wait is clamped to INT_MAX ms.
+  const int wait_ms =
+      static_cast<int>(std::min<std::size_t>(timeout_ms, std::numeric_limits<int>::max()));
   int worst = 0;
   std::size_t answered = 0;
+  bool timed_out = false;
   std::string buf;
   char chunk[4096];
   while (answered < queries.size()) {
     pollfd pfd{fd, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, static_cast<int>(timeout_ms));
-    if (ready <= 0) break;  // timeout: daemon drained or wedged; report what we have
+    const int ready = ::poll(&pfd, 1, wait_ms);
+    if (ready < 0 && errno == EINTR) continue;
+    timed_out = ready == 0;
+    if (ready <= 0) break;  // daemon wedged: report what we have
     const ssize_t n = ::read(fd, chunk, sizeof chunk);
+    if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;  // server closed (drain completed)
     buf.append(chunk, static_cast<std::size_t>(n));
     std::size_t nl;
@@ -188,9 +200,17 @@ int run_connect(const std::string& path, std::size_t timeout_ms) {
     }
   }
   ::close(fd);
-  if (answered < queries.size())
-    std::fprintf(stderr, "lrdq_serve: session ended with %zu of %zu responses\n", answered,
-                 queries.size());
+  if (answered < queries.size()) {
+    const std::string why = timed_out ? "no response within " + std::to_string(timeout_ms) +
+                                            " ms (--timeout-ms)"
+                                      : std::string("the daemon closed the connection");
+    const lrd::Diagnostics d = lrd::make_diagnostics(
+        lrd::ErrorCategory::kIo, "lrdq_serve", "every sent query is answered",
+        std::to_string(queries.size() - answered) + " of " + std::to_string(queries.size()) +
+            " queries unanswered: " + why);
+    std::fprintf(stderr, "error: %s\n", d.describe().c_str());
+    return lrd::exit_code_for(d.category);
+  }
   return worst;
 }
 
