@@ -7,8 +7,9 @@
 //     convergence telemetry (iteration count, mass drift, occupancy gap)
 //     so lrdq_bench_check can flag convergence regressions, not just
 //     wall-time ones;
-//   * the two layers of a solve: one level's build (increment pmfs,
-//     overflow kernel, engine construction) and the per-epoch fold step;
+//   * the two layers of a solve: one level's build as solve() runs it
+//     (increment pmfs and overflow kernel from one sweep, engine
+//     construction) and the per-epoch fold step;
 //   * supporting paths: trace-driven queue simulation, fGn generation.
 //
 // Results print to stdout and append to BENCH_history.jsonl
@@ -25,7 +26,6 @@
 #include "harness.hpp"
 #include "numerics/convolution.hpp"
 #include "numerics/fft_plan.hpp"
-#include "numerics/grid.hpp"
 #include "numerics/random.hpp"
 #include "numerics/simd.hpp"
 #include "queueing/solver.hpp"
@@ -206,18 +206,13 @@ int main(int argc, char** argv) {
 
     for (const std::size_t m : {std::size_t{128}, std::size_t{4096}}) {
       h.add("level_build/" + std::to_string(m), {1, 5}, [m](bench::Case& c) {
-        // One level's build as perfbench's layer replay defines it: the
-        // public increment pmfs, the M + 1 overflow-kernel points and the
-        // fold engine's constructor.
+        // One fresh level built as solve() builds it: one sweep per rate
+        // fills both increment ccdf tables and the overflow kernel, then
+        // the fold engine takes the two pmfs. iterate_fixed(M, 0) runs no
+        // fold step; its bounds are two (M + 1)-term dot products.
         auto solver = figure_solver();
-        const numerics::Grid grid(solver.buffer(), m);
-        std::vector<double> kernel(m + 1);
         const std::size_t iters = std::max<std::size_t>(1, 1024 / m);
-        c.measure_ns_per_iter(iters, [&](std::size_t) {
-          queueing::DualFoldEngine engine(solver.increment_pmf_lower(m),
-                                          solver.increment_pmf_upper(m), m);
-          for (std::size_t j = 0; j <= m; ++j) kernel[j] = solver.overflow_kernel(grid.value(j));
-        });
+        c.measure_ns_per_iter(iters, [&](std::size_t) { (void)solver.iterate_fixed(m, 0); });
       });
     }
 

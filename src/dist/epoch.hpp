@@ -11,12 +11,15 @@
 // atom at T_c):
 //   ccdf_open(t)   = Pr{T >  t}   (right-continuous ccdf)
 //   ccdf_closed(t) = Pr{T >= t}   (left limit; differs at atoms)
-// Both are 1 for t <= 0 since epochs are strictly positive. ccdf_both
-// returns the pair from one evaluation: the queue solver needs both at
-// every grid point of a level (the open one for w_H, the closed one for
-// w_L), and away from an atom they are the same number.
+// Both are 1 for t <= 0 since epochs are strictly positive. tabulate
+// returns both and the excess mean at many t in one call: the queue
+// solver's level build needs, per rate, the open ccdf (for w_H), the
+// closed one (for w_L) and, for a rate above c, the excess mean (for the
+// overflow kernel) at the same points, and a law whose three share an
+// expensive part computes it once per point.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -41,19 +44,25 @@ class EpochDistribution {
   /// Pr{T >= t}.
   virtual double ccdf_closed(double t) const = 0;
 
-  /// Both of the above at one t; each result equals the single call bit
-  /// for bit. The default makes the two calls; a distribution whose two
-  /// ccdfs share their expensive part overrides it to compute that once.
-  virtual void ccdf_both(double t, double& open, double& closed) const {
-    open = ccdf_open(t);
-    closed = ccdf_closed(t);
-  }
-
   /// Excess mean E[(T - u)^+] = integral_u^inf Pr{T > t} dt, u >= 0.
   /// This single functional yields both the autocovariance of the fluid
   /// rate (phi(t) = sigma^2 * excess_mean(t) / mean(), Eq. 3-5) and the
   /// overflow kernel E[W_l | Q] (Eq. 14).
   virtual double excess_mean(double u) const = 0;
+
+  /// Pr{T > t[k]}, Pr{T >= t[k]} and E[(T - t[k])^+] for k < n, into
+  /// open[k], closed[k] and excess[k]; each t[k] >= 0. A null output is
+  /// not computed. The ccdfs equal the single calls bit for bit; the
+  /// excess equals excess_mean(t[k]) up to the bound an override states.
+  /// The default makes the single calls, so all three are theirs.
+  virtual void tabulate(const double* t, std::size_t n, double* open, double* closed,
+                        double* excess) const {
+    for (std::size_t k = 0; k < n; ++k) {
+      if (open) open[k] = ccdf_open(t[k]);
+      if (closed) closed[k] = ccdf_closed(t[k]);
+      if (excess) excess[k] = excess_mean(t[k]);
+    }
+  }
 
   /// Essential supremum of T; +infinity when unbounded.
   virtual double max_support() const = 0;

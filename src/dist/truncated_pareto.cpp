@@ -50,22 +50,32 @@ double TruncatedPareto::ccdf_closed(double t) const {
   return std::pow((t + theta_) / theta_, -alpha_);
 }
 
-void TruncatedPareto::ccdf_both(double t, double& open, double& closed) const {
-  if (t <= 0.0) {
-    open = closed = 1.0;
-  } else if (t > cutoff_) {
-    open = closed = 0.0;
-  } else {
-    closed = std::pow((t + theta_) / theta_, -alpha_);
-    open = t >= cutoff_ ? 0.0 : closed;
-  }
-}
-
 double TruncatedPareto::excess_mean(double u) const {
   if (u < 0.0) u = 0.0;
   if (u >= cutoff_) return 0.0;
   const double head = std::pow((u + theta_) / theta_, 1.0 - alpha_);
   return theta_ / (alpha_ - 1.0) * (head - excess_tail_);
+}
+
+void TruncatedPareto::tabulate(const double* t, std::size_t n, double* open, double* closed,
+                               double* excess) const {
+  const double scale = theta_ / (alpha_ - 1.0);
+  for (std::size_t k = 0; k < n; ++k) {
+    // t <= 0 as the single calls: both ccdfs 1, excess_mean(0) = E[T].
+    double o = 1.0, c = 1.0, e = scale * (1.0 - excess_tail_);
+    if (t[k] > cutoff_) {
+      o = c = e = 0.0;
+    } else if (t[k] > 0.0) {
+      const double x = (t[k] + theta_) / theta_;
+      c = std::pow(x, -alpha_);
+      const bool at_cutoff = t[k] >= cutoff_;
+      o = at_cutoff ? 0.0 : c;
+      e = at_cutoff ? 0.0 : scale * (x * c - excess_tail_);
+    }
+    if (open) open[k] = o;
+    if (closed) closed[k] = c;
+    if (excess) excess[k] = e;
+  }
 }
 
 double TruncatedPareto::mean() const { return excess_mean(0.0); }

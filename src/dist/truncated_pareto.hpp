@@ -33,10 +33,15 @@ class TruncatedPareto final : public EpochDistribution {
   double variance() const override;
   double ccdf_open(double t) const override;
   double ccdf_closed(double t) const override;
-  /// One pow(): the two ccdfs differ only at t == T_c (open 0, closed the
-  /// atom mass).
-  void ccdf_both(double t, double& open, double& closed) const override;
   double excess_mean(double u) const override;
+  /// One pow() per point in (0, T_c]: p = x^(-alpha) with x = (t + theta)
+  /// / theta is both ccdfs (they differ only at t == T_c: open 0, closed
+  /// the atom mass), and the excess is theta / (alpha - 1) * (x p - tail).
+  /// x p is x^(1 - alpha) up to one rounding beyond pow's own, so with a
+  /// pow within 0.52 ulp (glibc's) the excess differs from excess_mean(t)
+  /// by at most 4 DBL_EPSILON * theta / (alpha - 1) * x^(1 - alpha).
+  void tabulate(const double* t, std::size_t n, double* open, double* closed,
+                double* excess) const override;
   double max_support() const override { return cutoff_; }
   double sample(numerics::Rng& rng) const override;
 

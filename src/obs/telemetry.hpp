@@ -22,8 +22,11 @@ namespace lrd::obs {
 struct LevelTelemetry {
   std::size_t bins = 0;         ///< Bin count M of this level.
   std::size_t iterations = 0;   ///< Iterations spent at this level.
-  double bracket_lower = 0.0;   ///< l(Q_L^M) at the level's last check.
-  double bracket_upper = 0.0;   ///< l(Q_H^M) at the level's last check.
+  /// l(Q_L^M) / l(Q_H^M) at the level's last check; NaN (JSON null) when
+  /// no check of the level passed the step guards, so it never bounded
+  /// the loss.
+  double bracket_lower = 0.0;
+  double bracket_upper = 0.0;
   double occupancy_gap = 0.0;   ///< ||Q_H - Q_L||_inf at the level's end.
   double mass_drift = 0.0;      ///< Worst pre-renormalization |mass - 1|.
   double wall_seconds = 0.0;    ///< Wall time from the level's entry, its build included.

@@ -337,66 +337,86 @@ FluidQueueSolver::FluidQueueSolver(dist::Marginal marginal, dist::EpochPtr epoch
     throw bad("buffer is finite and > 0", obs::fmt("buffer = %g", buffer));
 }
 
-template <FluidQueueSolver::Sides sides>
-FluidQueueSolver::IncrementCcdf FluidQueueSolver::increment_ccdf(double w) const {
-  // W = T (lambda - c), summed over the rates in marginal order: a rate
-  // above c gives Pr{T > t} / Pr{T >= t} at t = w / (lambda - c), a rate
-  // below c gives 1 - Pr{T >= t} / 1 - Pr{T > t}, and a rate equal to c
-  // adds a step at w = 0. Only the epoch ccdfs the wanted sides read are
-  // evaluated.
-  constexpr bool want_open = sides != Sides::kClosed;
-  constexpr bool want_closed = sides != Sides::kOpen;
+void FluidQueueSolver::sweep(std::size_t bins, std::size_t first, std::size_t stride,
+                             const LevelTables& out) const {
+  // W = T (lambda - c), summed over the rates in marginal order, one rate
+  // at a time, so each entry adds the same terms in the same order as a
+  // per-point loop over the rates. A rate above c gives Pr{T > t} /
+  // Pr{T >= t} at t = w / (lambda - c), a rate below c gives
+  // 1 - Pr{T >= t} / 1 - Pr{T > t}, and a rate equal to c adds a step at
+  // w = 0. Where t <= 0 both epoch ccdfs are 1 (the interface's contract):
+  // a rate above c adds its probability, one below c adds nothing, and
+  // the law is not asked. At t > 0 it is asked once per chunk of points,
+  // only for the values the wanted tables read.
+  const double d = numerics::Grid(buffer_, bins).step();
+  const auto m = static_cast<double>(bins);
+  const std::size_t last = 2 * bins;
   const auto& rates = marginal_.rates();
   const auto& probs = marginal_.probs();
-  IncrementCcdf s;
-  for (std::size_t i = 0; i < rates.size(); ++i) {
-    const double dr = rates[i] - service_rate_;
-    if (dr == 0.0) {
-      if (want_open && w < 0.0) s.open += probs[i];
-      if (want_closed && w <= 0.0) s.closed += probs[i];
-      continue;
-    }
-    const double t = w / dr;
-    double t_open = 0.0, t_closed = 0.0;  // Pr{T > t}, Pr{T >= t}
-    if constexpr (sides == Sides::kBoth) {
-      epochs_->ccdf_both(t, t_open, t_closed);
-    } else if ((sides == Sides::kOpen) == (dr > 0.0)) {
-      t_open = epochs_->ccdf_open(t);
-    } else {
-      t_closed = epochs_->ccdf_closed(t);
-    }
-    if (dr > 0.0) {
-      if (want_open) s.open += probs[i] * t_open;
-      if (want_closed) s.closed += probs[i] * t_closed;
-    } else {
-      if (want_open) s.open += probs[i] * (1.0 - t_closed);
-      if (want_closed) s.closed += probs[i] * (1.0 - t_open);
+  // Headroom 0 (grid point i = 0, occupancy M d) is E[T] for every rate.
+  const double mean_excess = out.kernel ? epochs_->excess_mean(0.0) : 0.0;
+  constexpr std::size_t kChunk = 128;
+  double t[kChunk]{}, law_open[kChunk]{}, law_closed[kChunk]{}, excess[kChunk]{};
+  std::size_t point[kChunk]{};
+  for (std::size_t r = 0; r < rates.size(); ++r) {
+    const double p = probs[r];
+    const double dr = rates[r] - service_rate_;
+    const bool up = dr > 0.0;
+    // The law's outputs the wanted tables read at this rate; null skips one.
+    double* const want_open = (up ? out.open : out.closed) ? law_open : nullptr;
+    double* const want_closed = (up ? out.closed : out.open) ? law_closed : nullptr;
+    double* const want_excess = up && out.kernel ? excess : nullptr;
+    for (std::size_t k = first; k <= last;) {
+      std::size_t n = 0;  // points of this chunk at which the law is asked
+      for (; k <= last && n < kChunk; k += stride) {
+        const double w = (static_cast<double>(k) - m) * d;
+        if (dr == 0.0) {
+          if (out.open && w < 0.0) out.open[k] += p;
+          if (out.closed && w <= 0.0) out.closed[k] += p;
+          continue;
+        }
+        const double tk = w / dr;
+        if (tk > 0.0) {
+          t[n] = tk;
+          point[n++] = k;
+        } else if (up) {
+          if (out.open) out.open[k] += p;
+          if (out.closed) out.closed[k] += p;
+          if (out.kernel && k >= bins) out.kernel[last - k] += p * dr * mean_excess;
+        }
+      }
+      if (n == 0) continue;
+      epochs_->tabulate(t, n, want_open, want_closed, want_excess);
+      for (std::size_t q = 0; q < n; ++q) {
+        const std::size_t at = point[q];
+        if (up) {
+          // t > 0 means at > M: grid point i = at - M is the headroom of
+          // occupancy j = 2M - at.
+          if (out.open) out.open[at] += p * law_open[q];
+          if (out.closed) out.closed[at] += p * law_closed[q];
+          if (out.kernel) out.kernel[last - at] += p * dr * excess[q];
+        } else {
+          if (out.open) out.open[at] += p * (1.0 - law_closed[q]);
+          if (out.closed) out.closed[at] += p * (1.0 - law_open[q]);
+        }
+      }
     }
   }
-  return s;
 }
 
 std::vector<double> FluidQueueSolver::increment_pmf_lower(std::size_t bins) const {
   if (bins == 0) throw std::invalid_argument("increment_pmf_lower: bins must be >= 1");
-  const numerics::Grid grid(buffer_, bins);
-  const double d = grid.step();
-  const auto m = static_cast<double>(bins);
   // Eq. 21: i = -M lumps everything below (-M+1)d; i = M lumps [Md, inf).
-  std::vector<double> closed(2 * bins);  // Pr{W >= i d}, i = -M+1..M
-  for (std::size_t j = 0; j < 2 * bins; ++j)
-    closed[j] = increment_ccdf<Sides::kClosed>((static_cast<double>(j + 1) - m) * d).closed;
-  return pmf_from_ccdf(closed.data(), bins);
+  std::vector<double> closed(2 * bins + 1, 0.0);  // Pr{W >= i d}, i = -M..M
+  sweep(bins, 1, 1, {nullptr, closed.data(), nullptr});
+  return pmf_from_ccdf(closed.data() + 1, bins);
 }
 
 std::vector<double> FluidQueueSolver::increment_pmf_upper(std::size_t bins) const {
   if (bins == 0) throw std::invalid_argument("increment_pmf_upper: bins must be >= 1");
-  const numerics::Grid grid(buffer_, bins);
-  const double d = grid.step();
-  const auto m = static_cast<double>(bins);
   // Eq. 22: i = -M lumps (-inf, -Md]; i = M lumps ((M-1)d, inf).
-  std::vector<double> open(2 * bins);  // Pr{W > i d}, i = -M..M-1
-  for (std::size_t j = 0; j < 2 * bins; ++j)
-    open[j] = increment_ccdf<Sides::kOpen>((static_cast<double>(j) - m) * d).open;
+  std::vector<double> open(2 * bins + 1, 0.0);  // Pr{W > i d}, i = -M..M
+  sweep(bins, 0, 1, {open.data(), nullptr, nullptr});
   return pmf_from_ccdf(open.data(), bins);
 }
 
@@ -407,27 +427,21 @@ double FluidQueueSolver::overflow_kernel(double x) const {
 
 FluidQueueSolver::Level FluidQueueSolver::build_level(std::size_t bins, const Level* coarse) const {
   const numerics::Grid grid(buffer_, bins);
-  const double d = grid.step();
-  const auto m = static_cast<double>(bins);
   // Refinement carry-over: with d = 2 d' exactly, fine point 2j d' is
   // coarse point j d bit for bit, so every even fine entry is a coarse
-  // entry and only the odd ones are evaluated.
+  // entry and only the odd ones are evaluated. Occupancy j is headroom
+  // point 2M - j, of the same parity.
   const bool carry = coarse != nullptr && 2 * coarse->grid.bins() == bins &&
-                     2.0 * d == coarse->grid.step();
-  std::vector<double> open(2 * bins + 1), closed(2 * bins + 1);
-  for (std::size_t k = 0; k <= 2 * bins; ++k) {
-    if (carry && k % 2 == 0) {
-      open[k] = coarse->ccdf_open[k / 2];
-      closed[k] = coarse->ccdf_closed[k / 2];
-    } else {
-      const IncrementCcdf s = increment_ccdf<Sides::kBoth>((static_cast<double>(k) - m) * d);
-      open[k] = s.open;
-      closed[k] = s.closed;
+                     2.0 * grid.step() == coarse->grid.step();
+  std::vector<double> open(2 * bins + 1, 0.0), closed(2 * bins + 1, 0.0), kernel(bins + 1, 0.0);
+  if (carry) {
+    for (std::size_t k = 0; k <= bins; ++k) {
+      open[2 * k] = coarse->ccdf_open[k];
+      closed[2 * k] = coarse->ccdf_closed[k];
     }
+    for (std::size_t j = 0; j <= bins / 2; ++j) kernel[2 * j] = coarse->kernel[j];
   }
-  std::vector<double> kernel(bins + 1);
-  for (std::size_t j = 0; j <= bins; ++j)
-    kernel[j] = carry && j % 2 == 0 ? coarse->kernel[j / 2] : overflow_kernel(grid.value(j));
+  sweep(bins, carry ? 1 : 0, carry ? 2 : 1, {open.data(), closed.data(), kernel.data()});
   DualFoldEngine engine(pmf_from_ccdf(closed.data() + 1, bins), pmf_from_ccdf(open.data(), bins),
                         bins);
   return Level{grid, std::move(engine), std::move(kernel), std::move(open), std::move(closed)};
@@ -478,6 +492,7 @@ SolverResult FluidQueueSolver::solve(const SolverConfig& cfg) const {
   std::vector<double> q_low, q_high;
   obs::SteadyTime level_start;
   double level_drift = 0.0;  // worst pre-renormalization mass drift of the level
+  bool level_bounded = false;  // whether the level evaluated its bounds
 
   // Level entry: its clock starts before its build. The first level starts
   // the chains empty and full, a refinement re-seeds them from the coarse
@@ -486,6 +501,7 @@ SolverResult FluidQueueSolver::solve(const SolverConfig& cfg) const {
   auto enter_level = [&](const Level* coarse) {
     level_start = obs::now();
     level_drift = 0.0;
+    level_bounded = false;
     core::failpoint_hit("solve.level");
     obs::flight::record(obs::flight::EventKind::kSolveLevel, "solve", check.level, check.bins);
     obs::profiler::sample_now();
@@ -499,14 +515,18 @@ SolverResult FluidQueueSolver::solve(const SolverConfig& cfg) const {
     return fine;
   };
   // Level close: the level's telemetry, projected from its last check (a
-  // guard-tripped level's is its failing state, before the rollback).
+  // guard-tripped level's is its failing state, before the rollback). A
+  // level whose first check tripped a step guard never bounded the loss:
+  // its bracket is NaN, not the previous level's bounds the record keeps.
   auto close_level = [&] {
     if (!cfg.collect_telemetry) return;
     double sup_gap = 0.0;
     for (std::size_t j = 0; j < q_low.size(); ++j)
       sup_gap = std::max(sup_gap, std::abs(q_high[j] - q_low[j]));
-    result.telemetry.levels.push_back({check.bins, check.level_iterations, check.loss.lower,
-                                       check.loss.upper, sup_gap, level_drift,
+    const LossBounds bracket =
+        level_bounded ? check.loss : LossBounds{std::nan(""), std::nan("")};
+    result.telemetry.levels.push_back({check.bins, check.level_iterations, bracket.lower,
+                                       bracket.upper, sup_gap, level_drift,
                                        obs::seconds_since(level_start)});
   };
 
@@ -527,8 +547,10 @@ SolverResult FluidQueueSolver::solve(const SolverConfig& cfg) const {
     check.level_iterations += kCheckEvery;
     level_drift = std::max({level_drift, check.low.mass_dev, check.high.mass_dev});
     // Bounds are read only from pmfs that pass the step guards (SolverCheck::loss).
-    if (!step_guard(check.low, "lower") && !step_guard(check.high, "upper"))
+    if (!step_guard(check.low, "lower") && !step_guard(check.high, "upper")) {
       check.loss = {loss_from_pmf(q_low, level.kernel), loss_from_pmf(q_high, level.kernel)};
+      level_bounded = true;
+    }
     check.elapsed_ms = obs::seconds_since(solve_start) * 1000.0;
     check.cancelled = cfg.cancellation != nullptr && cfg.cancellation->cancelled();
 

@@ -27,11 +27,15 @@
 // Around it, solve() has one level entry, one level close (the telemetry
 // projection) and, after the loop, the rollback of a guard trip.
 //
-// Level build: each level samples the increment ccdfs Pr{W > i d} and
-// Pr{W >= i d} once per grid point i = -M..M (one EpochDistribution::
-// ccdf_both per rate), takes both increment pmfs as differences of those
-// two tables, and keeps the tables so the refinement to 2M reuses them at
-// its even grid points, which are the coarse points bit for bit.
+// Level build: one sweep per rate samples the increment ccdfs Pr{W > i d}
+// and Pr{W >= i d} at the grid points i = -M..M, asking the epoch law
+// once per chunk of points (EpochDistribution::tabulate) at each t > 0
+// the rate maps a point to. The same call gives, for a rate above c, the
+// excess mean at that t, and grid point i = M - j is headroom (M - j) d,
+// so the overflow kernel E[W_l | Q = j d] is read off the same sweep.
+// Both increment pmfs are differences of the two tables; the level keeps
+// the tables so the refinement to 2M reuses them at its even grid points,
+// which are the coarse points bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -323,8 +327,9 @@ class FluidQueueSolver {
   /// E[W_l | Q = x]: the exact overflow kernel used by the bounds.
   double overflow_kernel(double x) const;
 
-  /// Exact increment pmfs w_L / w_H at a given M (index 0 <-> i = -M).
-  /// Exposed for tests; both sum to 1.
+  /// Exact increment pmfs w_L / w_H at a given M (index 0 <-> i = -M),
+  /// from the level build's sweep (one table each). Exposed for tests;
+  /// both sum to 1.
   std::vector<double> increment_pmf_lower(std::size_t bins) const;
   std::vector<double> increment_pmf_upper(std::size_t bins) const;
 
@@ -350,17 +355,21 @@ class FluidQueueSolver {
   /// result equals a fresh build bit for bit.
   Level build_level(std::size_t bins, const Level* coarse = nullptr) const;
 
-  /// Pr{W > w} (open) and Pr{W >= w} (closed) of the per-epoch increment.
-  struct IncrementCcdf {
-    double open = 0.0;
-    double closed = 0.0;
+  /// Where a sweep adds: Pr{W > i d} and Pr{W >= i d} for i = -M..M
+  /// (index i + M, 2M + 1 entries) and E[W_l | Q = j d] for j = 0..M.
+  /// A null table is not filled, and no epoch value only it reads is
+  /// asked for.
+  struct LevelTables {
+    double* open = nullptr;
+    double* closed = nullptr;
+    double* kernel = nullptr;
   };
-  /// Which of the two increment ccdfs a call computes; the other stays 0.
-  /// A one-sided call makes one epoch-ccdf call per rate, kBoth one
-  /// ccdf_both per rate.
-  enum class Sides { kOpen, kClosed, kBoth };
-  template <Sides sides>
-  IncrementCcdf increment_ccdf(double w) const;
+  /// Adds every rate's share, in marginal order, at the grid points
+  /// first, first + stride, ... <= 2M (index i + M) of the level at
+  /// `bins`, and the kernel at the occupancies those points are the
+  /// headroom of; the tables start zeroed.
+  void sweep(std::size_t bins, std::size_t first, std::size_t stride,
+             const LevelTables& out) const;
 
   double loss_from_pmf(const std::vector<double>& q, const std::vector<double>& kernel) const;
 

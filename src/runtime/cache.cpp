@@ -233,11 +233,17 @@ void SolverCache::insert_memory(std::uint64_t key, double value, double cost) {
     s.cost += cost - it->second.cost;
     it->second.value = value;
     it->second.cost = cost;
-    s.lru.splice(s.lru.begin(), s.lru, it->second.lru_it);
+    if (shard_capacity_ > 0.0) s.lru.splice(s.lru.begin(), s.lru, it->second.lru_it);
     return;
   }
-  s.lru.push_front(key);
-  s.map.emplace(key, Entry{value, cost, s.lru.begin()});
+  // Only eviction reads the LRU list, and an unbounded tier never evicts:
+  // it keeps no list node per entry and moves none on a hit.
+  Entry entry{value, cost, {}};
+  if (shard_capacity_ > 0.0) {
+    s.lru.push_front(key);
+    entry.lru_it = s.lru.begin();
+  }
+  s.map.emplace(key, entry);
   s.cost += cost;
   // LRU-with-cost: shed from the cold end until the shard fits its share
   // of the budget again. The just-inserted entry is never shed (a single
@@ -270,7 +276,7 @@ std::optional<double> SolverCache::lookup(std::uint64_t key, bool* from_disk) {
       hits_counter().inc();
       obs::instant("cache.hit", "cache");
       obs::flight::record(obs::flight::EventKind::kCacheHit, "", key, 0);
-      s.lru.splice(s.lru.begin(), s.lru, it->second.lru_it);
+      if (shard_capacity_ > 0.0) s.lru.splice(s.lru.begin(), s.lru, it->second.lru_it);
       return it->second.value;
     }
     if (file_path_.empty()) {  // memory-only: miss is final

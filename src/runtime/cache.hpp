@@ -88,7 +88,7 @@ namespace lrd::runtime {
 
 /// Bump whenever solver numerics change in a way that invalidates cached
 /// cell results (the cache key contract above).
-inline constexpr std::string_view kCacheVersionSalt = "lrd-solver-cache-v1";
+inline constexpr std::string_view kCacheVersionSalt = "lrd-solver-cache-v2";
 
 /// Streaming 64-bit FNV-1a over a canonical byte encoding.
 class Fnv1a {
@@ -225,12 +225,12 @@ class SolverCache {
   struct Entry {
     double value = 0.0;
     double cost = 1.0;
-    std::list<std::uint64_t>::iterator lru_it;
+    std::list<std::uint64_t>::iterator lru_it;  // singular when the tier is unbounded
   };
   struct Shard {
     mutable std::mutex mu;
     std::unordered_map<std::uint64_t, Entry> map;
-    std::list<std::uint64_t> lru;  // front = most recently used
+    std::list<std::uint64_t> lru;  // front = most recently used; empty when unbounded
     double cost = 0.0;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;

@@ -377,6 +377,15 @@ TEST(SolverGuards, TripAfterARefinementRollsBackToTheCoarseLevel) {
   EXPECT_GT(r.loss.lower, 0.0);
   EXPECT_LE(r.loss.lower, r.loss.upper);
   EXPECT_GT(r.telemetry.levels[1].mass_drift, queueing::kMassTolerance);
+  // The refined level never evaluated its bounds: its bracket is NaN,
+  // which the telemetry JSON prints as null, not level 1's bracket.
+  EXPECT_TRUE(std::isnan(r.telemetry.levels[1].bracket_lower));
+  EXPECT_TRUE(std::isnan(r.telemetry.levels[1].bracket_upper));
+  const std::string json = r.telemetry.to_json();
+  EXPECT_NE(json.find("\"bins\": 32, \"iterations\": 16, \"bracket_lower\": null, "
+                      "\"bracket_upper\": null, \"bracket_width\": null"),
+            std::string::npos)
+      << json;
 }
 
 TEST(SolverGuards, NonFiniteKernelIsCaughtUpFront) {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cfloat>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -761,10 +762,12 @@ std::vector<double> pmf_from_table(const std::vector<double>& ccdf, std::size_t 
 }
 
 TEST(SolverLevelBuild, IterateFixedMatchesPublicSingleSidedBuild) {
-  // iterate_fixed builds its level the solver's way: one ccdf_both per
-  // grid point and rate, both pmfs from one pair of tables. An engine
-  // built from the public single-sided pmfs, with the kernel taken from
-  // overflow_kernel(j d), must produce the same bits.
+  // iterate_fixed builds its level the solver's way: one sweep per rate
+  // fills both tables and the kernel. An engine built from the public
+  // single-sided pmfs (a sweep filling one table each) must produce the
+  // same bits. The level's kernel is read off the tables' epoch values,
+  // at headroom (M - j) d, so the bounds agree with a kernel taken from
+  // overflow_kernel(j d), at headroom B - j d, up to rounding.
   const FluidQueueSolver five(Marginal({2.0, 6.0, 10.0, 14.0, 18.0}, {0.1, 0.2, 0.4, 0.2, 0.1}),
                               pareto(0.015, 1.3, 10.0), 12.5, 6.25);
   const FluidQueueSolver atom = atom_on_edge_solver();
@@ -791,8 +794,10 @@ TEST(SolverLevelBuild, IterateFixedMatchesPublicSingleSidedBuild) {
 
       EXPECT_EQ(snap.q_lower, q_low) << "bins " << bins;
       EXPECT_EQ(snap.q_upper, q_high) << "bins " << bins;
-      EXPECT_EQ(snap.loss.lower, lower.value() / work) << "bins " << bins;
-      EXPECT_EQ(snap.loss.upper, upper.value() / work) << "bins " << bins;
+      EXPECT_NEAR(snap.loss.lower, lower.value() / work, 1e-14 * lower.value() / work)
+          << "bins " << bins;
+      EXPECT_NEAR(snap.loss.upper, upper.value() / work, 1e-14 * upper.value() / work)
+          << "bins " << bins;
     }
   }
 }
@@ -843,7 +848,7 @@ TEST(SolverLevelBuild, CarriedLevelsEqualFreshBuildsOnMtv) {
 
 TEST(SolverLevelBuild, CarriedLevelsEqualFreshBuildsWithAtomOnGridEdge) {
   const FluidQueueSolver s = atom_on_edge_solver();
-  // The atom branch of ccdf_both is reached: at i = M/2 (t = T_c for the
+  // The atom branch of tabulate is reached: at i = M/2 (t = T_c for the
   // rate above c) Pr{W >= i d} keeps the atom's mass and Pr{W > i d}
   // does not.
   const std::size_t bins = 16;
@@ -860,9 +865,167 @@ TEST(SolverLevelBuild, CarriedLevelsEqualFreshBuildsWithAtomOnGridEdge) {
   expect_carried_levels_match_fresh(s, cfg, 3);
 }
 
+FluidQueueSolver bellcore_solver(double buffer, double cutoff) {
+  const core::TraceModel bc = core::bellcore_model();
+  core::ModelConfig mc;
+  mc.hurst = bc.hurst;
+  mc.mean_epoch = bc.mean_epoch;
+  mc.utilization = bc.utilization;
+  mc.normalized_buffer = buffer;
+  mc.cutoff = cutoff;
+  return core::FluidModel(bc.marginal, mc).solver();
+}
+
+/// E[W_l | Q = j d] summed as the level build sums it (rates above c in
+/// marginal order), from single excess_mean calls at the headroom the
+/// build uses, (M - j) d: grid point i = M - j.
+double kernel_at_grid_headroom(const FluidQueueSolver& s, std::size_t bins, std::size_t j) {
+  const double headroom = static_cast<double>(bins - j) * numerics::Grid(s.buffer(), bins).step();
+  double total = 0.0;
+  for (std::size_t r = 0; r < s.marginal().rates().size(); ++r) {
+    const double dr = s.marginal().rates()[r] - s.service_rate();
+    if (dr > 0.0) total += s.marginal().probs()[r] * dr * s.epochs().excess_mean(headroom / dr);
+  }
+  return total;
+}
+
+/// The same sum with a truncated Pareto's cutoff term left out, each
+/// excess as theta / (alpha - 1) * x^(1 - alpha): the scale of the terms
+/// that cancel near T_c, against which TruncatedPareto::tabulate states
+/// its excess bound.
+double kernel_head_sum(const FluidQueueSolver& s, std::size_t bins, std::size_t j) {
+  const auto& law = dynamic_cast<const dist::TruncatedPareto&>(s.epochs());
+  const double headroom = static_cast<double>(bins - j) * numerics::Grid(s.buffer(), bins).step();
+  double total = 0.0;
+  for (std::size_t r = 0; r < s.marginal().rates().size(); ++r) {
+    const double dr = s.marginal().rates()[r] - s.service_rate();
+    if (dr <= 0.0 || headroom / dr >= law.cutoff()) continue;
+    const double x = (headroom / dr + law.theta()) / law.theta();
+    total += s.marginal().probs()[r] * dr * law.theta() / (law.alpha() - 1.0) *
+             std::pow(x, 1.0 - law.alpha());
+  }
+  return total;
+}
+
+TEST(SolverLevelBuild, KernelMatchesOverflowKernelAtEveryGridPoint) {
+  // The level's kernel at occupancy j is read off the sweep's excess
+  // means at grid point i = M - j, headroom (M - j) d. Against single
+  // excess_mean calls at that headroom it keeps tabulate's stated bound
+  // (4 DBL_EPSILON of the head sum; the products and sums round alike on
+  // both sides). Against overflow_kernel(j d), whose headroom B - j d also
+  // carries j d's rounding, it is within 1e-13 of the head sum: near T_c
+  // the excess cancels against the cutoff term on both sides, so no
+  // bound relative to the kernel itself holds there. Fresh and carried
+  // levels alike.
+  const std::vector<FluidQueueSolver> solvers = {
+      mtv_solver(5.0, 1.0),      mtv_solver(0.2, 10.0),
+      mtv_solver(1.0, std::numeric_limits<double>::infinity()),
+      bellcore_solver(5.0, 0.1), bellcore_solver(1.0, 100.0), atom_on_edge_solver()};
+  using Probe = queueing::LevelBuildProbe;
+  for (std::size_t n = 0; n < solvers.size(); ++n) {
+    const FluidQueueSolver& s = solvers[n];
+    Probe::Level level = Probe::build(s, 16, nullptr);
+    for (std::size_t bins = 16; bins <= 1024; bins *= 2) {
+      if (bins > 16) level = Probe::build(s, bins, &level);
+      const numerics::Grid grid(s.buffer(), bins);
+      ASSERT_EQ(level.kernel.size(), bins + 1);
+      for (std::size_t j = 0; j <= bins; ++j) {
+        const double head = kernel_head_sum(s, bins, j);
+        EXPECT_NEAR(level.kernel[j], kernel_at_grid_headroom(s, bins, j), 4 * DBL_EPSILON * head)
+            << "solver " << n << " bins " << bins << " j " << j;
+        EXPECT_NEAR(level.kernel[j], s.overflow_kernel(grid.value(j)), 1e-13 * head)
+            << "solver " << n << " bins " << bins << " j " << j;
+      }
+    }
+  }
+}
+
+/// Deterministic 1 s epochs (mean, excess mean and a reported support of
+/// 1.0) whose ccdfs, the only values it overrides, keep an atom of mass
+/// 1/2 at t = 1 and a tail out to t = 4, past that support. The level
+/// build reaches it through EpochDistribution::tabulate's default.
+class ScalarOnlyEpoch final : public dist::EpochDistribution {
+ public:
+  double mean() const override { return base_.mean(); }
+  double variance() const override { return base_.variance(); }
+  double ccdf_open(double t) const override { return t < 1.0 ? 1.0 : tail(t); }
+  double ccdf_closed(double t) const override { return t <= 1.0 ? 1.0 : tail(t); }
+  double excess_mean(double u) const override { return base_.excess_mean(u); }
+  double max_support() const override { return base_.max_support(); }
+  double sample(numerics::Rng& rng) const override { return base_.sample(rng); }
+
+ private:
+  static double tail(double t) { return t >= 4.0 ? 0.0 : (4.0 - t) / 6.0; }
+  dist::DeterministicEpoch base_{1.0};
+};
+
+/// The increment ccdf tables as a per-point build makes them: at every
+/// grid point, each rate in marginal order, one single ccdf call per side.
+void per_point_tables(const FluidQueueSolver& s, std::size_t bins, std::vector<double>& open,
+                      std::vector<double>& closed) {
+  const double d = numerics::Grid(s.buffer(), bins).step();
+  const auto m = static_cast<double>(bins);
+  const auto& rates = s.marginal().rates();
+  const auto& probs = s.marginal().probs();
+  open.assign(2 * bins + 1, 0.0);
+  closed.assign(2 * bins + 1, 0.0);
+  for (std::size_t k = 0; k <= 2 * bins; ++k) {
+    const double w = (static_cast<double>(k) - m) * d;
+    for (std::size_t r = 0; r < rates.size(); ++r) {
+      const double dr = rates[r] - s.service_rate();
+      if (dr == 0.0) {
+        if (w < 0.0) open[k] += probs[r];
+        if (w <= 0.0) closed[k] += probs[r];
+        continue;
+      }
+      const double t = w / dr;
+      if (dr > 0.0) {
+        open[k] += probs[r] * s.epochs().ccdf_open(t);
+        closed[k] += probs[r] * s.epochs().ccdf_closed(t);
+      } else {
+        open[k] += probs[r] * (1.0 - s.epochs().ccdf_closed(t));
+        closed[k] += probs[r] * (1.0 - s.epochs().ccdf_open(t));
+      }
+    }
+  }
+}
+
+TEST(SolverLevelBuild, DefaultTabulateGivesPerPointTables) {
+  // Rates 0, 2 and 3 around c = 2 with B = 4: at M a multiple of 4 the
+  // atom at t = 1 falls on grid points of both the rate above c (i = M/4)
+  // and the one below (i = -M/2), and the ccdf is non-zero up to t = 4,
+  // past the reported support of 1.
+  const FluidQueueSolver s(Marginal({0.0, 2.0, 3.0}, {0.5, 0.25, 0.25}),
+                           std::make_shared<const ScalarOnlyEpoch>(), 2.0, 4.0);
+  using Probe = queueing::LevelBuildProbe;
+  std::vector<double> open, closed;
+  Probe::Level coarse = Probe::build(s, 8, nullptr);
+  for (const std::size_t bins : {std::size_t{1}, std::size_t{8}, std::size_t{16}, std::size_t{48}}) {
+    per_point_tables(s, bins, open, closed);
+    const Probe::Level level = Probe::build(s, bins, nullptr);
+    EXPECT_EQ(level.ccdf_open, open) << "bins " << bins;
+    EXPECT_EQ(level.ccdf_closed, closed) << "bins " << bins;
+    EXPECT_EQ(s.increment_pmf_lower(bins), pmf_from_table(closed, bins, true)) << "bins " << bins;
+    EXPECT_EQ(s.increment_pmf_upper(bins), pmf_from_table(open, bins, false)) << "bins " << bins;
+    // The default's excess is excess_mean's, so the kernel is its sum.
+    for (std::size_t j = 0; j <= bins; ++j)
+      EXPECT_EQ(level.kernel[j], kernel_at_grid_headroom(s, bins, j)) << "bins " << bins << " j " << j;
+  }
+  // The atom's mass, 1/2 times the rate's probability, at both points.
+  const Probe::Level level = Probe::build(s, 16, nullptr);
+  EXPECT_EQ(level.ccdf_closed[16 + 4] - level.ccdf_open[16 + 4], 0.125);
+  EXPECT_EQ(level.ccdf_closed[16 - 8] - level.ccdf_open[16 - 8], 0.25);
+  // A carried level equals a fresh one here too.
+  const Probe::Level carried = Probe::build(s, 16, &coarse);
+  EXPECT_EQ(carried.ccdf_open, level.ccdf_open);
+  EXPECT_EQ(carried.ccdf_closed, level.ccdf_closed);
+  EXPECT_EQ(carried.kernel, level.kernel);
+}
+
 /// Truncated Pareto epochs whose every ccdf call busy-waits at least
 /// `wait_s` seconds and is counted. Only the one-sided ccdfs are
-/// overridden, so the level build's ccdf_both makes two counted calls.
+/// overridden, so the level build's tabulate default makes two counted
+/// calls per point it asks for.
 class SlowCcdfEpoch final : public dist::EpochDistribution {
  public:
   explicit SlowCcdfEpoch(double wait_s) : wait_s_(wait_s) {}

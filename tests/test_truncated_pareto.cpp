@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "dist/simple_epochs.hpp"
 #include "dist/truncated_pareto.hpp"
@@ -45,32 +47,49 @@ TEST(TruncatedPareto, AtomAtCutoff) {
   EXPECT_DOUBLE_EQ(d.ccdf_closed(100.0 + 1e-9), 0.0);
 }
 
-TEST(TruncatedPareto, CcdfBothMatchesOpenAndClosed) {
-  // The solver builds both increment pmfs from one ccdf_both call per
-  // grid point and rate, so each half must equal its single call bit for
-  // bit: below 0, inside (0, T_c), exactly at the atom, past T_c, and
-  // with no cutoff at all.
+TEST(TruncatedPareto, TabulateMatchesSingleCalls) {
+  // The level build asks tabulate once per rate and chunk of grid points
+  // for both ccdfs and the excess mean, so each ccdf must equal its single
+  // call bit for bit: just above 0, inside (0, T_c), exactly at the atom,
+  // just past T_c, and with no cutoff at all. The excess, x p instead of
+  // pow(x, 1 - alpha), stays within the bound the header states.
   const TruncatedPareto d(2.0, 1.4, 100.0);
   const TruncatedPareto untruncated(2.0, 1.4, kInf);
+  const std::vector<double> t = {0.0,   std::nextafter(0.0, 1.0), 1e-300, 1e-12, 0.25,
+                                 18.0,  99.999,                   100.0,  std::nextafter(100.0, kInf),
+                                 100.5, 1e9,                      kInf};
   for (const TruncatedPareto* dist : {&d, &untruncated}) {
-    for (const double t : {-3.0, 0.0, 0.25, 18.0, 100.0, 100.5, 1e9, kInf}) {
-      double open = -1.0, closed = -1.0;
-      dist->ccdf_both(t, open, closed);
-      EXPECT_EQ(open, dist->ccdf_open(t)) << "t " << t << " cutoff " << dist->cutoff();
-      EXPECT_EQ(closed, dist->ccdf_closed(t)) << "t " << t << " cutoff " << dist->cutoff();
+    std::vector<double> open(t.size(), -1.0), closed(t.size(), -1.0), excess(t.size(), -1.0);
+    dist->tabulate(t.data(), t.size(), open.data(), closed.data(), excess.data());
+    const double theta = dist->theta(), alpha = dist->alpha();
+    for (std::size_t k = 0; k < t.size(); ++k) {
+      EXPECT_EQ(open[k], dist->ccdf_open(t[k])) << "t " << t[k] << " cutoff " << dist->cutoff();
+      EXPECT_EQ(closed[k], dist->ccdf_closed(t[k])) << "t " << t[k] << " cutoff " << dist->cutoff();
+      const double head = theta / (alpha - 1.0) * std::pow((t[k] + theta) / theta, 1.0 - alpha);
+      const double bound = t[k] >= dist->cutoff() ? 0.0 : 4.0 * DBL_EPSILON * head;
+      EXPECT_LE(std::abs(excess[k] - dist->excess_mean(t[k])), bound)
+          << "t " << t[k] << " cutoff " << dist->cutoff();
     }
+    // A null output is skipped; the others keep their values.
+    std::vector<double> only_closed(t.size(), -1.0);
+    dist->tabulate(t.data(), t.size(), nullptr, only_closed.data(), nullptr);
+    EXPECT_EQ(only_closed, closed);
   }
-  double open = -1.0, closed = -1.0;
-  d.ccdf_both(100.0, open, closed);
+  double open = -1.0, closed = -1.0, excess = -1.0;
+  const double at_cutoff = 100.0;
+  d.tabulate(&at_cutoff, 1, &open, &closed, &excess);
   EXPECT_EQ(open, 0.0);
   EXPECT_EQ(closed, d.atom_mass());
+  EXPECT_EQ(excess, 0.0);
 
-  // The base-class default, at and beside a deterministic epoch's atom.
+  // The base-class default makes the single calls, at and beside a
+  // deterministic epoch's atom.
   const lrd::dist::DeterministicEpoch det(1.5);
-  for (const double t : {1.0, 1.5, 2.0}) {
-    det.ccdf_both(t, open, closed);
-    EXPECT_EQ(open, det.ccdf_open(t)) << "t " << t;
-    EXPECT_EQ(closed, det.ccdf_closed(t)) << "t " << t;
+  for (const double u : {1.0, 1.5, 2.0}) {
+    det.tabulate(&u, 1, &open, &closed, &excess);
+    EXPECT_EQ(open, det.ccdf_open(u)) << "t " << u;
+    EXPECT_EQ(closed, det.ccdf_closed(u)) << "t " << u;
+    EXPECT_EQ(excess, det.excess_mean(u)) << "t " << u;
   }
 
   // excess_mean's cutoff term is computed once, at construction; the
